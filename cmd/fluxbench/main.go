@@ -58,12 +58,13 @@
 // Scale sweeps (the 90/10 hot-corner regime; see DESIGN.md §6.7):
 //
 //	fluxbench shardbench -users 1000,20000 -grids 8x8 -skew 0.9 -activeset 16
-//	fluxbench shardbench -users 20000 -grids 8x8 -skew 0.9 -activeset 16 -naive
+//	fluxbench shardbench -users 20000 -grids 8x8 -skew 0.9   # uncapped search
 //	fluxbench shardbench -users 5000 -grids 4x4 -capacity 500 -metrics
 //
-// -naive replays the same world through the pre-scale baseline (static
-// contiguous tile scheduling, dense per-tile result arrays); the users/sec
-// ratio against the default LPT + sparse path is the scale-out speedup.
+// Tiles are packed onto workers longest-processing-time first by
+// deterministic cost estimates, and each tile reports only its owned users.
+// -activeset caps the users each tile searches per round; the users/sec
+// ratio against the same sweep without it is the capped-search speedup.
 // -capacity bounds per-tile admission (spills stay deterministic), and
 // -metrics prints the shard.* instrument snapshot, including per-tile
 // gauges, at exit. Entries report p50/p95 step latency, max/mean tile-load

@@ -268,7 +268,7 @@ func TestRunShardBenchSubcommand(t *testing.T) {
 	if err := json.Unmarshal(buf, &report); err != nil {
 		t.Fatalf("shard report is not valid JSON: %v", err)
 	}
-	if report.Sched != "lpt" || report.Skew != 0.5 {
+	if report.Skew != 0.5 || report.ActiveSet != 4 {
 		t.Errorf("report header wrong: %+v", report)
 	}
 	if len(report.Entries) != 4 { // 2 populations x 2 grids x 1 worker count
@@ -292,34 +292,5 @@ func TestRunShardBenchSubcommand(t *testing.T) {
 	}
 	if err := run([]string{"shardbench", "-skew", "1.5"}); err == nil {
 		t.Error("out-of-range -skew must error")
-	}
-}
-
-func TestRunShardBenchNaiveMatchesDefault(t *testing.T) {
-	if testing.Short() {
-		t.Skip("end-to-end shard sweep skipped in -short mode")
-	}
-	// -naive changes scheduling and result shape only; both modes must do the
-	// same tracking work on the same stream (the shard tests prove the output
-	// is byte-identical — here we just check the sweep accepts the flag and
-	// reports the mode).
-	out := filepath.Join(t.TempDir(), "naive.json")
-	if err := run([]string{
-		"shardbench", "-users", "4", "-trackn", "60", "-samples", "40",
-		"-rounds", "2", "-repeats", "1", "-grids", "2x2", "-naive",
-		"-metrics", "-json", out,
-	}); err != nil {
-		t.Fatalf("naive shardbench failed: %v", err)
-	}
-	buf, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report shardThroughputReport
-	if err := json.Unmarshal(buf, &report); err != nil {
-		t.Fatal(err)
-	}
-	if report.Sched != "naive" {
-		t.Errorf("sched = %q, want naive", report.Sched)
 	}
 }

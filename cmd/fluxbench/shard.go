@@ -26,22 +26,18 @@ import (
 // -shardbench): tracker-step throughput for the same worlds tracked through
 // a users × grid × workers sweep. The single-worker gain is algorithmic, not
 // parallel — each tile fits only its own sensors against its own users, and
-// the sparse result path touches only owned users — and therefore shows up
+// each tile reports only its owned users — and therefore shows up
 // even at -workers 1 on a single-core machine.
 type shardThroughputReport struct {
-	TrackN    int     `json:"track_n"`
-	Samples   int     `json:"sample_nodes"`
-	Rounds    int     `json:"rounds"`
-	Repeats   int     `json:"repeats"`
-	Halo      float64 `json:"halo"`
-	Seed      uint64  `json:"seed"`
-	Skew      float64 `json:"skew,omitempty"`
-	ActiveSet int     `json:"active_set,omitempty"`
-	Capacity  int     `json:"tile_capacity,omitempty"`
-	// Sched is the scheduling/result-shape mode of every entry: "lpt" (the
-	// scale path) or "naive" (-naive: static contiguous scheduling plus
-	// dense per-tile result arrays — the pre-scale baseline).
-	Sched      string                 `json:"sched"`
+	TrackN     int                    `json:"track_n"`
+	Samples    int                    `json:"sample_nodes"`
+	Rounds     int                    `json:"rounds"`
+	Repeats    int                    `json:"repeats"`
+	Halo       float64                `json:"halo"`
+	Seed       uint64                 `json:"seed"`
+	Skew       float64                `json:"skew,omitempty"`
+	ActiveSet  int                    `json:"active_set,omitempty"`
+	Capacity   int                    `json:"tile_capacity,omitempty"`
 	GOMAXPROCS int                    `json:"gomaxprocs"`
 	GoVersion  string                 `json:"go_version"`
 	Entries    []shardThroughputEntry `json:"entries"`
@@ -86,7 +82,6 @@ type shardBenchOpts struct {
 	skew      float64
 	activeSet int
 	capacity  int
-	naive     bool
 	metrics   bool
 }
 
@@ -115,7 +110,6 @@ func runShardBench(args []string) error {
 		skew      = fs.Float64("skew", 0, "fraction of users clustered in one hot corner (0.9 = the 90/10 scale-out regime; 0 = quadrant orbits)")
 		activeSet = fs.Int("activeset", 0, "per-tile cap on users searched per round (0 = search everyone; large populations need a cap)")
 		capacity  = fs.Int("capacity", 0, "per-tile user capacity with deterministic admission and spills (0 = unlimited)")
-		naive     = fs.Bool("naive", false, "run the pre-scale baseline: static contiguous scheduling + dense per-tile results")
 		metrics   = fs.Bool("metrics", false, "collect shard.* and per-tile instruments; print the merged snapshot at exit")
 		jsonOut   = fs.String("json", "", "write a JSON throughput report to this file")
 	)
@@ -137,7 +131,7 @@ func runShardBench(args []string) error {
 	opts := shardBenchOpts{
 		users: userCounts, trackN: *trackN, samples: *samples, rounds: *rounds,
 		repeats: *repeats, halo: *halo, workers: workerCounts, seed: *seed, grids: grids,
-		skew: *skew, activeSet: *activeSet, capacity: *capacity, naive: *naive,
+		skew: *skew, activeSet: *activeSet, capacity: *capacity,
 		metrics: *metrics,
 	}
 	if opts.skew < 0 || opts.skew > 1 {
@@ -237,19 +231,15 @@ func shardBenchTrajectories(field geom.Rect, users int, skew float64) []mobility
 // runShardSweep measures Field.Step wall time for each (users, grid,
 // workers) cell over one precomputed observation stream per population.
 // Every cell replays the same stream from the same seed; only the tiling and
-// scheduling differ.
+// the worker count differ.
 func runShardSweep(opts shardBenchOpts) (shardThroughputReport, error) {
 	report := shardThroughputReport{
 		TrackN: opts.trackN, Samples: opts.samples,
 		Rounds: opts.rounds, Repeats: opts.repeats, Halo: opts.halo,
 		Seed: opts.seed, Skew: opts.skew,
 		ActiveSet: opts.activeSet, Capacity: opts.capacity,
-		Sched:      "lpt",
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		GoVersion:  runtime.Version(),
-	}
-	if opts.naive {
-		report.Sched = "naive"
 	}
 	var met *obs.Metrics
 	if opts.metrics {
@@ -304,10 +294,6 @@ func runShardSweep(opts shardBenchOpts) (shardThroughputReport, error) {
 					Shards:         grid, InitialPositions: starts, Workers: workers,
 					TileCapacity: opts.capacity,
 					Metrics:      met,
-				}
-				if opts.naive {
-					cfg.Sched = shard.SchedStatic
-					cfg.DenseResults = true
 				}
 				if met != nil {
 					cfg.PerTileMetrics = true

@@ -312,10 +312,6 @@ type TrackerConfig struct {
 	UniformWeights    bool // disable §4.D importance weighting (ablation)
 	ActiveSetLimit    int  // cap on users searched per round (§5.C regime)
 	HeadingPrediction bool // §4.C refinement: dead-reckoned prediction discs
-	// StaleAttenuation controls how strongly delayed reports are discounted
-	// in masked tracking rounds (see smc.Config.StaleAttenuation; zero
-	// takes the default of 0.5, negative disables the discount).
-	StaleAttenuation float64
 	// Coarse, when Enabled, precomputes a fingerprint database over the
 	// sniffer's monitored nodes and shortlists each user's candidates by
 	// coarse cell score before the exact Gram/NNLS ranking runs each round
@@ -327,11 +323,6 @@ type TrackerConfig struct {
 	// the tiles of a sharded field, benchmark repeats); see
 	// fingerprint.Cache. Caching never changes tracker output.
 	DBCache *fingerprint.Cache
-	// IncumbentFitLimit caps how many incumbent users join the exact Gram
-	// fit of the tracker's active-set selection (see
-	// smc.Config.IncumbentFitLimit; zero takes the default of 512, negative
-	// disables the cap). Only meaningful with ActiveSetLimit.
-	IncumbentFitLimit int
 	// Shards splits the field into a Rows×Cols tile grid tracked by
 	// internal/shard: each tile owns its sensors, its fingerprint database,
 	// and an independent tracker, and users migrate between tiles as their
@@ -339,18 +330,10 @@ type TrackerConfig struct {
 	// tracker. Only NewStepTracker and NewShardedTracker honor it; NewTracker
 	// always builds the plain tracker.
 	Shards shard.Grid
-	// Sched selects the sharded coordinator's tile-to-worker scheduling
-	// policy (cost-weighted LPT by default; see shard.Config.Sched). Output
-	// never depends on it.
-	Sched shard.Scheduler
 	// TileCapacity caps users per tile in a sharded tracker, with
 	// deterministic admission redirect and spill accounting (see
 	// shard.Config.TileCapacity). 0 = unlimited.
 	TileCapacity int
-	// DenseResults restores the sharded coordinator's legacy dense per-tile
-	// result arrays — the differential-testing and benchmarking baseline
-	// (see shard.Config.DenseResults). Output is byte-identical either way.
-	DenseResults bool
 	// PerTileMetrics registers shard.tile.NNN.* instruments per tile on top
 	// of the aggregated shard.* set (see shard.Config.PerTileMetrics).
 	PerTileMetrics bool
@@ -391,9 +374,7 @@ func (sn *Sniffer) trackerTemplate(numUsers int, cfg TrackerConfig) smc.Config {
 		Search:            cfg.Search,
 		UniformWeights:    cfg.UniformWeights,
 		ActiveSetLimit:    cfg.ActiveSetLimit,
-		IncumbentFitLimit: cfg.IncumbentFitLimit,
 		HeadingPrediction: cfg.HeadingPrediction,
-		StaleAttenuation:  cfg.StaleAttenuation,
 		Coarse:            cfg.Coarse,
 		DBCache:           cfg.DBCache,
 		Workers:           cfg.Workers,
@@ -440,9 +421,7 @@ func (sn *Sniffer) NewShardedTracker(numUsers int, cfg TrackerConfig, seed uint6
 		Tracker:          tmpl,
 		InitialPositions: cfg.InitialPositions,
 		Workers:          cfg.Workers,
-		Sched:            cfg.Sched,
 		TileCapacity:     cfg.TileCapacity,
-		DenseResults:     cfg.DenseResults,
 		PerTileMetrics:   cfg.PerTileMetrics,
 		Metrics:          cfg.Metrics,
 		Trace:            cfg.Trace,

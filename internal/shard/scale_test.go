@@ -82,11 +82,9 @@ type skewOutcome struct {
 // TestSkewedWorkerInvariance pins the determinism contract where it is
 // hardest: heavily skewed distributions (everyone in one tile; a hot corner
 // drifting across seams) on 4×4 and 8×8 grids, under fault injection, across
-// worker counts, both schedulers, and both result shapes. SchedStatic with
-// DenseResults is exactly the pre-scale code path, so this doubles as the
-// differential test that the scale-out machinery — LPT plans, counting-sort
-// routing, pooled sparse buffers, pooled migration — changed the wall clock
-// and nothing else.
+// worker counts. Different worker counts get different LPT plans, so this
+// is also the check that scheduling changes the wall clock and nothing
+// else.
 func TestSkewedWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skew determinism suite skipped in -short mode")
@@ -105,7 +103,7 @@ func TestSkewedWorkerInvariance(t *testing.T) {
 			kind, grid := kind, grid
 			t.Run(kind+"/"+grid.String(), func(t *testing.T) {
 				t.Parallel()
-				run := func(workers int, sched shard.Scheduler, dense bool) skewOutcome {
+				run := func(workers int) skewOutcome {
 					f, err := shard.New(shard.Config{
 						Model:        w.sc.Model(),
 						SamplePoints: w.points,
@@ -113,8 +111,6 @@ func TestSkewedWorkerInvariance(t *testing.T) {
 						Grid:         grid,
 						Tracker:      smc.Config{N: 120, M: 6, Workers: 2},
 						Workers:      workers,
-						Sched:        sched,
-						DenseResults: dense,
 						// Seed ownership from the true starting cluster so the
 						// skew exists from round one, not only after handoffs
 						// herd the users together.
@@ -146,7 +142,7 @@ func TestSkewedWorkerInvariance(t *testing.T) {
 					}
 					return oc
 				}
-				ref := run(1, shard.SchedLPT, false)
+				ref := run(1)
 				// The imbalance metric must see the skew: round one routes the
 				// population exactly where the true cluster sits.
 				wantMax := 0
@@ -168,20 +164,9 @@ func TestSkewedWorkerInvariance(t *testing.T) {
 					t.Errorf("spills = %d without TileCapacity", ref.spills)
 				}
 				for _, workers := range []int{3, 8, 0} {
-					if got := run(workers, shard.SchedLPT, false); !reflect.DeepEqual(got, ref) {
+					if got := run(workers); !reflect.DeepEqual(got, ref) {
 						t.Errorf("Workers=%d diverges from serial run", workers)
 					}
-				}
-				// Scheduler and result shape are performance knobs, never
-				// output knobs.
-				if got := run(4, shard.SchedStatic, false); !reflect.DeepEqual(got, ref) {
-					t.Error("SchedStatic diverges from SchedLPT")
-				}
-				if got := run(4, shard.SchedStatic, true); !reflect.DeepEqual(got, ref) {
-					t.Error("legacy path (SchedStatic+DenseResults) diverges from the scale path")
-				}
-				if got := run(4, shard.SchedLPT, true); !reflect.DeepEqual(got, ref) {
-					t.Error("DenseResults diverges from sparse results")
 				}
 			})
 		}

@@ -145,20 +145,14 @@ type Config struct {
 	InitialPositions []geom.Point
 
 	// Workers bounds how many tiles step concurrently (0 = GOMAXPROCS,
-	// 1 = serial). Output is byte-identical at any value.
+	// 1 = serial). Each round weighs every tile by a deterministic cost
+	// estimate (its owned-user count plus the NNLS work its tracker burned
+	// last round) and packs tiles onto workers longest-processing-time
+	// first, so one hot tile under a skewed user distribution does not
+	// serialize the round behind a contiguous shard. Scheduling never
+	// affects output — tiles write index-disjoint state and merge serially —
+	// so output is byte-identical at any value.
 	Workers int
-
-	// Sched selects how tiles are assigned to the round's workers. The
-	// default, SchedLPT, weighs each tile by a deterministic cost estimate
-	// (its owned-user count plus the NNLS work its tracker burned last
-	// round) and packs tiles onto workers longest-processing-time first, so
-	// one hot tile under a skewed user distribution no longer serializes
-	// the whole round behind a contiguous shard. SchedStatic keeps the
-	// plain contiguous split (the pre-scale behavior, and the baseline the
-	// scheduler benchmark compares against). Scheduling never affects
-	// output — tiles write index-disjoint state and merge serially — so
-	// both schedulers are byte-identical; they differ only in wall clock.
-	Sched Scheduler
 
 	// TileCapacity caps how many users one tile may own (0 = unlimited).
 	// When a migration would overflow the destination, the user is
@@ -170,13 +164,6 @@ type Config struct {
 	// applies the same admission. NumUsers must not exceed
 	// TileCapacity×tiles.
 	TileCapacity int
-
-	// DenseResults restores the legacy per-tile result shape: every tile
-	// allocates a NumUsers-long estimate array per round instead of the
-	// sparse owned-aligned buffer. Output is byte-identical either way;
-	// the flag exists as the differential-testing reference and the
-	// honest baseline for the scale benchmark.
-	DenseResults bool
 
 	// PerTileMetrics registers per-tile instruments on top of the
 	// aggregated shard.* set: shard.tile.NNN.users (owned-user count per
@@ -198,18 +185,6 @@ type Config struct {
 	Cache *fingerprint.Cache
 }
 
-// Scheduler selects the tile-to-worker assignment policy of a round.
-type Scheduler int
-
-const (
-	// SchedLPT (the default) schedules tiles longest-processing-time first
-	// by deterministic per-tile cost estimates; see Config.Sched.
-	SchedLPT Scheduler = iota
-	// SchedStatic splits tiles into contiguous index ranges, one per
-	// worker — the pre-scale behavior.
-	SchedStatic
-)
-
 // tile is one shard: its ground, sensors, and tracker, plus the per-round
 // scratch the coordinator reuses.
 type tile struct {
@@ -226,19 +201,15 @@ type tile struct {
 	present  []bool
 	age      []int
 
-	// estBuf is the tile's reusable sparse estimate buffer: the sparse
-	// step writes this round's owned-aligned estimates into it, so
-	// steady-state rounds allocate no estimate arrays.
-	estBuf []smc.Estimate
-
 	// prevSolves/prevIters checkpoint the tile tracker's cumulative NNLS
 	// work so the coordinator can charge each round's delta into the
 	// tile's next cost estimate. Both are deterministic work counts.
 	prevSolves, prevIters uint64
 
-	// Per-round results, written by this tile's worker only. In sparse
-	// mode (the default) res.Estimates[i] belongs to owned[i]; with
-	// Config.DenseResults it is the legacy dense NumUsers array.
+	// Per-round results, written by this tile's worker only;
+	// res.Estimates[i] belongs to owned[i]. The next round's step reuses
+	// res.Estimates as its buffer, so steady-state rounds allocate no
+	// estimate arrays.
 	res     smc.StepResult
 	err     error
 	stepped bool
@@ -248,15 +219,6 @@ type tile struct {
 	// Per-tile instruments, bound only when Config.PerTileMetrics is set.
 	usersGauge *obs.Counter
 	stepHist   *obs.Histogram
-}
-
-// estOf returns owned[k]'s estimate from the tile's last result,
-// independent of the result shape (sparse owned-aligned vs legacy dense).
-func (tl *tile) estOf(k int, dense bool) smc.Estimate {
-	if dense {
-		return tl.res.Estimates[tl.owned[k]]
-	}
-	return tl.res.Estimates[k]
 }
 
 // TileInfo is the read-only description of one tile.
@@ -328,7 +290,7 @@ type Field struct {
 	load       []int // users currently owned per tile (capacity accounting)
 
 	// LPT scheduling state: per-tile cost estimates and the reusable
-	// worker plan (see Config.Sched).
+	// worker plan (see Config.Workers).
 	costs []float64
 	plan  [][]int
 
@@ -602,7 +564,9 @@ func (f *Field) Step(t float64, measured []float64) (smc.StepResult, error) {
 // estimates, reported with Active false — while the remaining tiles step
 // normally. Only when every owning tile skips does StepMasked return
 // ErrAllMasked (wrapped) with the Field untouched, matching the unsharded
-// contract. After the merge, the handoff pass migrates every initialized
+// contract. A malformed round — wrong lengths or a non-finite delivered
+// reading — is rejected before any tile steps, so it too leaves the Field
+// untouched. After the merge, the handoff pass migrates every initialized
 // user whose new estimate left its tile's ground, in ascending (tile, user)
 // order.
 func (f *Field) StepMasked(t float64, measured []float64, present []bool, age []int) (smc.StepResult, error) {
@@ -616,6 +580,14 @@ func (f *Field) StepMasked(t float64, measured []float64, present []bool, age []
 	if age != nil && len(age) != n {
 		return smc.StepResult{}, fmt.Errorf("shard: age vector length %d, want %d", len(age), n)
 	}
+	// Reject non-finite delivered readings here rather than in the tiles:
+	// a tile rejecting one would leave the other tiles having consumed the
+	// round. Masked sensors are skipped, as in smc.
+	for i, v := range measured {
+		if (present == nil || present[i]) && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			return smc.StepResult{}, fmt.Errorf("shard: reading %d is not finite (%v)", i, v)
+		}
+	}
 	observed := f.met.m != nil || f.cfg.Trace != nil
 	var roundStart time.Time
 	if observed {
@@ -624,11 +596,10 @@ func (f *Field) StepMasked(t float64, measured []float64, present []bool, age []
 
 	f.route()
 
-	// Fan the tiles out under the configured scheduler. Each worker touches
-	// only its tile's state, so the round is race-free by construction;
-	// determinism comes from the serial merge below, not from scheduling —
-	// the LPT plan only decides which worker runs a tile, never what the
-	// tile computes.
+	// Fan the tiles out under the LPT plan. Each worker touches only its
+	// tile's state, so the round is race-free by construction; determinism
+	// comes from the serial merge below, not from scheduling — the plan
+	// only decides which worker runs a tile, never what the tile computes.
 	stepTile := func(w, i int) error {
 		tl := f.tiles[i]
 		if len(tl.owned) == 0 {
@@ -640,16 +611,7 @@ func (f *Field) StepMasked(t float64, measured []float64, present []bool, age []
 			t0 = time.Now()
 		}
 		m, p, a, users := tl.gather(measured, present, age)
-		var res smc.StepResult
-		var err error
-		if f.cfg.DenseResults {
-			res, err = tl.tracker.StepUsersMasked(t, m, p, a, users)
-		} else {
-			res, err = tl.tracker.StepUsersMaskedSparse(t, m, p, a, users, tl.estBuf)
-			if err == nil {
-				tl.estBuf = res.Estimates // reuse the owned-aligned buffer next round
-			}
-		}
+		res, err := tl.tracker.StepUsers(t, m, p, a, users, tl.res.Estimates)
 		if observed {
 			tl.wallNs = time.Since(t0).Nanoseconds()
 		}
@@ -661,21 +623,17 @@ func (f *Field) StepMasked(t float64, measured []float64, present []bool, age []
 		tl.stepped = true
 		return nil
 	}
-	if f.cfg.Sched == SchedStatic {
-		_ = par.For(len(f.tiles), f.cfg.Workers, stepTile)
-	} else {
-		// Cost-weighted LPT: weigh each tile by its owned-user count plus
-		// the NNLS work it burned last round. Every input is a
-		// deterministic work counter, so the plan — like the output — is a
-		// pure function of the run, reproducible at any worker count.
-		for i, tl := range f.tiles {
-			f.costs[i] = float64(1 + len(tl.owned))
-			solves, iters := tl.tracker.WorkTotals()
-			f.costs[i] += float64(solves - tl.prevSolves + (iters-tl.prevIters)/4)
-		}
-		f.plan = par.LPTAssign(f.costs, f.cfg.Workers, f.plan)
-		_ = par.ForPlan(f.plan, stepTile)
+	// Cost-weighted LPT: weigh each tile by its owned-user count plus the
+	// NNLS work it burned last round. Every input is a deterministic work
+	// counter, so the plan — like the output — is a pure function of the
+	// run, reproducible at any worker count.
+	for i, tl := range f.tiles {
+		f.costs[i] = float64(1 + len(tl.owned))
+		solves, iters := tl.tracker.WorkTotals()
+		f.costs[i] += float64(solves - tl.prevSolves + (iters-tl.prevIters)/4)
 	}
+	f.plan = par.LPTAssign(f.costs, f.cfg.Workers, f.plan)
+	_ = par.ForPlan(f.plan, stepTile)
 	for _, tl := range f.tiles {
 		if tl.stepped {
 			tl.prevSolves, tl.prevIters = tl.tracker.WorkTotals()
@@ -709,7 +667,6 @@ func (f *Field) StepMasked(t float64, measured []float64, present []bool, age []
 	}
 
 	// Serial merge in ascending tile order.
-	dense := f.cfg.DenseResults
 	out := smc.StepResult{Time: t, Estimates: make([]smc.Estimate, f.cfg.NumUsers)}
 	for _, tl := range f.tiles {
 		if !tl.stepped {
@@ -717,7 +674,7 @@ func (f *Field) StepMasked(t float64, measured []float64, present []bool, age []
 		}
 		out.Objective += tl.res.Objective
 		for k, j := range tl.owned {
-			f.lastEst[j] = tl.estOf(k, dense)
+			f.lastEst[j] = tl.res.Estimates[k]
 		}
 	}
 	for j := range out.Estimates {
@@ -750,7 +707,7 @@ func (f *Field) StepMasked(t float64, measured []float64, present []bool, age []
 			continue
 		}
 		for k, j := range tl.owned {
-			est := tl.estOf(k, dense)
+			est := tl.res.Estimates[k]
 			if len(est.Samples) == 0 { // uninitialized: nothing to move
 				continue
 			}

@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -100,6 +101,85 @@ func TestFieldExportRestoreResumesByteIdentically(t *testing.T) {
 	got := outcomeOf(fresh, append(append([]smc.StepResult(nil), head...), step(fresh, k, rounds)...), users)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("restored field diverged from the uninterrupted run")
+	}
+}
+
+// TestRejectedRoundLeavesFieldUntouched: a round carrying a non-finite
+// delivered reading is rejected before any tile steps, so no tile tracker
+// consumes it — not even the tiles that do not see the bad sensor. The
+// exported state is unchanged, and re-stepping the same time with a valid
+// observation reproduces the uninterrupted run. A non-finite reading behind
+// the mask is never delivered and is accepted.
+func TestRejectedRoundLeavesFieldUntouched(t *testing.T) {
+	const users, rounds, seed = 4, 3, 19
+	w := buildWorld(t, 71, users, rounds, nil)
+	build := func() *shard.Field {
+		f, err := shard.New(shard.Config{
+			Model:            w.sc.Model(),
+			SamplePoints:     w.points,
+			NumUsers:         users,
+			Grid:             shard.Grid{Rows: 2, Cols: 2, Halo: 2},
+			Tracker:          smc.Config{N: 120, M: 6},
+			InitialPositions: w.truths[0],
+		}, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	step := func(f *shard.Field, r int) smc.StepResult {
+		res, err := f.Step(float64(r+1), w.obs[r])
+		if err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+		return res
+	}
+
+	ref := build()
+	var want []smc.StepResult
+	for r := 0; r < rounds; r++ {
+		want = append(want, step(ref, r))
+	}
+
+	f := build()
+	got := []smc.StepResult{step(f, 0)}
+	// Poison the collection sensor of user 0's tile, with users on at least
+	// one other tile, so some tiles could step cleanly around the bad one.
+	home := f.Owner(0)
+	elsewhere := false
+	for j := 1; j < users; j++ {
+		elsewhere = elsewhere || f.Owner(j) != home
+	}
+	if !elsewhere {
+		t.Fatal("world puts every user on one tile; pick another seed")
+	}
+	sensor := f.Tile(home).Sink
+	before := f.ExportState()
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		bad := append([]float64(nil), w.obs[1]...)
+		bad[sensor] = v
+		if _, err := f.Step(2, bad); err == nil {
+			t.Fatalf("reading %v accepted", v)
+		}
+		if !reflect.DeepEqual(f.ExportState(), before) {
+			t.Fatalf("rejected round with reading %v changed the field state", v)
+		}
+	}
+	for r := 1; r < rounds; r++ {
+		got = append(got, step(f, r))
+	}
+	if !reflect.DeepEqual(outcomeOf(f, got, users), outcomeOf(ref, want, users)) {
+		t.Fatal("field diverged from the uninterrupted run after a rejected round")
+	}
+
+	masked := append([]float64(nil), w.obs[rounds-1]...)
+	masked[sensor] = math.NaN()
+	present := make([]bool, len(masked))
+	for i := range present {
+		present[i] = i != sensor
+	}
+	if _, err := f.StepMasked(float64(rounds+1), masked, present, nil); err != nil {
+		t.Fatalf("NaN behind the mask rejected: %v", err)
 	}
 }
 

@@ -123,15 +123,13 @@ func TestStepMaskedDegradesGracefully(t *testing.T) {
 
 // TestStepMaskedStaleWeightsMatter: deflating stale reports must actually
 // change the fit — a round where half the reports are 3 rounds old produces
-// a different estimate than the same round treated as all-fresh, and a
-// negative StaleAttenuation (deflation disabled) reproduces the all-fresh
-// result exactly.
+// a different estimate than the same round treated as all-fresh.
 func TestStepMaskedStaleWeightsMatter(t *testing.T) {
 	m, pts := testModel(t, 41)
-	mkTracker := func(att float64) *Tracker {
+	mkTracker := func() *Tracker {
 		tr, err := New(Config{
 			Model: m, SamplePoints: pts, NumUsers: 1,
-			N: 300, M: 10, VMax: 5, StaleAttenuation: att,
+			N: 300, M: 10, VMax: 5,
 		}, 29)
 		if err != nil {
 			t.Fatal(err)
@@ -163,14 +161,10 @@ func TestStepMaskedStaleWeightsMatter(t *testing.T) {
 		}
 		return res.Estimates[0]
 	}
-	deflated := run(mkTracker(0.5), true)
-	fresh := run(mkTracker(0.5), false)
+	deflated := run(mkTracker(), true)
+	fresh := run(mkTracker(), false)
 	if deflated.Mean == fresh.Mean {
 		t.Error("stale-age deflation had no effect on the estimate")
-	}
-	disabled := run(mkTracker(-1), true)
-	if disabled.Mean != fresh.Mean {
-		t.Errorf("StaleAttenuation<0 should ignore ages: got %v, want %v", disabled.Mean, fresh.Mean)
 	}
 }
 

@@ -25,6 +25,27 @@ import (
 	"fluxtrack/internal/rng"
 )
 
+const (
+	// idleStretchFrac: a user whose fitted stretch factor falls below this
+	// fraction of the round's largest fitted stretch is considered idle
+	// (no data collection this window) and is not updated (§4.E).
+	idleStretchFrac = 0.05
+	// staleAttenuation sets how much a delayed report's influence decays in
+	// the masked fit of StepMasked: a report that is a rounds old gets its
+	// objective weight divided by 1 + staleAttenuation·a, so stale flux
+	// constrains the fit more loosely than fresh flux instead of being
+	// trusted verbatim (the §4.E asynchronous regime under the
+	// delayed-delivery fault of internal/fault).
+	staleAttenuation = 0.5
+	// incumbentFitLimit bounds the joint incumbent fit of the active-set
+	// selection: when more than this many initialized users would be
+	// pinned, the selection skips the O(k²) Gram fit and falls back to a
+	// deterministic staleness ordering (uninitialized users first in
+	// ascending index order, then initialized users by ascending
+	// lastUpdate with index tie-breaks).
+	incumbentFitLimit = 512
+)
+
 // Config configures a Tracker.
 type Config struct {
 	Model        *fluxmodel.Model
@@ -50,10 +71,6 @@ type Config struct {
 	// prediction disc radius is VMax times the per-user elapsed time
 	// (paper: 5 per detection interval).
 	VMax float64
-	// IdleStretchFrac: a user whose fitted stretch factor falls below this
-	// fraction of the round's largest fitted stretch is considered idle
-	// (no data collection this window) and is not updated. Default 0.05.
-	IdleStretchFrac float64
 	// Search tunes the inner candidate-ranking search. Setting
 	// Search.Robust.Mode arms the robust-fitting defense against Byzantine
 	// sensors in every Step/StepMasked round: the round's search runs twice,
@@ -77,8 +94,6 @@ type Config struct {
 	// database is a pure function of that key, so caching never changes
 	// tracker output. Nil builds directly, as before.
 	DBCache *fingerprint.Cache
-	// UseRelativeWeights applies fit.RelativeWeights to each observation.
-	UseRelativeWeights bool
 	// UniformWeights disables the importance weighting of §4.D: kept
 	// samples are treated equally in the next prediction phase (the paper's
 	// pre-importance-sampling variant). Exists for the ablation study.
@@ -95,14 +110,6 @@ type Config struct {
 	// the limit — a sharded tile owning thousands of users selects its
 	// active set among the owned users the same way.
 	ActiveSetLimit int
-	// IncumbentFitLimit bounds the joint incumbent fit of the active-set
-	// selection: when more than this many initialized users would be
-	// pinned, the selection skips the O(k²) Gram fit and falls back to a
-	// deterministic staleness ordering (uninitialized users first in
-	// ascending index order, then initialized users by ascending
-	// lastUpdate with index tie-breaks). Zero means 512; negative disables
-	// the bound (always run the joint fit, the pre-scale behavior).
-	IncumbentFitLimit int
 	// HeadingPrediction enables the mobility-model refinement the paper
 	// sketches in §4.C: instead of discs centered on the previous samples,
 	// prediction discs are centered on the dead-reckoned position
@@ -110,14 +117,6 @@ type Config struct {
 	// with the disc radius halved — the heading carries the information
 	// the larger blind disc would otherwise have to cover.
 	HeadingPrediction bool
-	// StaleAttenuation tunes how much a delayed report's influence decays
-	// in the masked fit of StepMasked: a report that is a rounds old gets
-	// its objective weight divided by 1 + StaleAttenuation·a, so stale
-	// flux constrains the fit more loosely than fresh flux instead of
-	// being trusted verbatim (the §4.E asynchronous regime under the
-	// delayed-delivery fault of internal/fault). Zero means 0.5; negative
-	// disables the deflation (stale reports weigh like fresh ones).
-	StaleAttenuation float64
 	// Workers bounds the goroutines running one tracker round: the per-user
 	// prediction draws, the incumbent-fit kernel columns of the active-set
 	// selection, the candidate-scoring loops of the inner search, and the
@@ -152,9 +151,6 @@ func (c Config) withDefaults() Config {
 	if c.VMax <= 0 {
 		c.VMax = 5
 	}
-	if c.IdleStretchFrac <= 0 {
-		c.IdleStretchFrac = 0.05
-	}
 	if c.Search.TopM < c.M {
 		c.Search.TopM = c.M
 	}
@@ -170,15 +166,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Search.Metrics == nil {
 		c.Search.Metrics = c.Metrics
-	}
-	if c.StaleAttenuation == 0 {
-		c.StaleAttenuation = 0.5
-	}
-	if c.IncumbentFitLimit == 0 {
-		c.IncumbentFitLimit = 512
-	}
-	if c.StaleAttenuation < 0 {
-		c.StaleAttenuation = 0
 	}
 	if c.Coarse.Enabled {
 		c.Coarse = c.Coarse.WithDefaults()
@@ -416,47 +403,7 @@ var ErrAllMasked = errors.New("smc: observation entirely masked")
 // cfg.SamplePoints) and returns the per-user estimates. Observation times
 // must be strictly increasing.
 func (tr *Tracker) Step(t float64, measured []float64) (StepResult, error) {
-	return tr.step(t, measured, nil, nil, nil)
-}
-
-// StepUsers is Step restricted to an explicit user subset: only the listed
-// users join the candidate search and are updated; everyone else keeps
-// their state and reports an idle estimate, exactly as an active-set round
-// treats unselected users. The subset must be strictly ascending and within
-// range. A subset naming every user is identical to Step — including the
-// ActiveSetLimit selection, which only an explicit partial subset bypasses
-// (the caller has already decided who is searched). A sharded field uses
-// this to step one tile's owned users against the tile's observation.
-func (tr *Tracker) StepUsers(t float64, measured []float64, users []int) (StepResult, error) {
-	return tr.step(t, measured, nil, nil, users)
-}
-
-// StepUsersMasked is StepMasked restricted to an explicit user subset; see
-// StepUsers for the subset contract.
-func (tr *Tracker) StepUsersMasked(t float64, measured []float64, present []bool, age []int, users []int) (StepResult, error) {
-	return tr.step(t, measured, present, age, users)
-}
-
-// StepUsersSparse is StepUsers with sparse output: the returned
-// Estimates[i] belongs to users[i] rather than occupying a dense
-// NumUsers-long array, so a caller responsible for a small slice of a huge
-// user population — a tile of a sharded field — pays O(len(users)) per
-// round instead of O(NumUsers). dst, when non-nil, is reused as the
-// estimate buffer (its backing array is overwritten and returned inside the
-// result); pass the previous round's buffer back to keep steady-state
-// stepping allocation-flat. The estimates themselves still carry freshly
-// copied Samples/Weights, so retaining an Estimate across rounds stays
-// safe. Every user in the subset is searched and reported under the same
-// semantics as StepUsers, including the ActiveSetLimit selection within the
-// subset when it is larger than the limit.
-func (tr *Tracker) StepUsersSparse(t float64, measured []float64, users []int, dst []Estimate) (StepResult, error) {
-	return tr.stepAny(t, measured, nil, nil, users, dst, true)
-}
-
-// StepUsersMaskedSparse is StepUsersMasked with the sparse output contract
-// of StepUsersSparse.
-func (tr *Tracker) StepUsersMaskedSparse(t float64, measured []float64, present []bool, age []int, users []int, dst []Estimate) (StepResult, error) {
-	return tr.stepAny(t, measured, present, age, users, dst, true)
+	return tr.StepUsers(t, measured, nil, nil, nil, nil)
 }
 
 // StepMasked is Step over a degraded observation: present marks which
@@ -464,30 +411,36 @@ func (tr *Tracker) StepUsersMaskedSparse(t float64, measured []float64, present 
 // delivered report's staleness in rounds (nil means all fresh; aligned with
 // measured where non-nil). Masked sensors drop out of the NLS fit entirely
 // — their columns never enter the objective — and stale reports keep their
-// column but with deflated weight (see Config.StaleAttenuation), so the
+// column but with deflated weight (see staleAttenuation), so the
 // tracker degrades gracefully under sensor failure, report loss, and
 // delayed delivery (internal/fault) instead of fitting garbage. A round
 // with no delivered reports returns ErrAllMasked and leaves the tracker
 // untouched; a delivered non-finite reading is rejected the same way a
 // malformed observation length is.
 func (tr *Tracker) StepMasked(t float64, measured []float64, present []bool, age []int) (StepResult, error) {
-	return tr.step(t, measured, present, age, nil)
+	return tr.StepUsers(t, measured, present, age, nil, nil)
 }
 
-// step is the dense-output round entry behind Step, StepMasked, StepUsers,
-// and StepUsersMasked.
-func (tr *Tracker) step(t float64, measured []float64, present []bool, age []int, users []int) (StepResult, error) {
-	return tr.stepAny(t, measured, present, age, users, nil, false)
-}
-
-// stepAny is the single round implementation behind every Step variant.
-// users nil (or naming every user) runs the full round with active-set
-// selection; an explicit subset larger than ActiveSetLimit runs the same
-// selection restricted to the subset, and a smaller one is taken verbatim.
-// With sparse set, Estimates aligns with users (reusing sparseDst);
-// otherwise it is dense over NumUsers. The tracker borrows the users slice
-// only for the duration of the call.
-func (tr *Tracker) stepAny(t float64, measured []float64, present []bool, age []int, users []int, sparseDst []Estimate, sparse bool) (StepResult, error) {
+// StepUsers is StepMasked restricted to an explicit user subset: only the
+// listed users join the candidate search and are updated; everyone else
+// keeps their state, exactly as an active-set round treats unselected
+// users. The subset must be strictly ascending and within range. A subset
+// naming every user runs the full round — including the ActiveSetLimit
+// selection, which a subset larger than the limit applies among its own
+// users and only a smaller one bypasses (the caller has already decided
+// who is searched). A sharded field uses this to step one tile's owned
+// users against the tile's observation.
+//
+// Estimates[i] belongs to users[i], so a caller responsible for a small
+// slice of a huge user population pays O(len(users)) per round instead of
+// O(NumUsers). dst, when non-nil, is reused as the estimate buffer (its
+// backing array is overwritten and returned inside the result); pass the
+// previous round's buffer back to keep steady-state stepping
+// allocation-flat. The estimates themselves still carry freshly copied
+// Samples/Weights, so retaining an Estimate across rounds stays safe. A nil
+// users runs the full round with dense output over NumUsers, as StepMasked.
+// The tracker borrows the users slice only for the duration of the call.
+func (tr *Tracker) StepUsers(t float64, measured []float64, present []bool, age []int, users []int, dst []Estimate) (StepResult, error) {
 	// Observation is write-only: the span and counters below never feed
 	// back into the round, so enabling them cannot perturb tracker output.
 	observed := tr.met.m != nil || tr.cfg.Trace != nil
@@ -495,10 +448,7 @@ func (tr *Tracker) stepAny(t float64, measured []float64, present []bool, age []
 	if observed {
 		t0 = time.Now()
 	}
-	if sparse && users == nil {
-		return StepResult{}, errors.New("smc: sparse step requires a user subset")
-	}
-	var report []int // sparse output alignment; nil = dense over NumUsers
+	report := users // output alignment; nil = dense over NumUsers
 	if users != nil {
 		prev := -1
 		for _, j := range users {
@@ -511,15 +461,11 @@ func (tr *Tracker) stepAny(t float64, measured []float64, present []bool, age []
 		if len(users) == 0 {
 			return StepResult{}, errors.New("smc: empty user subset")
 		}
-		if sparse {
-			report = users
-		}
 		if len(users) == tr.cfg.NumUsers {
 			// Strictly ascending and in range with NumUsers entries is the
 			// identity: take the full-round path, active-set selection
-			// included, so a total subset is byte-identical to Step. (In
-			// sparse mode the output alignment is the identity too, so the
-			// estimates match the dense round entry for entry.)
+			// included, so a total subset is byte-identical to Step (the
+			// output alignment is the identity too).
 			users = nil
 		}
 	}
@@ -560,7 +506,6 @@ func (tr *Tracker) stepAny(t float64, measured []float64, present []bool, age []
 			age = nil
 		}
 	}
-	anyStale := staleCount > 0
 	for i, v := range measured {
 		if present != nil && !present[i] {
 			continue
@@ -590,22 +535,15 @@ func (tr *Tracker) stepAny(t float64, measured []float64, present []bool, age []
 	}
 
 	var weights []float64
-	if tr.cfg.UseRelativeWeights {
-		weights = fit.RelativeWeightsMasked(measured, present)
-	}
-	if anyStale && tr.cfg.StaleAttenuation > 0 {
-		if weights == nil {
-			if cap(tr.weightsBuf) < n {
-				tr.weightsBuf = make([]float64, n)
-			}
-			weights = tr.weightsBuf[:n]
-			for i := range weights {
-				weights[i] = 1
-			}
+	if staleCount > 0 {
+		if cap(tr.weightsBuf) < n {
+			tr.weightsBuf = make([]float64, n)
 		}
+		weights = tr.weightsBuf[:n]
 		for i, a := range age {
+			weights[i] = 1
 			if a > 0 {
-				weights[i] /= 1 + tr.cfg.StaleAttenuation*float64(a)
+				weights[i] /= 1 + staleAttenuation*float64(a)
 			}
 		}
 	}
@@ -629,7 +567,7 @@ func (tr *Tracker) stepAny(t float64, measured []float64, present []bool, age []
 	if err != nil {
 		return StepResult{}, err
 	}
-	out, err := tr.stepSubset(prob, t, subset, report, sparseDst, spanPtr)
+	out, err := tr.stepSubset(prob, t, subset, report, dst, spanPtr)
 	if err != nil {
 		return out, err
 	}
@@ -725,7 +663,7 @@ func (tr *Tracker) selectActive(prob *fit.Problem, t float64, candidates []int) 
 		return true
 	}
 
-	if fl := tr.cfg.IncumbentFitLimit; fl > 0 && len(initialized) > fl {
+	if len(initialized) > incumbentFitLimit {
 		// Too many pinned users for the joint O(k²) Gram fit to pay off:
 		// fall back to a deterministic ordering that needs no fit at all —
 		// bootstrap the uninitialized first (ascending index), then refresh
@@ -793,7 +731,7 @@ func (tr *Tracker) selectActive(prob *fit.Problem, t float64, candidates []int) 
 		return byStretch[a].user < byStretch[b].user
 	})
 	for _, us := range byStretch {
-		if maxStretch > 0 && us.c >= tr.cfg.IdleStretchFrac*maxStretch {
+		if maxStretch > 0 && us.c >= idleStretchFrac*maxStretch {
 			add(us.user)
 		}
 	}
@@ -860,10 +798,10 @@ func (tr *Tracker) predictBuffers(k int) ([][]geom.Point, [][]int) {
 // stepSubset runs one Algorithm 4.1 round with only the subset users in the
 // candidate search; the remaining users are treated as idle this round.
 // report selects the output shape: nil fills a dense NumUsers estimate
-// array; otherwise Estimates[i] belongs to report[i], written into sparseDst
+// array; otherwise Estimates[i] belongs to report[i], written into dst
 // when it has capacity. A non-nil span receives the round's phase timings
 // and work counts; it never influences the round itself.
-func (tr *Tracker) stepSubset(prob *fit.Problem, t float64, subset []int, report []int, sparseDst []Estimate, span *obs.Span) (StepResult, error) {
+func (tr *Tracker) stepSubset(prob *fit.Problem, t float64, subset []int, report []int, dst []Estimate, span *obs.Span) (StepResult, error) {
 	if len(subset) == 0 {
 		return StepResult{}, errors.New("smc: empty user subset")
 	}
@@ -924,10 +862,10 @@ func (tr *Tracker) stepSubset(prob *fit.Problem, t float64, subset []int, report
 	} else {
 		// Sparse output: reuse the caller's buffer when it is big enough so
 		// steady-state sparse stepping allocates no estimate array.
-		if cap(sparseDst) < len(report) {
-			sparseDst = make([]Estimate, len(report))
+		if cap(dst) < len(report) {
+			dst = make([]Estimate, len(report))
 		}
-		ests = sparseDst[:len(report)]
+		ests = dst[:len(report)]
 	}
 	out := StepResult{Time: t, Objective: best.Objective, Estimates: ests}
 	num := tr.cfg.NumUsers
@@ -949,7 +887,7 @@ func (tr *Tracker) stepSubset(prob *fit.Problem, t float64, subset []int, report
 			return nil
 		}
 		stretch := best.Stretches[i]
-		active := maxStretch > 0 && stretch >= tr.cfg.IdleStretchFrac*maxStretch
+		active := maxStretch > 0 && stretch >= idleStretchFrac*maxStretch
 		if active {
 			tr.update(j, t, res.PerUser[i], origins[i])
 		}

@@ -154,7 +154,7 @@ func TestExportAscendingAndSparse(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Step only users {1, 3}: slots 0, 2, 4 must stay unmaterialized.
-	if _, err := tr.StepUsers(1, obs[0], []int{1, 3}); err != nil {
+	if _, err := tr.StepUsers(1, obs[0], nil, nil, []int{1, 3}, nil); err != nil {
 		t.Fatal(err)
 	}
 	st := tr.ExportState()

@@ -45,7 +45,7 @@ func TestStepUsersFullSubsetIsStep(t *testing.T) {
 		for r, o := range stream {
 			tm := float64(r + 1)
 			want, err1 := a.Step(tm, o)
-			got, err2 := b.StepUsers(tm, o, []int{0, 1, 2})
+			got, err2 := b.StepUsers(tm, o, nil, nil, []int{0, 1, 2}, nil)
 			if err1 != nil || err2 != nil {
 				t.Fatal(err1, err2)
 			}
@@ -56,9 +56,37 @@ func TestStepUsersFullSubsetIsStep(t *testing.T) {
 	}
 }
 
-// TestStepUsersPartialSubset: only the listed users are searched/updated;
-// the rest keep their state (idle estimates), exactly like an active-set
-// round treats unselected users.
+// TestStepUsersSparseFullSubsetIsStep: a subset step over every user that
+// reuses the caller's estimate buffer across rounds still runs the
+// full-round semantics (active-set selection included) and aligns estimates
+// identically with Step — the reused contents must be rewritten.
+func TestStepUsersSparseFullSubsetIsStep(t *testing.T) {
+	for _, cfg := range []Config{
+		{N: 100, M: 5},
+		{N: 100, M: 5, ActiveSetLimit: 1},
+	} {
+		a, b, stream := subsetWorld(t, cfg)
+		var buf []Estimate
+		for r, o := range stream {
+			tm := float64(r + 1)
+			want, err1 := a.Step(tm, o)
+			got, err2 := b.StepUsers(tm, o, nil, nil, []int{0, 1, 2}, buf)
+			if err1 != nil || err2 != nil {
+				t.Fatal(err1, err2)
+			}
+			if !reflect.DeepEqual(want.Estimates, got.Estimates) ||
+				want.Objective != got.Objective {
+				t.Fatalf("round %d: full subset with reused buffer diverged from Step (limit %d)",
+					r, cfg.ActiveSetLimit)
+			}
+			buf = got.Estimates
+		}
+	}
+}
+
+// TestStepUsersPartialSubset: only the listed users are searched/updated
+// and reported, aligned with the subset; the rest keep their state, exactly
+// like an active-set round treats unselected users.
 func TestStepUsersPartialSubset(t *testing.T) {
 	a, _, stream := subsetWorld(t, Config{N: 100, M: 5})
 	if _, err := a.Step(1, stream[0]); err != nil {
@@ -68,12 +96,12 @@ func TestStepUsersPartialSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := a.StepUsers(2, stream[1], []int{0, 1})
+	res, err := a.StepUsers(2, stream[1], nil, nil, []int{0, 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Estimates[2].Active {
-		t.Fatal("unlisted user reported active")
+	if len(res.Estimates) != 2 {
+		t.Fatalf("%d estimates for a 2-user subset", len(res.Estimates))
 	}
 	after2, err := a.ExportUser(2)
 	if err != nil {
@@ -84,68 +112,8 @@ func TestStepUsersPartialSubset(t *testing.T) {
 	}
 	// Subset contract violations.
 	for _, bad := range [][]int{{}, {1, 0}, {0, 0}, {-1}, {0, 7}} {
-		if _, err := a.StepUsers(3, stream[2], bad); err == nil {
+		if _, err := a.StepUsers(3, stream[2], nil, nil, bad, nil); err == nil {
 			t.Errorf("subset %v accepted", bad)
-		}
-	}
-}
-
-// TestStepUsersSparseMatchesDense: the sparse-output step must produce, for
-// each requested user, exactly the estimate the dense step produces in that
-// user's slot — same search, same updates, same objective — with the
-// caller's estimate buffer reused across rounds.
-func TestStepUsersSparseMatchesDense(t *testing.T) {
-	for _, cfg := range []Config{
-		{N: 100, M: 5},
-		{N: 100, M: 5, ActiveSetLimit: 1},
-	} {
-		a, b, stream := subsetWorld(t, cfg)
-		subset := []int{0, 2}
-		var buf []Estimate
-		for r, o := range stream {
-			tm := float64(r + 1)
-			want, err1 := a.StepUsers(tm, o, subset)
-			got, err2 := b.StepUsersSparse(tm, o, subset, buf)
-			if err1 != nil || err2 != nil {
-				t.Fatal(err1, err2)
-			}
-			if len(got.Estimates) != len(subset) {
-				t.Fatalf("round %d: %d sparse estimates, want %d", r, len(got.Estimates), len(subset))
-			}
-			if got.Objective != want.Objective || got.Time != want.Time {
-				t.Fatalf("round %d: objective/time diverged", r)
-			}
-			for i, j := range subset {
-				if !reflect.DeepEqual(got.Estimates[i], want.Estimates[j]) {
-					t.Fatalf("round %d user %d: sparse estimate diverged from dense", r, j)
-				}
-			}
-			buf = got.Estimates // reuse the buffer: contents must be rewritten
-		}
-	}
-}
-
-// TestStepUsersSparseFullSubsetIsStep: a sparse step over every user runs
-// the full-round semantics (active-set selection included) and aligns
-// estimates identically with the dense Step.
-func TestStepUsersSparseFullSubsetIsStep(t *testing.T) {
-	for _, cfg := range []Config{
-		{N: 100, M: 5},
-		{N: 100, M: 5, ActiveSetLimit: 1},
-	} {
-		a, b, stream := subsetWorld(t, cfg)
-		for r, o := range stream {
-			tm := float64(r + 1)
-			want, err1 := a.Step(tm, o)
-			got, err2 := b.StepUsersSparse(tm, o, []int{0, 1, 2}, nil)
-			if err1 != nil || err2 != nil {
-				t.Fatal(err1, err2)
-			}
-			if !reflect.DeepEqual(want.Estimates, got.Estimates) ||
-				want.Objective != got.Objective {
-				t.Fatalf("round %d: sparse full subset diverged from Step (limit %d)",
-					r, cfg.ActiveSetLimit)
-			}
 		}
 	}
 }
@@ -156,7 +124,7 @@ func TestStepUsersSparseFullSubsetIsStep(t *testing.T) {
 func TestActiveSetWithinExplicitSubset(t *testing.T) {
 	a, _, stream := subsetWorld(t, Config{N: 100, M: 5, ActiveSetLimit: 2})
 	subset := []int{0, 1, 2}
-	res, err := a.StepUsers(1, stream[0], subset)
+	res, err := a.StepUsers(1, stream[0], nil, nil, subset, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,8 +187,8 @@ func TestMoveUserToMatchesSnapshotPath(t *testing.T) {
 		}
 	}
 	// The moved trackers must keep producing identical rounds.
-	r1, err1 := b1.StepUsers(3, stream[2], []int{1})
-	r2, err2 := b2.StepUsers(3, stream[2], []int{1})
+	r1, err1 := b1.StepUsers(3, stream[2], nil, nil, []int{1}, nil)
+	r2, err2 := b2.StepUsers(3, stream[2], nil, nil, []int{1}, nil)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
