@@ -53,7 +53,6 @@
 //	fluxbench -quick -shards 2x2 -halo 2         # run the suite through a 2x2 tile grid
 //	fluxbench shardbench                         # step throughput vs tile grid (1x1 vs 2x2)
 //	fluxbench shardbench -grids 1x1,2x2,4x2 -trackn 10000 -json shard.json
-//	fluxbench -quick -shardbench -json out.json  # embed the sweep in the main report
 //
 // Scale sweeps (the 90/10 hot-corner regime; see DESIGN.md §6.7):
 //
@@ -70,11 +69,15 @@
 // gauges, at exit. Entries report p50/p95 step latency, max/mean tile-load
 // imbalance, and retained bytes/user.
 //
-// Tracker latency:
+// Tracker latency is the same sweep over one grid and several worker
+// counts; it checks that each grid's final estimates do not depend on the
+// worker count, and takes the search flags above:
 //
-//	fluxbench latency                        # Step wall-time p50/p95 vs worker count
-//	fluxbench latency -workers 1,8 -json latency.json
-//	fluxbench latency -shards 1x1,2x2        # per-tile queue/step breakdown per grid
+//	fluxbench shardbench -users 3 -grids 1x1 -workers 1,2,4,8 -trackn 1000
+//	fluxbench shardbench -users 3 -grids 1x1 -workers 1,8 -coarse -liars 0.1 -robust huber
+//
+// Serving latency, per-layer timings and the end-to-end benchmark live in
+// the separate perfbench module (perfbench/README.md).
 //
 // Tables are byte-identical for every -workers value (see internal/exp),
 // and so is tracker output (see internal/smc): -workers trades wall time
@@ -95,7 +98,6 @@ import (
 	"time"
 
 	"fluxtrack/internal/exp"
-	"fluxtrack/internal/fault"
 	"fluxtrack/internal/fingerprint"
 	"fluxtrack/internal/fit"
 	"fluxtrack/internal/obs"
@@ -126,9 +128,6 @@ type benchReport struct {
 	// Metrics is the merged observability snapshot of the whole run, present
 	// only when -metrics or -metricsout was given (see internal/obs).
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`
-	// ShardThroughput is the tile-grid throughput sweep, present only when
-	// -shardbench was given (see fluxbench shardbench).
-	ShardThroughput *shardThroughputReport `json:"shard_throughput,omitempty"`
 }
 
 type benchExperiment struct {
@@ -149,14 +148,8 @@ func run(args []string) error {
 	if len(args) > 0 && args[0] == "compare" {
 		return runCompare(args[1:])
 	}
-	if len(args) > 0 && args[0] == "latency" {
-		return runLatency(args[1:])
-	}
 	if len(args) > 0 && args[0] == "shardbench" {
 		return runShardBench(args[1:])
-	}
-	if len(args) > 0 && args[0] == "serve" {
-		return runServe(args[1:])
 	}
 	if len(args) > 0 && args[0] == "report" {
 		return runReport(args[1:])
@@ -172,30 +165,26 @@ func run(args []string) error {
 		trackN  = fs.Int("trackn", 0, "override the SMC prediction sample count")
 		rounds  = fs.Int("rounds", 0, "override the tracking round count")
 		workers = fs.Int("workers", 0, "worker count for trials, NLS search, and tracker steps (0 = one per CPU, 1 = sequential)")
-		coarse  = fs.Bool("coarse", false, "shortlist tracking candidates through the coarse-to-fine fingerprint search")
-		coarseK = fs.Int("coarsek", 0, "coarse shortlist size per user (0 = default 64; implies -coarse)")
-		coarseG = fs.Int("coarsegrid", 0, "fingerprint grid resolution per axis (0 = default 24; implies -coarse)")
 		jsonOut = fs.String("json", "", "write a JSON benchmark report to this file")
-		dropout = fs.Float64("dropout", 0, "fraction of sensors that fail permanently (tracking experiments)")
-		loss    = fs.Float64("loss", 0, "per-round probability a report is lost")
-		delayP  = fs.Float64("delay", 0, "per-round probability a report is delayed")
-		delayR  = fs.Int("delayrounds", 0, "rounds a delayed report is late (0 = default 2)")
-		stuck   = fs.Float64("stuck", 0, "fraction of sensors with frozen readings")
-		liars   = fs.Float64("liars", 0, "fraction of Byzantine sensors (half inflate, a quarter deflate, a quarter replay)")
-		robust  = fs.String("robust", "", "robust-fit defense: off, huber, loso, or both")
 		chart   = fs.Bool("chart", false, "render an ASCII bar chart per table column")
 		cpuProf = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProf = fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
 		shards  = fs.String("shards", "", "track through a RxC tile grid (internal/shard), e.g. 2x2; empty = unsharded")
 		halo    = fs.Float64("halo", 0, "tile halo width for -shards: sensors within this margin report to both neighbors")
-		shardBn = fs.Bool("shardbench", false, "append the shard throughput sweep (fluxbench shardbench defaults) to the run and the -json report")
 		metrics = fs.Bool("metrics", false, "collect work counters and latency histograms; print the merged snapshot at exit")
 		metOut  = fs.String("metricsout", "", "write the metrics snapshot as JSON to this file (implies collection)")
 		trOut   = fs.String("trace", "", "write one JSON span per tracker round to this file (JSON lines)")
 		trCap   = fs.Int("tracecap", 0, "trace ring capacity in spans; oldest spans are overwritten (0 = default 4096)")
 	)
+	applySearch := exp.BindSearchFlags(fs)
+	applyFault := exp.BindFaultFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		// A stray argument, such as a misspelled subcommand, would otherwise
+		// end flag parsing and run the whole suite at full effort.
+		return fmt.Errorf("unknown subcommand or argument %q (want compare, report, or shardbench)", fs.Arg(0))
 	}
 
 	if *cpuProf != "" {
@@ -253,24 +242,13 @@ func run(args []string) error {
 	if *workers > 0 {
 		cfg.Workers = *workers
 	}
-	cfg.Fault = fault.Config{
-		DropoutFrac: *dropout, LossProb: *loss,
-		DelayProb: *delayP, DelayRounds: *delayR, StuckFrac: *stuck,
-	}
-	if err := cfg.Fault.Validate(); err != nil {
+	if err := applyFault(&cfg); err != nil {
 		return err
 	}
-	cfg.Adversary = exp.LiarMix(*liars)
-	if err := cfg.Adversary.Validate(); err != nil {
+	if err := applySearch(&cfg); err != nil {
 		return err
 	}
-	robustMode, err := fit.ParseRobustMode(*robust)
-	if err != nil {
-		return err
-	}
-	cfg.Robust = fit.RobustConfig{Mode: robustMode}
-	if *coarse || *coarseK > 0 || *coarseG > 0 {
-		cfg.Coarse = fingerprint.CoarseConfig{Enabled: true, TopK: *coarseK, GridRes: *coarseG}.WithDefaults()
+	if cfg.Coarse.Enabled {
 		// One cache for the whole run: trials of a cell and tiles of a
 		// sharded field share identical (model, bounds, sensors) layouts only
 		// within a trial, but repeated cells re-derive identical worlds from
@@ -318,11 +296,11 @@ func run(args []string) error {
 		CoarseGrid: cfg.Coarse.GridRes,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Halo:       cfg.Shards.Halo,
-		Liars:      *liars,
+		Liars:      exp.LiarFrac(cfg.Adversary),
 		GoVersion:  runtime.Version(),
 	}
-	if robustMode != fit.RobustOff {
-		report.Robust = robustMode.String()
+	if cfg.Robust.Mode != fit.RobustOff {
+		report.Robust = cfg.Robust.Mode.String()
 	}
 	if *quick {
 		report.Config = "quick"
@@ -349,16 +327,6 @@ func run(args []string) error {
 		})
 	}
 	report.TotalSeconds = time.Since(allStart).Seconds()
-
-	if *shardBn {
-		fmt.Println("== shard throughput (fluxbench shardbench)")
-		sweep, err := runShardSweep(defaultShardBenchOpts())
-		if err != nil {
-			return fmt.Errorf("shardbench: %w", err)
-		}
-		report.ShardThroughput = &sweep
-		fmt.Println()
-	}
 
 	if met != nil {
 		snap := met.Snapshot()

@@ -26,6 +26,11 @@ func TestRunBadFlag(t *testing.T) {
 	if err := run([]string{"-definitely-not-a-flag"}); err == nil {
 		t.Error("bad flag must error")
 	}
+	for _, sub := range []string{"latency", "serve", "nope"} {
+		if err := run([]string{"-quick", sub}); err == nil {
+			t.Errorf("unknown subcommand %q must error", sub)
+		}
+	}
 }
 
 func TestRenderCharts(t *testing.T) {
@@ -193,37 +198,6 @@ func TestRunCompareSubcommand(t *testing.T) {
 	}
 }
 
-func TestRunLatencySubcommand(t *testing.T) {
-	if testing.Short() {
-		t.Skip("end-to-end latency run skipped in -short mode")
-	}
-	out := filepath.Join(t.TempDir(), "latency.json")
-	if err := run([]string{
-		"latency", "-users", "2", "-trackn", "60", "-samples", "40",
-		"-rounds", "2", "-repeats", "1", "-workers", "1,2",
-		"-coarse", "-coarsek", "16", "-coarsegrid", "8", "-json", out,
-	}); err != nil {
-		t.Fatalf("latency subcommand failed: %v", err)
-	}
-	buf, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report latencyReport
-	if err := json.Unmarshal(buf, &report); err != nil {
-		t.Fatalf("latency report is not valid JSON: %v", err)
-	}
-	if report.CoarseTopK != 16 || report.CoarseGrid != 8 {
-		t.Errorf("coarse fields not recorded: %+v", report)
-	}
-	if len(report.Entries) != 2 || report.Entries[0].Steps != 2 {
-		t.Errorf("latency entries wrong: %+v", report.Entries)
-	}
-	if err := run([]string{"latency", "-workers", "1,x"}); err == nil {
-		t.Error("bad -workers list must error")
-	}
-}
-
 func TestRunWithProfiles(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end experiment skipped in -short mode")
@@ -252,22 +226,10 @@ func TestRunShardBenchSubcommand(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end shard sweep skipped in -short mode")
 	}
-	out := filepath.Join(t.TempDir(), "shard.json")
-	if err := run([]string{
-		"shardbench", "-users", "3,6", "-trackn", "60", "-samples", "40",
+	report, raw := runShardBenchReport(t,
+		"-users", "3,6", "-trackn", "60", "-samples", "40",
 		"-rounds", "2", "-repeats", "1", "-grids", "1x1,2x2",
-		"-skew", "0.5", "-activeset", "4", "-json", out,
-	}); err != nil {
-		t.Fatalf("shardbench subcommand failed: %v", err)
-	}
-	buf, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report shardThroughputReport
-	if err := json.Unmarshal(buf, &report); err != nil {
-		t.Fatalf("shard report is not valid JSON: %v", err)
-	}
+		"-skew", "0.5", "-activeset", "4")
 	if report.Skew != 0.5 || report.ActiveSet != 4 {
 		t.Errorf("report header wrong: %+v", report)
 	}
@@ -284,7 +246,7 @@ func TestRunShardBenchSubcommand(t *testing.T) {
 		t.Errorf("first-grid speedup anchors wrong: %+v", report.Entries)
 	}
 	// CI greps this key out of the raw JSON; keep it stable.
-	if !strings.Contains(string(buf), `"speedup_vs_first"`) {
+	if !strings.Contains(string(raw), `"speedup_vs_first"`) {
 		t.Error("report lost the speedup_vs_first key")
 	}
 	if err := run([]string{"shardbench", "-users", "0"}); err == nil {
@@ -292,5 +254,81 @@ func TestRunShardBenchSubcommand(t *testing.T) {
 	}
 	if err := run([]string{"shardbench", "-skew", "1.5"}); err == nil {
 		t.Error("out-of-range -skew must error")
+	}
+	if err := run([]string{"shardbench", "-workers", "1,x"}); err == nil {
+		t.Error("bad -workers list must error")
+	}
+
+	// One grid, several worker counts: the tracker-latency shape. The coarse
+	// shortlist settings land in the report header, and each worker count
+	// gets its own entry.
+	report, _ = runShardBenchReport(t,
+		"-users", "2", "-trackn", "60", "-samples", "40", "-rounds", "2",
+		"-repeats", "1", "-grids", "1x1", "-workers", "1,2",
+		"-coarse", "-coarsek", "16", "-coarsegrid", "8")
+	if report.CoarseTopK != 16 || report.CoarseGrid != 8 {
+		t.Errorf("coarse fields not recorded: %+v", report)
+	}
+	if len(report.Entries) != 2 || report.Entries[0].Workers != 1 || report.Entries[1].Workers != 2 ||
+		report.Entries[0].Steps != 2 {
+		t.Errorf("worker entries wrong: %+v", report.Entries)
+	}
+
+	// A tampered stream through the robust fit must still give the same final
+	// estimates at every worker count, or the sweep errors.
+	report, _ = runShardBenchReport(t,
+		"-users", "3", "-trackn", "60", "-samples", "40", "-rounds", "2",
+		"-repeats", "1", "-grids", "1x1,2x2", "-workers", "1,2",
+		"-liars", "0.1", "-robust", "both")
+	if report.Liars != 0.1 || report.Robust != "both" {
+		t.Errorf("search fields not recorded: %+v", report)
+	}
+	if len(report.Entries) != 4 {
+		t.Errorf("got %d entries, want 4: %+v", len(report.Entries), report.Entries)
+	}
+}
+
+// runShardBenchReport runs `fluxbench shardbench args... -json` and returns
+// the decoded report and its raw bytes.
+func runShardBenchReport(t *testing.T, args ...string) (shardThroughputReport, []byte) {
+	t.Helper()
+	out := filepath.Join(t.TempDir(), "shard.json")
+	if err := run(append(append([]string{"shardbench"}, args...), "-json", out)); err != nil {
+		t.Fatalf("shardbench %v failed: %v", args, err)
+	}
+	buf, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report shardThroughputReport
+	if err := json.Unmarshal(buf, &report); err != nil {
+		t.Fatalf("shard report is not valid JSON: %v", err)
+	}
+	return report, buf
+}
+
+// TestRunRejectsBadTrackerFlags pins that out-of-range search and fault
+// flags fail the run instead of silently falling back to defaults (a
+// negative -liars used to run honest, a negative -coarsek the default
+// shortlist).
+func TestRunRejectsBadTrackerFlags(t *testing.T) {
+	search := [][]string{
+		{"-liars", "-0.5"},
+		{"-liars", "NaN"},
+		{"-liars", "1.5"},
+		{"-coarse", "-coarsek", "-5"},
+		{"-coarsegrid", "-1"},
+		{"-robust", "sometimes"},
+	}
+	faults := [][]string{{"-dropout", "-0.1"}, {"-delayrounds", "-1"}}
+	for _, bad := range append(search, faults...) {
+		if err := run(append([]string{"-quick", "-trials", "1", "-exp", "ablation-search"}, bad...)); err == nil {
+			t.Errorf("fluxbench %v must error", bad)
+		}
+	}
+	for _, bad := range search {
+		if err := run(append([]string{"shardbench", "-trackn", "60", "-rounds", "1", "-repeats", "1"}, bad...)); err == nil {
+			t.Errorf("fluxbench shardbench %v must error", bad)
+		}
 	}
 }

@@ -6,12 +6,16 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"fluxtrack/internal/core"
+	"fluxtrack/internal/exp"
+	"fluxtrack/internal/fingerprint"
+	"fluxtrack/internal/fit"
 	"fluxtrack/internal/geom"
 	"fluxtrack/internal/mobility"
 	"fluxtrack/internal/obs"
@@ -22,12 +26,11 @@ import (
 )
 
 // shardThroughputReport is the schema written by `fluxbench shardbench
-// -json` (and embedded in the main report under "shard_throughput" by
-// -shardbench): tracker-step throughput for the same worlds tracked through
-// a users × grid × workers sweep. The single-worker gain is algorithmic, not
-// parallel — each tile fits only its own sensors against its own users, and
-// each tile reports only its owned users — and therefore shows up
-// even at -workers 1 on a single-core machine.
+// -json`: tracker-step latency and throughput for the same worlds tracked
+// through a users × grid × workers sweep. The single-worker gain of finer
+// grids is algorithmic, not parallel — each tile fits only its own sensors
+// against its own users, and each tile reports only its owned users — and
+// therefore shows up even at -workers 1 on a single-core machine.
 type shardThroughputReport struct {
 	TrackN     int                    `json:"track_n"`
 	Samples    int                    `json:"sample_nodes"`
@@ -38,6 +41,10 @@ type shardThroughputReport struct {
 	Skew       float64                `json:"skew,omitempty"`
 	ActiveSet  int                    `json:"active_set,omitempty"`
 	Capacity   int                    `json:"tile_capacity,omitempty"`
+	CoarseTopK int                    `json:"coarse_topk,omitempty"` // 0 = exact search
+	CoarseGrid int                    `json:"coarse_grid,omitempty"`
+	Liars      float64                `json:"liars,omitempty"`  // Byzantine sensor fraction, 0 = all honest
+	Robust     string                 `json:"robust,omitempty"` // robust-fit defense mode, "" = off
 	GOMAXPROCS int                    `json:"gomaxprocs"`
 	GoVersion  string                 `json:"go_version"`
 	Entries    []shardThroughputEntry `json:"entries"`
@@ -83,29 +90,23 @@ type shardBenchOpts struct {
 	activeSet int
 	capacity  int
 	metrics   bool
-}
-
-func defaultShardBenchOpts() shardBenchOpts {
-	return shardBenchOpts{
-		users: []int{4}, trackN: 10000, samples: 90, rounds: 6, repeats: 2,
-		halo: 2, workers: []int{1}, seed: 1,
-		grids: []shard.Grid{{Rows: 1, Cols: 1}, {Rows: 2, Cols: 2}},
-	}
+	// search holds the Coarse, Robust and Adversary settings written by
+	// exp.BindSearchFlags; its other fields are unused.
+	search exp.Config
 }
 
 // runShardBench is the `fluxbench shardbench` subcommand.
 func runShardBench(args []string) error {
 	fs := flag.NewFlagSet("fluxbench shardbench", flag.ContinueOnError)
-	d := defaultShardBenchOpts()
 	var (
 		users     = fs.String("users", "4", "comma-separated tracked-population sizes to sweep")
-		trackN    = fs.Int("trackn", d.trackN, "SMC prediction samples per user per round")
-		samples   = fs.Int("samples", d.samples, "number of sniffed nodes")
-		rounds    = fs.Int("rounds", d.rounds, "observation rounds per repeat")
-		repeats   = fs.Int("repeats", d.repeats, "fresh-tracker repeats per entry")
-		halo      = fs.Float64("halo", d.halo, "tile halo width shared by every sharded grid")
-		workers   = fs.String("workers", "1", "comma-separated tile fan-out worker counts (0 = GOMAXPROCS; 1 isolates the algorithmic gain)")
-		seed      = fs.Uint64("seed", d.seed, "base seed for scenario, trajectories, and trackers")
+		trackN    = fs.Int("trackn", 10000, "SMC prediction samples per user per round")
+		samples   = fs.Int("samples", 90, "number of sniffed nodes")
+		rounds    = fs.Int("rounds", 6, "observation rounds per repeat")
+		repeats   = fs.Int("repeats", 2, "fresh-tracker repeats per entry")
+		halo      = fs.Float64("halo", 2, "tile halo width shared by every sharded grid")
+		workers   = fs.String("workers", "1", "comma-separated tracker worker counts (0 = GOMAXPROCS; 1 isolates the algorithmic gain)")
+		seed      = fs.Uint64("seed", 1, "base seed for scenario, trajectories, and trackers")
 		list      = fs.String("grids", "1x1,2x2", "comma-separated RxC tile grids")
 		skew      = fs.Float64("skew", 0, "fraction of users clustered in one hot corner (0.9 = the 90/10 scale-out regime; 0 = quadrant orbits)")
 		activeSet = fs.Int("activeset", 0, "per-tile cap on users searched per round (0 = search everyone; large populations need a cap)")
@@ -113,7 +114,12 @@ func runShardBench(args []string) error {
 		metrics   = fs.Bool("metrics", false, "collect shard.* and per-tile instruments; print the merged snapshot at exit")
 		jsonOut   = fs.String("json", "", "write a JSON throughput report to this file")
 	)
+	applySearch := exp.BindSearchFlags(fs)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	var search exp.Config
+	if err := applySearch(&search); err != nil {
 		return err
 	}
 	grids, err := parseGridList(*list)
@@ -132,7 +138,7 @@ func runShardBench(args []string) error {
 		users: userCounts, trackN: *trackN, samples: *samples, rounds: *rounds,
 		repeats: *repeats, halo: *halo, workers: workerCounts, seed: *seed, grids: grids,
 		skew: *skew, activeSet: *activeSet, capacity: *capacity,
-		metrics: *metrics,
+		metrics: *metrics, search: search,
 	}
 	if opts.skew < 0 || opts.skew > 1 {
 		return fmt.Errorf("shardbench: -skew %v outside [0, 1]", opts.skew)
@@ -167,6 +173,20 @@ func parseGridList(s string) ([]shard.Grid, error) {
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("shardbench: empty -grids list")
+	}
+	return out, nil
+}
+
+// parseWorkerList parses "1,2,4,8" into worker counts (0 = GOMAXPROCS).
+func parseWorkerList(s string) ([]int, error) {
+	parts := strings.Split(s, ",")
+	out := make([]int, 0, len(parts))
+	for _, p := range parts {
+		v, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil || v < 0 {
+			return nil, fmt.Errorf("shardbench: bad -workers entry %q", p)
+		}
+		out = append(out, v)
 	}
 	return out, nil
 }
@@ -231,19 +251,33 @@ func shardBenchTrajectories(field geom.Rect, users int, skew float64) []mobility
 // runShardSweep measures Field.Step wall time for each (users, grid,
 // workers) cell over one precomputed observation stream per population.
 // Every cell replays the same stream from the same seed; only the tiling and
-// the worker count differ.
+// the worker count differ. Cells of one grid therefore do identical
+// numerical work, and the sweep fails if their final estimates differ — a
+// cheap end-to-end check of the worker-invariance contract.
 func runShardSweep(opts shardBenchOpts) (shardThroughputReport, error) {
+	search := opts.search
 	report := shardThroughputReport{
 		TrackN: opts.trackN, Samples: opts.samples,
 		Rounds: opts.rounds, Repeats: opts.repeats, Halo: opts.halo,
 		Seed: opts.seed, Skew: opts.skew,
 		ActiveSet: opts.activeSet, Capacity: opts.capacity,
+		CoarseTopK: search.Coarse.TopK, CoarseGrid: search.Coarse.GridRes,
+		Liars:      exp.LiarFrac(search.Adversary),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		GoVersion:  runtime.Version(),
+	}
+	if search.Robust.Mode != fit.RobustOff {
+		report.Robust = search.Robust.Mode.String()
 	}
 	var met *obs.Metrics
 	if opts.metrics {
 		met = obs.New(0)
+	}
+	var cache *fingerprint.Cache
+	if search.Coarse.Enabled {
+		// Every cell and repeat rebuilds identical fingerprint databases; one
+		// cache for the whole sweep builds each exactly once.
+		cache = fingerprint.NewCache(0)
 	}
 
 	fmt.Printf("%8s %6s %6s %3s %7s %9s %9s %9s %11s %8s %7s %9s %10s %9s\n",
@@ -282,23 +316,41 @@ func runShardSweep(opts shardBenchOpts) (shardThroughputReport, error) {
 			observations[r] = o
 		}
 		trackerSeed := src.Uint64()
+		// Tamper the stream once, outside the timed region: the cells measure
+		// what the defense adds to the tracker step, not the attacker's cost.
+		if search.Adversary.Enabled() {
+			adv, err := sniffer.NewAdversary(search.Adversary, src.Uint64())
+			if err != nil {
+				return shardThroughputReport{}, err
+			}
+			for r, o := range observations {
+				if observations[r], err = adv.Apply(o); err != nil {
+					return shardThroughputReport{}, err
+				}
+			}
+		}
 
 		firstMean := make(map[int]float64) // workers -> first grid's mean
 		for _, g := range opts.grids {
 			grid := g
 			grid.Halo = opts.halo
-			for _, workers := range opts.workers {
+			var ref []geom.Point // final estimates at the first worker count
+			for wi, workers := range opts.workers {
 				cfg := core.TrackerConfig{
 					N: opts.trackN, M: 10, VMax: 5,
 					ActiveSetLimit: opts.activeSet,
 					Shards:         grid, InitialPositions: starts, Workers: workers,
 					TileCapacity: opts.capacity,
+					Search:       fit.Options{Robust: search.Robust},
+					Coarse:       search.Coarse,
+					DBCache:      cache,
 					Metrics:      met,
 				}
 				if met != nil {
 					cfg.PerTileMetrics = true
 				}
 				durations := make([]float64, 0, opts.rounds*opts.repeats)
+				var final []geom.Point
 				handoffs, spills := 0, 0
 				var imbMax int
 				var imbMean, bytesPerUser float64
@@ -312,10 +364,15 @@ func runShardSweep(opts shardBenchOpts) (shardThroughputReport, error) {
 					}
 					for r, o := range observations {
 						t0 := time.Now()
-						if _, err := field.Step(float64(r+1), o); err != nil {
+						res, err := field.Step(float64(r+1), o)
+						if err != nil {
 							return shardThroughputReport{}, err
 						}
 						durations = append(durations, time.Since(t0).Seconds()*1e3)
+						final = final[:0]
+						for _, e := range res.Estimates {
+							final = append(final, e.Mean)
+						}
 					}
 					handoffs, spills = field.Handoffs(), field.Spills()
 					imbMax, imbMean = field.Imbalance()
@@ -326,6 +383,12 @@ func runShardSweep(opts shardBenchOpts) (shardThroughputReport, error) {
 						bytesPerUser = float64(m1.HeapAlloc-m0.HeapAlloc) / float64(users)
 					}
 					runtime.KeepAlive(field)
+				}
+				if wi == 0 {
+					ref = final
+				} else if !slices.Equal(final, ref) {
+					return shardThroughputReport{}, fmt.Errorf("shardbench: users=%d grid=%s workers=%d diverged from workers=%d output",
+						users, grid, workers, opts.workers[0])
 				}
 				sort.Float64s(durations)
 				entry := shardThroughputEntry{

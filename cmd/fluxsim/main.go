@@ -8,6 +8,7 @@
 //	fluxsim -users 2 -deploy random -noise 0.1
 //	fluxsim -users 3 -workers 4   # parallel candidate scoring, same output
 //	fluxsim -users 2 -dropout 0.2 -loss 0.1   # localize from a degraded sniff
+//	fluxsim -users 2 -delay 0.3               # 30% of reports arrive too late for the sniff
 //	fluxsim -users 2 -liars 0.1               # 10% of sniffed sensors lie
 //	fluxsim -users 2 -liars 0.1 -robust huber # same attack, robust-fit defense
 //	fluxsim -users 3 -metrics     # print the run's work counters at exit
@@ -24,8 +25,6 @@ import (
 	"fluxtrack/internal/core"
 	"fluxtrack/internal/deploy"
 	"fluxtrack/internal/exp"
-	"fluxtrack/internal/fault"
-	"fluxtrack/internal/fingerprint"
 	"fluxtrack/internal/fit"
 	"fluxtrack/internal/geom"
 	"fluxtrack/internal/obs"
@@ -52,21 +51,23 @@ func run(args []string) error {
 		seed    = fs.Uint64("seed", 1, "random seed")
 		samples = fs.Int("samples", 2000, "candidate positions per user")
 		workers = fs.Int("workers", 1, "NLS search worker count (0 = one per CPU)")
-		dropout = fs.Float64("dropout", 0, "fraction of sniffed sensors that fail permanently")
-		loss    = fs.Float64("loss", 0, "probability each report is lost this round")
-		stuck   = fs.Float64("stuck", 0, "fraction of sniffed sensors with frozen readings")
-		liars   = fs.Float64("liars", 0, "fraction of Byzantine sensors (half inflate, a quarter deflate, a quarter replay)")
-		robust  = fs.String("robust", "", "robust-fit defense: off, huber, loso, or both")
 		metrics = fs.Bool("metrics", false, "collect work counters (traffic, fault, NLS search) and print the snapshot at exit")
-		coarse  = fs.Bool("coarse", false, "shortlist candidates through the coarse-to-fine fingerprint search")
-		coarseK = fs.Int("coarsek", 0, "coarse shortlist size per user (0 = default 64; implies -coarse)")
-		coarseG = fs.Int("coarsegrid", 0, "fingerprint grid resolution per axis (0 = default 24; implies -coarse)")
 		shards  = fs.String("shards", "", "also run the tiled tracking demo over a RxC tile grid (internal/shard), e.g. 2x2")
 		halo    = fs.Float64("halo", 0, "tile halo width for -shards: sensors within this margin report to both neighbors")
 		rounds  = fs.Int("rounds", 8, "tracking rounds for the -shards demo")
 		trackN  = fs.Int("trackn", 1000, "SMC prediction samples per user per round in the -shards demo")
 	)
+	applySearch := exp.BindSearchFlags(fs)
+	applyFault := exp.BindFaultFlags(fs)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	// fluxsim runs no experiment; the Config only carries the flag values.
+	var cfg exp.Config
+	if err := applySearch(&cfg); err != nil {
+		return err
+	}
+	if err := applyFault(&cfg); err != nil {
 		return err
 	}
 	if *users <= 0 {
@@ -107,34 +108,23 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	faultCfg := fault.Config{DropoutFrac: *dropout, LossProb: *loss, StuckFrac: *stuck}
-	if err := faultCfg.Validate(); err != nil {
-		return err
-	}
-	robustMode, err := fit.ParseRobustMode(*robust)
-	if err != nil {
-		return err
-	}
 	opts := fit.Options{Samples: *samples, TopM: 10, Workers: *workers, Metrics: met,
-		Robust: fit.RobustConfig{Mode: robustMode}}
-	var ccfg fingerprint.CoarseConfig
-	if *coarse || *coarseK > 0 || *coarseG > 0 {
-		ccfg = fingerprint.CoarseConfig{Enabled: true, TopK: *coarseK, GridRes: *coarseG}.WithDefaults()
-		db, err := sniffer.NewFingerprintDB(ccfg, *workers, met)
+		Robust: cfg.Robust}
+	if cfg.Coarse.Enabled {
+		db, err := sniffer.NewFingerprintDB(cfg.Coarse, *workers, met)
 		if err != nil {
 			return err
 		}
-		opts.Coarse = &fit.Coarse{DB: db, TopK: ccfg.TopK}
+		opts.Coarse = &fit.Coarse{DB: db, TopK: cfg.Coarse.TopK}
 		fmt.Printf("\ncoarse search: %d fingerprint cells (grid %d), shortlist %d of %d candidates per user\n",
-			db.Cells(), db.Res(), ccfg.TopK, *samples)
+			db.Cells(), db.Res(), cfg.Coarse.TopK, *samples)
 	}
 	readings, err := sniffer.Observe(userSet, *noise, src)
 	if err != nil {
 		return err
 	}
-	if *liars > 0 {
-		advCfg := exp.LiarMix(*liars)
-		adv, err := sniffer.NewAdversary(advCfg, src.Uint64())
+	if cfg.Adversary.Enabled() {
+		adv, err := sniffer.NewAdversary(cfg.Adversary, src.Uint64())
 		if err != nil {
 			return err
 		}
@@ -144,11 +134,11 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Printf("\nbyzantine: %d of %d sniffed sensors compromised (defense: %s)\n",
-			adv.NumCompromised(), len(readings), robustMode)
+			adv.NumCompromised(), len(readings), cfg.Robust.Mode)
 	}
 	var res fit.Result
-	if faultCfg.Enabled() {
-		inj, err := sniffer.NewFaultInjector(faultCfg, src.Uint64())
+	if cfg.Fault.Enabled() {
+		inj, err := sniffer.NewFaultInjector(cfg.Fault, src.Uint64())
 		if err != nil {
 			return err
 		}
@@ -196,7 +186,7 @@ func run(args []string) error {
 			return err
 		}
 		grid.Halo = *halo
-		if err := runShardDemo(sc, sniffer, userSet, grid, *rounds, *trackN, *workers, ccfg, met, src); err != nil {
+		if err := runShardDemo(sc, sniffer, userSet, grid, *rounds, *trackN, *workers, cfg.Coarse, met, src); err != nil {
 			return err
 		}
 	}

@@ -22,6 +22,26 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadTrackerFlags pins that out-of-range search and fault
+// flags fail the run instead of silently falling back to defaults (a
+// negative -coarsek used to run the exact search).
+func TestRunRejectsBadTrackerFlags(t *testing.T) {
+	for _, bad := range [][]string{
+		{"-coarsek", "-3"},
+		{"-coarsegrid", "-1"},
+		{"-liars", "-0.1"},
+		{"-liars", "NaN"},
+		{"-robust", "sometimes"},
+		{"-loss", "1.5"},
+		{"-delayrounds", "-1"},
+	} {
+		args := append([]string{"-users", "1", "-samples", "100", "-nodes", "400"}, bad...)
+		if err := run(args); err == nil {
+			t.Errorf("fluxsim %v must error", bad)
+		}
+	}
+}
+
 func TestRunEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end scenario skipped in -short mode")
@@ -34,6 +54,12 @@ func TestRunEndToEnd(t *testing.T) {
 		"-coarse", "-coarsek", "64", "-coarsegrid", "16",
 	}); err != nil {
 		t.Fatalf("fluxsim coarse run failed: %v", err)
+	}
+	if err := run([]string{
+		"-users", "1", "-samples", "500", "-nodes", "400",
+		"-delay", "0.3", "-delayrounds", "1",
+	}); err != nil {
+		t.Fatalf("fluxsim delayed-sniff run failed: %v", err)
 	}
 }
 

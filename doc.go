@@ -74,7 +74,7 @@
 //	E12  figCoarse  coarse-to-fine shortlist agreement + cost
 //	E13  figShard   tiled tracking: seams, halos, per-tile work
 //	E14  —          shard scale-out: skewed 10⁴–10⁵-user populations
-//	E15  —          resident serving: step latency vs tenant count
+//	E15  —          resident serving (historical; perfbench serve-stream now)
 //	E16  figByzantine  Byzantine sensors × robust-fit defenses
 //	A4   countermeasure  traffic shaping (dummy flux + route
 //	                randomization) vs attacker accuracy

@@ -23,6 +23,12 @@ func LiarMix(frac float64) fault.AdversaryConfig {
 	}
 }
 
+// LiarFrac inverts LiarMix: the compromised fraction a LiarMix blend was
+// built from. Halving and doubling a normal float are exact, so
+// LiarFrac(LiarMix(f)) == f for every f in [0, 1] outside the subnormal
+// range.
+func LiarFrac(a fault.AdversaryConfig) float64 { return 2 * a.InflateFrac }
+
 // FigByzantine crosses Byzantine attacker fractions with the fit-layer
 // defenses: 0%, 10%, and 25% of sensors lying (the LiarMix blend of
 // inflaters, deflaters, and replayers) against the undefended fit, Huber

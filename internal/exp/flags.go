@@ -1,0 +1,75 @@
+package exp
+
+import (
+	"flag"
+	"fmt"
+	"math"
+
+	"fluxtrack/internal/fault"
+	"fluxtrack/internal/fingerprint"
+	"fluxtrack/internal/fit"
+)
+
+// BindSearchFlags declares the tracker search flags on fs: -coarse,
+// -coarsek, -coarsegrid, -robust and -liars. Call the returned function
+// after fs.Parse: it rejects a negative -coarsek or -coarsegrid, a negative
+// or NaN -liars and an unknown -robust mode, then writes cfg.Coarse,
+// cfg.Robust and cfg.Adversary (the LiarMix blend). A nonzero -coarsek or
+// -coarsegrid implies -coarse, and zero means the fingerprint package
+// default. cfg.DBCache is left to the caller.
+func BindSearchFlags(fs *flag.FlagSet) func(cfg *Config) error {
+	coarse := fs.Bool("coarse", false, "shortlist tracking candidates through the coarse-to-fine fingerprint search")
+	coarseK := fs.Int("coarsek", 0, "coarse shortlist size per user (0 = default 64; implies -coarse)")
+	coarseG := fs.Int("coarsegrid", 0, "fingerprint grid resolution per axis (0 = default 24; implies -coarse)")
+	robust := fs.String("robust", "", "robust-fit defense: off, huber, loso, or both")
+	liars := fs.Float64("liars", 0, "fraction of Byzantine sensors (half inflate, a quarter deflate, a quarter replay)")
+	return func(cfg *Config) error {
+		if *coarseK < 0 {
+			return fmt.Errorf("-coarsek %d is negative", *coarseK)
+		}
+		if *coarseG < 0 {
+			return fmt.Errorf("-coarsegrid %d is negative", *coarseG)
+		}
+		if math.IsNaN(*liars) || *liars < 0 {
+			return fmt.Errorf("-liars %v is not a fraction in [0, 1]", *liars)
+		}
+		mode, err := fit.ParseRobustMode(*robust)
+		if err != nil {
+			return err
+		}
+		adv := LiarMix(*liars)
+		if err := adv.Validate(); err != nil {
+			return err
+		}
+		cfg.Coarse = fingerprint.CoarseConfig{}
+		if *coarse || *coarseK > 0 || *coarseG > 0 {
+			cfg.Coarse = fingerprint.CoarseConfig{Enabled: true, TopK: *coarseK, GridRes: *coarseG}.WithDefaults()
+		}
+		cfg.Robust = fit.RobustConfig{Mode: mode}
+		cfg.Adversary = adv
+		return nil
+	}
+}
+
+// BindFaultFlags declares the degraded-sensing flags on fs: -dropout,
+// -loss, -delay, -delayrounds and -stuck. Call the returned function after
+// fs.Parse: it validates the values with fault.Config.Validate and writes
+// cfg.Fault.
+func BindFaultFlags(fs *flag.FlagSet) func(cfg *Config) error {
+	dropout := fs.Float64("dropout", 0, "fraction of sniffed sensors that fail permanently")
+	loss := fs.Float64("loss", 0, "per-round probability a report is lost")
+	delay := fs.Float64("delay", 0, "per-round probability a report is delayed")
+	delayRounds := fs.Int("delayrounds", 0, "rounds a delayed report is late (0 = default 2)")
+	stuck := fs.Float64("stuck", 0, "fraction of sniffed sensors with frozen readings")
+	return func(cfg *Config) error {
+		f := fault.Config{
+			DropoutFrac: *dropout, LossProb: *loss,
+			DelayProb: *delay, DelayRounds: *delayRounds, StuckFrac: *stuck,
+		}
+		if err := f.Validate(); err != nil {
+			return err
+		}
+		cfg.Fault = f
+		return nil
+	}
+}

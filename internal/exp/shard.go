@@ -85,9 +85,8 @@ func matchErrorsByTruth(estimates, truths []geom.Point) []float64 {
 // candidate volume is fixed — which is the point: sharding's work reduction
 // lives inside each solve, whose Gram build runs over ~1/tiles of the
 // sensors against a smaller joint user set. Wall-clock throughput for the
-// same split is measured by cmd/fluxbench -shardbench, which feeds
-// BENCH_pr7.json; this table keeps only worker-count-invariant columns so
-// it can sit under the golden tests.
+// same split is measured by `fluxbench shardbench`; this table keeps only
+// worker-count-invariant columns so it can sit under the golden tests.
 func FigShard(cfg Config) (Table, error) {
 	cfg = cfg.withDefaults()
 	t := Table{

@@ -316,14 +316,12 @@ func (s *Server) trackerFor(cfg TenantConfig) (core.StepTracker, error) {
 		Trace:          s.trace,
 	}
 	if cfg.Shards != "" {
-		var rows, cols int
-		if n, err := fmt.Sscanf(cfg.Shards, "%dx%d", &rows, &cols); n != 2 || err != nil {
-			return nil, fmt.Errorf("shards %q is not RxC", cfg.Shards)
+		grid, err := shard.ParseGrid(cfg.Shards)
+		if err != nil {
+			return nil, err
 		}
-		if rows < 1 || cols < 1 {
-			return nil, fmt.Errorf("shards %q names an empty grid", cfg.Shards)
-		}
-		tc.Shards = shard.Grid{Rows: rows, Cols: cols, Halo: cfg.Halo}
+		grid.Halo = cfg.Halo
+		tc.Shards = grid
 	}
 	return s.sniffer.NewStepTracker(cfg.Users, tc, cfg.Seed)
 }

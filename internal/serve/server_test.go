@@ -325,8 +325,10 @@ func TestServeAPIErrors(t *testing.T) {
 	check("invalid id", resp, http.StatusBadRequest)
 	resp, _ = doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/b", TenantConfig{Users: 0})
 	check("zero users", resp, http.StatusBadRequest)
-	resp, _ = doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/b", TenantConfig{Users: 1, Shards: "2by2"})
-	check("bad shards", resp, http.StatusBadRequest)
+	for _, shards := range []string{"2by2", "2x2x9"} {
+		resp, _ = doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/b", TenantConfig{Users: 1, Shards: shards})
+		check("bad shards "+shards, resp, http.StatusBadRequest)
+	}
 	resp, _ = doJSON(t, http.MethodGet, hs.URL+"/v1/tenant/nope/estimate", nil)
 	check("unknown tenant", resp, http.StatusNotFound)
 	resp, _ = doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/a/observe",
