@@ -29,7 +29,6 @@
 //	fluxbench -quick -metrics                    # print merged work counters + latency histograms
 //	fluxbench -quick -metricsout metrics.json    # write the counter snapshot as JSON
 //	fluxbench -quick -exp fig7 -trace out.jsonl  # one JSON span per tracker round
-//	fluxbench report metrics.json                # render a saved snapshot (or a -json report)
 //
 // Coarse-to-fine search (see internal/fingerprint; shortlists candidates
 // before the exact NLS ranking — faster, slightly approximate unless
@@ -44,7 +43,12 @@
 //	fluxbench -quick -cpuprofile cpu.out    # pprof CPU profile of the run
 //	fluxbench -quick -memprofile mem.out    # heap profile at exit
 //	fluxbench compare old.json new.json     # speedup table between two -json reports
-//	fluxbench compare -maxregress 2.0 old.json new.json  # exit 1 if new total > 2x old
+//	fluxbench compare -maxregress 1.5 BENCH_pr8.json new.json  # the CI wall-clock gate
+//
+// With -maxregress, compare exits 1 when the new matched total exceeds that
+// multiple of the old one, when no experiment id matches, or when the two
+// reports differ in any run setting (gomaxprocs and go_version are host
+// facts and do not count). Without it, compare only reports.
 //
 // Field sharding (see internal/shard; tiles the field into an RxC grid of
 // independent trackers with cross-tile handoff — a 1x1 grid is byte-identical
@@ -90,7 +94,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -151,9 +157,6 @@ func run(args []string) error {
 	if len(args) > 0 && args[0] == "shardbench" {
 		return runShardBench(args[1:])
 	}
-	if len(args) > 0 && args[0] == "report" {
-		return runReport(args[1:])
-	}
 	fs := flag.NewFlagSet("fluxbench", flag.ContinueOnError)
 	var (
 		quick   = fs.Bool("quick", false, "use the reduced-effort configuration")
@@ -184,7 +187,7 @@ func run(args []string) error {
 	if fs.NArg() > 0 {
 		// A stray argument, such as a misspelled subcommand, would otherwise
 		// end flag parsing and run the whole suite at full effort.
-		return fmt.Errorf("unknown subcommand or argument %q (want compare, report, or shardbench)", fs.Arg(0))
+		return fmt.Errorf("unknown subcommand or argument %q (want compare or shardbench)", fs.Arg(0))
 	}
 
 	if *cpuProf != "" {
@@ -380,50 +383,20 @@ func run(args []string) error {
 	return nil
 }
 
-// runReport renders a saved metrics snapshot as the human-readable table of
-// obs.Snapshot.Format. It accepts either a bare snapshot file (written by
-// -metricsout) or a full -json benchmark report that embeds one.
-func runReport(args []string) error {
-	fs := flag.NewFlagSet("fluxbench report", flag.ContinueOnError)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: fluxbench report metrics.json (got %d args)", fs.NArg())
-	}
-	path := fs.Arg(0)
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var rep struct {
-		Metrics *obs.Snapshot `json:"metrics"`
-	}
-	if err := json.Unmarshal(buf, &rep); err == nil && rep.Metrics != nil && !rep.Metrics.Empty() {
-		fmt.Print(rep.Metrics.Format())
-		return nil
-	}
-	var snap obs.Snapshot
-	if err := json.Unmarshal(buf, &snap); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if snap.Empty() {
-		return fmt.Errorf("%s: no metrics found (run fluxbench with -metrics, -metricsout, or -json)", path)
-	}
-	fmt.Print(snap.Format())
-	return nil
-}
-
 // runCompare diffs two -json benchmark reports: per-experiment wall time in
 // the old and new run plus the speedup ratio, then the totals. Experiments
 // present in only one report are listed but not ratioed. With -maxregress R
-// the command exits nonzero when the new matched total exceeds R times the
-// old one — the CI performance gate.
+// the command is the CI performance gate: it exits nonzero when the two
+// runs differ in any run setting, when no experiment id matches, or when
+// the new matched total exceeds R times the old one.
 func runCompare(args []string) error {
 	fs := flag.NewFlagSet("fluxbench compare", flag.ContinueOnError)
 	maxRegress := fs.Float64("maxregress", 0, "fail when new total wall time exceeds this multiple of the old total (0 = report only)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if math.IsNaN(*maxRegress) || math.IsInf(*maxRegress, 0) || *maxRegress < 0 {
+		return fmt.Errorf("-maxregress %v is not a finite non-negative ratio", *maxRegress)
 	}
 	if fs.NArg() != 2 {
 		return fmt.Errorf("usage: fluxbench compare [-maxregress R] old.json new.json (got %d args)", fs.NArg())
@@ -436,11 +409,20 @@ func runCompare(args []string) error {
 	if err != nil {
 		return err
 	}
-	text, oldTotal, newTotal := compareReports(oldRep, newRep, fs.Arg(0), fs.Arg(1))
-	fmt.Print(text)
-	if *maxRegress > 0 && oldTotal > 0 && newTotal > *maxRegress*oldTotal {
+	cmp := compareReports(oldRep, newRep, fs.Arg(0), fs.Arg(1))
+	fmt.Print(cmp.text)
+	if *maxRegress == 0 {
+		return nil
+	}
+	if len(cmp.settingsDiff) > 0 {
+		return fmt.Errorf("run settings differ: %s", strings.Join(cmp.settingsDiff, ", "))
+	}
+	if cmp.matched == 0 {
+		return fmt.Errorf("no experiment id of %s appears in %s", fs.Arg(1), fs.Arg(0))
+	}
+	if cmp.newTotal > *maxRegress*cmp.oldTotal {
 		return fmt.Errorf("regression: new matched total %.2fs exceeds %.2fx old total %.2fs (limit %.2fx)",
-			newTotal, newTotal/oldTotal, oldTotal, *maxRegress)
+			cmp.newTotal, cmp.newTotal/cmp.oldTotal, cmp.oldTotal, *maxRegress)
 	}
 	return nil
 }
@@ -457,15 +439,25 @@ func loadReport(path string) (benchReport, error) {
 	return r, nil
 }
 
-func compareReports(oldRep, newRep benchReport, oldPath, newPath string) (text string, oldTotal, newTotal float64) {
+// comparison is the outcome of compareReports.
+type comparison struct {
+	text               string   // the rendered speedup table
+	oldTotal, newTotal float64  // wall seconds over the matched experiments
+	matched            int      // experiment ids present in both reports
+	settingsDiff       []string // "key old vs new" for each differing run setting
+}
+
+func compareReports(oldRep, newRep benchReport, oldPath, newPath string) comparison {
+	var c comparison
 	var b strings.Builder
 	fmt.Fprintf(&b, "old: %s (config=%s trials=%d workers=%d %s)\n",
 		oldPath, oldRep.Config, oldRep.Trials, oldRep.Workers, oldRep.GoVersion)
 	fmt.Fprintf(&b, "new: %s (config=%s trials=%d workers=%d %s)\n",
 		newPath, newRep.Config, newRep.Trials, newRep.Workers, newRep.GoVersion)
-	if oldRep.Config != newRep.Config || oldRep.Trials != newRep.Trials ||
-		oldRep.Samples != newRep.Samples || oldRep.Seed != newRep.Seed {
-		b.WriteString("warning: run configurations differ; ratios compare unlike work\n")
+	c.settingsDiff = settingsDiff(oldRep, newRep)
+	if len(c.settingsDiff) > 0 {
+		fmt.Fprintf(&b, "warning: run settings differ (%s); ratios compare unlike work\n",
+			strings.Join(c.settingsDiff, ", "))
 	}
 	b.WriteString("\n")
 
@@ -482,8 +474,8 @@ func compareReports(oldRep, newRep benchReport, oldPath, newPath string) (text s
 			continue
 		}
 		matched[e.ID] = true
-		oldTotal += prev
-		newTotal += e.Seconds
+		c.oldTotal += prev
+		c.newTotal += e.Seconds
 		ratio := "-"
 		if e.Seconds > 0 {
 			ratio = fmt.Sprintf("%.2fx", prev/e.Seconds)
@@ -495,12 +487,42 @@ func compareReports(oldRep, newRep benchReport, oldPath, newPath string) (text s
 			fmt.Fprintf(&b, "%-20s %10.2f %10s %9s  (old only)\n", e.ID, e.Seconds, "-", "-")
 		}
 	}
+	c.matched = len(matched)
 	ratio := "-"
-	if newTotal > 0 {
-		ratio = fmt.Sprintf("%.2fx", oldTotal/newTotal)
+	if c.newTotal > 0 {
+		ratio = fmt.Sprintf("%.2fx", c.oldTotal/c.newTotal)
 	}
-	fmt.Fprintf(&b, "%-20s %10.2f %10.2f %9s\n", "total (matched)", oldTotal, newTotal, ratio)
-	return b.String(), oldTotal, newTotal
+	fmt.Fprintf(&b, "%-20s %10.2f %10.2f %9s\n", "total (matched)", c.oldTotal, c.newTotal, ratio)
+	c.text = b.String()
+	return c
+}
+
+// settingsDiff lists every run setting in which two reports differ, as
+// "key old vs new" by JSON key. The settings are all header fields of
+// benchReport except gomaxprocs and go_version, which describe the host
+// rather than the run.
+func settingsDiff(oldRep, newRep benchReport) []string {
+	settings := func(r benchReport) reflect.Value {
+		r.GOMAXPROCS, r.GoVersion = 0, ""
+		r.Experiments, r.TotalSeconds, r.Metrics = nil, 0, nil
+		return reflect.ValueOf(r)
+	}
+	show := func(v any) string {
+		if s, ok := v.(string); ok {
+			return strconv.Quote(s)
+		}
+		return fmt.Sprint(v)
+	}
+	ov, nv := settings(oldRep), settings(newRep)
+	var diff []string
+	for i := 0; i < ov.NumField(); i++ {
+		o, n := ov.Field(i).Interface(), nv.Field(i).Interface()
+		if !reflect.DeepEqual(o, n) {
+			key, _, _ := strings.Cut(ov.Type().Field(i).Tag.Get("json"), ",")
+			diff = append(diff, fmt.Sprintf("%s %s vs %s", key, show(o), show(n)))
+		}
+	}
+	return diff
 }
 
 // renderCharts draws one bar chart per fully numeric table column, keyed by

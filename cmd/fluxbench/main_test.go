@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -137,7 +138,8 @@ func TestCompareReports(t *testing.T) {
 			{ID: "fresh", Seconds: 1},
 		},
 	}
-	out, oldTotal, newTotal := compareReports(oldRep, newRep, "a.json", "b.json")
+	cmp := compareReports(oldRep, newRep, "a.json", "b.json")
+	out := cmp.text
 	for _, want := range []string{
 		"fig5", "5.00x", "fig7", "total (matched)",
 		"gone", "(old only)", "fresh", "(new only)",
@@ -150,13 +152,20 @@ func TestCompareReports(t *testing.T) {
 		t.Errorf("matching configs must not warn:\n%s", out)
 	}
 	// Matched totals exclude the one-sided experiments.
-	if oldTotal != 30 || newTotal != 6 {
-		t.Errorf("matched totals = %v, %v, want 30, 6", oldTotal, newTotal)
+	if cmp.oldTotal != 30 || cmp.newTotal != 6 || cmp.matched != 2 {
+		t.Errorf("matched totals = %v, %v over %d, want 30, 6 over 2", cmp.oldTotal, cmp.newTotal, cmp.matched)
 	}
-	// Mismatched configurations must warn.
+	// Mismatched configurations must warn and name each differing setting;
+	// host facts are not settings.
 	newRep.Trials = 9
-	if out, _, _ := compareReports(oldRep, newRep, "a", "b"); !strings.Contains(out, "warning") {
-		t.Errorf("mismatched configs must warn:\n%s", out)
+	newRep.Robust = "both"
+	newRep.GOMAXPROCS, newRep.GoVersion = 64, "go9"
+	cmp = compareReports(oldRep, newRep, "a", "b")
+	if !strings.Contains(cmp.text, "warning") {
+		t.Errorf("mismatched configs must warn:\n%s", cmp.text)
+	}
+	if want := []string{"trials 1 vs 9", `robust "" vs "both"`}; !reflect.DeepEqual(cmp.settingsDiff, want) {
+		t.Errorf("settings diff = %q, want %q", cmp.settingsDiff, want)
 	}
 }
 
@@ -195,6 +204,38 @@ func TestRunCompareSubcommand(t *testing.T) {
 	}
 	if err := run([]string{"compare", "-maxregress", "4", newPath, oldPath}); err != nil {
 		t.Errorf("3x slowdown must pass -maxregress 4: %v", err)
+	}
+	for _, bad := range []string{"-1", "NaN", "+Inf"} {
+		if err := run([]string{"compare", "-maxregress", bad, oldPath, newPath}); err == nil {
+			t.Errorf("-maxregress %s must error", bad)
+		}
+	}
+
+	// The gate cannot pass vacuously: a run sharing no experiment id with
+	// the baseline, or one with different run settings, is an error under
+	// -maxregress and only a report without it.
+	disjoint := filepath.Join(dir, "disjoint.json")
+	writeReport(t, disjoint, benchReport{Config: "quick", Experiments: []benchExperiment{{ID: "fig7", Seconds: 1}}})
+	if err := run([]string{"compare", "-maxregress", "1.5", oldPath, disjoint}); err == nil {
+		t.Error("a run matching no baseline experiment must fail -maxregress")
+	}
+	oneWorker := filepath.Join(dir, "workers1.json")
+	writeReport(t, oneWorker, benchReport{Config: "quick", Workers: 1, Experiments: []benchExperiment{{ID: "fig5", Seconds: 3}}})
+	fourWorkers := filepath.Join(dir, "workers4.json")
+	writeReport(t, fourWorkers, benchReport{Config: "quick", Workers: 4, Experiments: []benchExperiment{{ID: "fig5", Seconds: 1}}})
+	if err := run([]string{"compare", "-maxregress", "1.5", oneWorker, fourWorkers}); err == nil {
+		t.Error("workers 1 vs 4 must fail -maxregress")
+	}
+	hostOnly := filepath.Join(dir, "host.json")
+	writeReport(t, hostOnly, benchReport{Config: "quick", GOMAXPROCS: 8, GoVersion: "go1.99",
+		Experiments: []benchExperiment{{ID: "fig5", Seconds: 1}}})
+	if err := run([]string{"compare", "-maxregress", "1.5", oldPath, hostOnly}); err != nil {
+		t.Errorf("host facts must not fail -maxregress: %v", err)
+	}
+	for _, p := range []string{disjoint, fourWorkers} {
+		if err := run([]string{"compare", oneWorker, p}); err != nil {
+			t.Errorf("compare without -maxregress must only report: %v", err)
+		}
 	}
 }
 

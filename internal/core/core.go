@@ -233,31 +233,6 @@ func (sn *Sniffer) NewAdversary(cfg fault.AdversaryConfig, seed uint64) (*fault.
 	return fault.NewAdversary(cfg, sn.points, seed)
 }
 
-// ObserveDegraded is Observe followed by one fault-injection round: the
-// users' flux is measured as usual, then the injector decides which reports
-// actually reach the adversary this round, which are delayed (Age > 0), and
-// which are lost. A nil injector returns an all-present, all-fresh
-// observation, so callers can thread one code path for both cases.
-func (sn *Sniffer) ObserveDegraded(users []traffic.User, noiseSigma float64,
-	inj *fault.Injector, src *rng.Source) (fault.Observation, error) {
-	readings, err := sn.Observe(users, noiseSigma, src)
-	if err != nil {
-		return fault.Observation{}, err
-	}
-	if inj == nil {
-		obs := fault.Observation{
-			Readings: readings,
-			Present:  make([]bool, len(readings)),
-			Age:      make([]int, len(readings)),
-		}
-		for i := range obs.Present {
-			obs.Present[i] = true
-		}
-		return obs, nil
-	}
-	return inj.Apply(readings)
-}
-
 // ProblemMasked builds the NLS fitting problem over the delivered reports of
 // a degraded observation only; missing sensors simply drop out of the fit.
 // It returns fit.ErrAllMasked when nothing was delivered.

@@ -19,7 +19,7 @@ func TestGoldenByzantine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden determinism suite skipped in -short mode")
 	}
-	for _, id := range []string{"fig7", "fig8a"} {
+	for _, id := range goldenByzantineIDs {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
@@ -27,19 +27,15 @@ func TestGoldenByzantine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			render := func(workers int) string {
+			config := func(workers int) Config {
 				cfg := goldenConfig()
 				cfg.Workers = workers
 				cfg.Adversary = LiarMix(0.2)
 				cfg.Robust = fit.RobustConfig{Mode: fit.RobustBoth}
-				tbl, err := e.Run(cfg)
-				if err != nil {
-					t.Fatalf("%s workers=%d: %v", id, workers, err)
-				}
-				return tbl.Render()
+				return cfg
 			}
-			seq := render(1)
-			par := render(8)
+			seq := goldenRender(t, "byzantine/"+id, e, config(1))
+			par := renderCfg(t, e, config(8))
 			if par != seq {
 				t.Errorf("%s with byzantine sensors: Workers=8 differs from Workers=1:\n--- sequential\n%s--- parallel\n%s", id, seq, par)
 			}

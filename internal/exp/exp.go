@@ -10,7 +10,8 @@
 // runs, a Workers count, and optional obs instruments. Trials fan out over
 // the deterministic worker pool in parallel.go and merge in index order, so
 // every rendered table is byte-identical at any worker count — a property
-// pinned by the golden tests in this package. Binding Config.Metrics and
+// pinned by the golden tests in this package, which also check each
+// table's digest and counter totals against testdata/golden.json. Binding Config.Metrics and
 // Config.Trace threads counters and step spans through every layer of a run
 // without changing any of those bytes (see TestMetricsDoNotPerturbTables).
 package exp

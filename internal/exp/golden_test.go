@@ -1,10 +1,24 @@
 package exp
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io/fs"
+	"os"
 	"runtime"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"fluxtrack/internal/fault"
+	"fluxtrack/internal/fingerprint"
+	"fluxtrack/internal/fit"
+	"fluxtrack/internal/obs"
+	"fluxtrack/internal/shard"
 )
 
 // goldenConfig shrinks every effort knob to the smallest values at which
@@ -16,6 +30,20 @@ func goldenConfig() Config {
 	return Config{Seed: 1, Trials: 1, Samples: 150, TrackN: 40, TrackM: 10, Rounds: 3}
 }
 
+// goldenFault is the degraded-sensing configuration of the fault entries
+// and the field-hotspot entry of the golden file.
+var goldenFault = fault.Config{DropoutFrac: 0.15, LossProb: 0.10, DelayProb: 0.20, DelayRounds: 1, StuckFrac: 0.05}
+
+// The experiments TestGoldenFaultInjection and TestGoldenByzantine run,
+// each pinned in the golden file under "fault/<id>" and "byzantine/<id>".
+var (
+	goldenFaultIDs     = []string{"fig7", "fig8a", "figRobust"}
+	goldenByzantineIDs = []string{"fig7", "fig8a"}
+)
+
+// goldenHotspotKey names the golden entry of TestGoldenFieldHotspot.
+const goldenHotspotKey = "field-hotspot/fig7"
+
 // renderAt runs one experiment at the given worker count and seed and
 // returns the rendered table.
 func renderAt(t *testing.T, e Experiment, workers int, seed uint64) string {
@@ -23,11 +51,206 @@ func renderAt(t *testing.T, e Experiment, workers int, seed uint64) string {
 	cfg := goldenConfig()
 	cfg.Workers = workers
 	cfg.Seed = seed
+	return renderCfg(t, e, cfg)
+}
+
+// renderCfg runs one experiment at cfg and returns the rendered table.
+func renderCfg(t *testing.T, e Experiment, cfg Config) string {
+	t.Helper()
 	tbl, err := e.Run(cfg)
 	if err != nil {
-		t.Fatalf("%s workers=%d seed=%d: %v", e.ID, workers, seed, err)
+		t.Fatalf("%s workers=%d seed=%d: %v", e.ID, cfg.Workers, cfg.Seed, err)
 	}
 	return tbl.Render()
+}
+
+// goldenRender is renderCfg with a fresh metrics registry bound; it checks
+// the table digest and the counter totals against the golden entry key
+// before returning the table. Metrics never change a table
+// (TestMetricsDoNotPerturbTables), so the returned render is the plain one.
+func goldenRender(t *testing.T, key string, e Experiment, cfg Config) string {
+	t.Helper()
+	cfg.Metrics = obs.New(0)
+	out := renderCfg(t, e, cfg)
+	checkGolden(t, key, out, cfg.Metrics.Snapshot().Counters)
+	return out
+}
+
+// goldenPath is the checked-in baseline: for every golden key, the SHA-256
+// of the rendered table and the obs counter totals of its Workers=1 run.
+// A digest change means the output changed; a counter change means the
+// code did different work. A change that moves either re-records the file
+// by deleting it and running `go test -run TestGolden ./internal/exp`,
+// and says why in its description.
+const goldenPath = "testdata/golden.json"
+
+type goldenEntry struct {
+	Table    string            `json:"table_sha256"`
+	Counters map[string]uint64 `json:"counters"`
+}
+
+// golden holds the loaded baseline, or, when the file is missing, the
+// entries recorded by this test binary for TestMain to write.
+var golden struct {
+	load     sync.Once
+	want     map[string]goldenEntry // nil while recording
+	loadErr  error
+	mu       sync.Mutex
+	recorded map[string]goldenEntry
+}
+
+// goldenKeys returns every key the golden file must hold, sorted: each
+// registry id, plus the fault, Byzantine and field-hotspot entries.
+func goldenKeys() []string {
+	var keys []string
+	for _, e := range All() {
+		keys = append(keys, e.ID)
+	}
+	for _, id := range goldenFaultIDs {
+		keys = append(keys, "fault/"+id)
+	}
+	for _, id := range goldenByzantineIDs {
+		keys = append(keys, "byzantine/"+id)
+	}
+	keys = append(keys, goldenHotspotKey)
+	sort.Strings(keys)
+	return keys
+}
+
+// loadGolden reads goldenPath once; a missing file switches the binary to
+// recording, with a nil map.
+func loadGolden() (map[string]goldenEntry, error) {
+	golden.load.Do(func() {
+		buf, err := os.ReadFile(goldenPath)
+		if errors.Is(err, fs.ErrNotExist) {
+			golden.recorded = make(map[string]goldenEntry)
+			return
+		}
+		if err == nil {
+			err = json.Unmarshal(buf, &golden.want)
+		}
+		if err == nil && golden.want == nil {
+			err = errors.New("holds no entries")
+		}
+		if err != nil {
+			golden.loadErr = fmt.Errorf("%s: %w", goldenPath, err)
+		}
+	})
+	return golden.want, golden.loadErr
+}
+
+// checkGolden compares one Workers=1 run against its golden entry, or
+// records it when the golden file is missing. Only amd64 compares: other
+// architectures may fuse multiply-add and round differently.
+func checkGolden(t *testing.T, key, render string, counters []obs.CounterValue) {
+	t.Helper()
+	if runtime.GOARCH != "amd64" {
+		t.Logf("golden %s: comparison skipped on %s (digests are pinned on amd64, where Go never fuses multiply-add)", key, runtime.GOARCH)
+		return
+	}
+	sum := sha256.Sum256([]byte(render))
+	got := goldenEntry{Table: hex.EncodeToString(sum[:]), Counters: make(map[string]uint64, len(counters))}
+	for _, c := range counters {
+		got.Counters[c.Name] = c.Value
+	}
+	want, err := loadGolden()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want == nil {
+		golden.mu.Lock()
+		golden.recorded[key] = got
+		golden.mu.Unlock()
+		t.Errorf("golden %s: recorded; review and commit %s", key, goldenPath)
+		return
+	}
+	w, ok := want[key]
+	if !ok {
+		t.Fatalf("golden %s: no entry in %s; delete the file and rerun the golden tests to re-record", key, goldenPath)
+	}
+	if w.Table != got.Table {
+		t.Errorf("golden %s: table digest %s → %s; the rendered table changed:\n%s", key, w.Table, got.Table, render)
+	}
+	names := make([]string, 0, len(w.Counters)+len(got.Counters))
+	for name := range w.Counters {
+		names = append(names, name)
+	}
+	for name := range got.Counters {
+		if _, ok := w.Counters[name]; !ok {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if o, n := w.Counters[name], got.Counters[name]; o != n {
+			t.Errorf("golden %s: counter %s %d → %d", key, name, o, n)
+		}
+	}
+}
+
+// TestMain writes the golden file after a run that recorded every entry.
+// A run that recorded only some (a -run filter) writes nothing, so the
+// file is never committed incomplete.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if len(golden.recorded) > 0 {
+		if err := writeGolden(); err != nil {
+			fmt.Fprintln(os.Stderr, "golden:", err)
+			code = 1
+		}
+	}
+	os.Exit(code)
+}
+
+func writeGolden() error {
+	var missing []string
+	for _, k := range goldenKeys() {
+		if _, ok := golden.recorded[k]; !ok {
+			missing = append(missing, k)
+		}
+	}
+	if len(missing) > 0 {
+		return fmt.Errorf("not writing %s: this run did not record %s; run `go test -run TestGolden ./internal/exp`",
+			goldenPath, strings.Join(missing, ", "))
+	}
+	buf, err := json.MarshalIndent(golden.recorded, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll("testdata", 0o755); err != nil {
+		return err
+	}
+	if err := os.WriteFile(goldenPath, append(buf, '\n'), 0o644); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "golden: recorded %d entries to %s; review and commit\n", len(golden.recorded), goldenPath)
+	return nil
+}
+
+// TestGoldenCoverage keeps the golden file complete as the registry
+// changes: its keys must be exactly goldenKeys(), so a new experiment
+// without an entry, or an entry for a removed one, fails by name.
+func TestGoldenCoverage(t *testing.T) {
+	want, err := loadGolden()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want == nil {
+		t.Skipf("%s is missing; the golden tests record it", goldenPath)
+	}
+	keys := make(map[string]bool, len(want))
+	for k := range want {
+		keys[k] = true
+	}
+	for _, k := range goldenKeys() {
+		if !keys[k] {
+			t.Errorf("golden: %s has no entry for %s; delete it and rerun the golden tests to re-record", goldenPath, k)
+		}
+		delete(keys, k)
+	}
+	for k := range keys {
+		t.Errorf("golden: %s has a stale entry %s that no golden test runs", goldenPath, k)
+	}
 }
 
 // TestGoldenWorkerInvariance is the core determinism contract of the
@@ -43,7 +266,9 @@ func TestGoldenWorkerInvariance(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			seq := renderAt(t, e, 1, 1)
+			cfg := goldenConfig()
+			cfg.Workers = 1
+			seq := goldenRender(t, e.ID, e, cfg)
 			par := renderAt(t, e, 4, 1)
 			if par != seq {
 				t.Errorf("%s: Workers=4 differs from Workers=1:\n--- sequential\n%s--- parallel\n%s", e.ID, seq, par)
@@ -66,8 +291,7 @@ func TestGoldenFaultInjection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden determinism suite skipped in -short mode")
 	}
-	faultCfg := fault.Config{DropoutFrac: 0.15, LossProb: 0.10, DelayProb: 0.20, DelayRounds: 1, StuckFrac: 0.05}
-	for _, id := range []string{"fig7", "fig8a", "figRobust"} {
+	for _, id := range goldenFaultIDs {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()
@@ -75,23 +299,42 @@ func TestGoldenFaultInjection(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			render := func(workers int) string {
+			config := func(workers int) Config {
 				cfg := goldenConfig()
 				cfg.Workers = workers
-				cfg.Fault = faultCfg
-				tbl, err := e.Run(cfg)
-				if err != nil {
-					t.Fatalf("%s workers=%d: %v", id, workers, err)
-				}
-				return tbl.Render()
+				cfg.Fault = goldenFault
+				return cfg
 			}
-			seq := render(1)
-			par := render(8)
+			seq := goldenRender(t, "fault/"+id, e, config(1))
+			par := renderCfg(t, e, config(8))
 			if par != seq {
 				t.Errorf("%s with faults: Workers=8 differs from Workers=1:\n--- sequential\n%s--- parallel\n%s", id, seq, par)
 			}
 		})
 	}
+}
+
+// TestGoldenFieldHotspot pins the benchmark's field-hotspot shape at test
+// size: fig7 through a 2×2 tile grid with the coarse shortlist, the
+// robust=both defense, 10% Byzantine sensors and goldenFault all on, so
+// one golden entry covers shard routing, fingerprint databases, the robust
+// second pass and the masked step together.
+func TestGoldenFieldHotspot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden determinism suite skipped in -short mode")
+	}
+	e, err := ByID("fig7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := goldenConfig()
+	cfg.Workers = 1
+	cfg.Shards = shard.Grid{Rows: 2, Cols: 2, Halo: 2}
+	cfg.Coarse = fingerprint.CoarseConfig{Enabled: true, TopK: 24, GridRes: 10}
+	cfg.Robust = fit.RobustConfig{Mode: fit.RobustBoth}
+	cfg.Adversary = LiarMix(0.1)
+	cfg.Fault = goldenFault
+	goldenRender(t, goldenHotspotKey, e, cfg)
 }
 
 // TestGoldenRerunIdentity reruns a cross-section of the pipelines in the

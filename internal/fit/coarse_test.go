@@ -104,7 +104,7 @@ func TestCoarseFullKByteIdentical(t *testing.T) {
 					}
 					var weights []float64
 					if v.weighted {
-						weights = RelativeWeightsMasked(measured, present)
+						weights = RelativeWeights(measured)
 					}
 					var err error
 					p, err = NewProblemMasked(base.Model(), pts, measured, weights, present)

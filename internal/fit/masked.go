@@ -3,7 +3,6 @@ package fit
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"fluxtrack/internal/fluxmodel"
 	"fluxtrack/internal/geom"
@@ -71,37 +70,4 @@ func NewProblemMasked(model *fluxmodel.Model, points []geom.Point, measured, wei
 	p.origIdx = orig
 	p.fullSamples = len(present)
 	return p, nil
-}
-
-// RelativeWeightsMasked is RelativeWeights computed over only the present
-// samples: the soft constant q = 0.2·mean(F′) + 1 uses the mean of the
-// delivered readings, so masked (undefined) entries cannot skew it. The
-// returned slice is full-length and aligned with measured; masked slots get
-// weight 1 (they are dropped by NewProblemMasked before ever entering an
-// objective). A nil present falls back to RelativeWeights exactly.
-func RelativeWeightsMasked(measured []float64, present []bool) []float64 {
-	if present == nil {
-		return RelativeWeights(measured)
-	}
-	var mean float64
-	n := 0
-	for i, f := range measured {
-		if present[i] {
-			mean += f
-			n++
-		}
-	}
-	if n > 0 {
-		mean /= float64(n)
-	}
-	q := 0.2*mean + 1
-	ws := make([]float64, len(measured))
-	for i, f := range measured {
-		if present[i] {
-			ws[i] = 1 / (math.Max(f, 0) + q)
-		} else {
-			ws[i] = 1
-		}
-	}
-	return ws
 }

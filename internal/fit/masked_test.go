@@ -2,7 +2,6 @@ package fit
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"fluxtrack/internal/fluxmodel"
@@ -119,48 +118,5 @@ func TestNewProblemMaskedValidation(t *testing.T) {
 	}
 	if _, err := NewProblemMasked(m, pts, []float64{1, 2}, []float64{1}, []bool{true, true}); err == nil {
 		t.Error("short weights accepted")
-	}
-}
-
-// TestRelativeWeightsMasked: present-only statistics must match
-// RelativeWeights computed on the compacted vector, and a nil mask must be
-// the plain RelativeWeights.
-func TestRelativeWeightsMasked(t *testing.T) {
-	meas := []float64{10, 200, 0, 35, 7}
-	present := []bool{true, false, true, true, false}
-	got := RelativeWeightsMasked(meas, present)
-	if len(got) != len(meas) {
-		t.Fatalf("weight length %d, want %d", len(got), len(meas))
-	}
-	var compact []float64
-	for i, f := range meas {
-		if present[i] {
-			compact = append(compact, f)
-		}
-	}
-	want := RelativeWeights(compact)
-	wi := 0
-	for i := range meas {
-		if !present[i] {
-			if got[i] != 1 {
-				t.Errorf("masked slot %d weight %v, want placeholder 1", i, got[i])
-			}
-			continue
-		}
-		if math.Abs(got[i]-want[wi]) > 1e-15 {
-			t.Errorf("slot %d weight %v, want %v", i, got[i], want[wi])
-		}
-		wi++
-	}
-
-	if nilGot := RelativeWeightsMasked(meas, nil); len(nilGot) != len(meas) {
-		t.Fatal("nil mask length mismatch")
-	} else {
-		plain := RelativeWeights(meas)
-		for i := range plain {
-			if nilGot[i] != plain[i] {
-				t.Errorf("nil mask slot %d: %v, want %v", i, nilGot[i], plain[i])
-			}
-		}
 	}
 }

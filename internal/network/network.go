@@ -115,9 +115,6 @@ func (n *Network) Positions() []geom.Point {
 // shared internal state and must not be modified.
 func (n *Network) Neighbors(i int) []int32 { return n.adj[i] }
 
-// Degree returns the degree of node i.
-func (n *Network) Degree(i int) int { return len(n.adj[i]) }
-
 // AvgDegree returns the average node degree of the network. The paper's
 // instant-localization setup (900 nodes, 30x30 field, R = 2.4) yields an
 // average degree around 18.

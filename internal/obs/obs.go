@@ -304,9 +304,6 @@ func (m *Metrics) Snapshot() Snapshot {
 	return s
 }
 
-// Empty reports whether the snapshot holds no instruments at all.
-func (s Snapshot) Empty() bool { return len(s.Counters) == 0 && len(s.Histograms) == 0 }
-
 // Vars flattens the snapshot into an expvar-style map: counters map to
 // their totals, histograms to {count, sum, mean, p50, p95}.
 func (s Snapshot) Vars() map[string]any {

@@ -211,11 +211,11 @@ func TestSnapshotSinks(t *testing.T) {
 	if _, ok := vars["lat_ms"].(map[string]any); !ok {
 		t.Fatalf("Vars[lat_ms] = %T, want map", vars["lat_ms"])
 	}
-	if snap.Empty() {
-		t.Fatal("snapshot should not be empty")
+	if len(snap.Counters) == 0 || len(snap.Histograms) == 0 {
+		t.Fatal("snapshot should hold both instrument kinds")
 	}
 	var nilM *Metrics
-	if !nilM.Snapshot().Empty() {
+	if ns := nilM.Snapshot(); len(ns.Counters)+len(ns.Histograms) != 0 {
 		t.Fatal("nil registry snapshot should be empty")
 	}
 }
