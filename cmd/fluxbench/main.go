@@ -17,12 +17,14 @@
 //	fluxbench -exp fig7 -dropout 0.2            # 20% of sensors fail permanently
 //	fluxbench -exp fig8a -loss 0.3 -delay 0.2   # lossy + delayed reports
 //
-// Byzantine sensors and robust defenses (see fault.Adversary and
-// fit.RobustConfig; figByzantine sweeps the cross product built-in):
+// Byzantine sensors and the robust defense (see fault.Adversary and
+// fit.RobustConfig; figByzantine sweeps 0-40% liars built-in). -robust
+// takes off or both; both flags sensors by leave-one-sensor-out residuals,
+// then runs Huber IRLS:
 //
 //	fluxbench -exp fig7 -liars 0.1               # 10% of sensors lie (inflate/deflate/replay mix)
-//	fluxbench -exp fig7 -liars 0.1 -robust huber # same attack, Huber-IRLS defended fit
-//	fluxbench -quick -robust both                # LOSO + Huber defense on clean data (cost check)
+//	fluxbench -exp fig7 -liars 0.1 -robust both  # same attack, defended fit
+//	fluxbench -quick -robust both                # the defense on clean data (cost check)
 //
 // Observability (see internal/obs; enabling it never changes a table):
 //
@@ -78,7 +80,7 @@
 // worker count, and takes the search flags above:
 //
 //	fluxbench shardbench -users 3 -grids 1x1 -workers 1,2,4,8 -trackn 1000
-//	fluxbench shardbench -users 3 -grids 1x1 -workers 1,8 -coarse -liars 0.1 -robust huber
+//	fluxbench shardbench -users 3 -grids 1x1 -workers 1,8 -coarse -liars 0.1 -robust both
 //
 // Serving latency, per-layer timings and the end-to-end benchmark live in
 // the separate perfbench module (perfbench/README.md).
@@ -299,7 +301,7 @@ func run(args []string) error {
 		CoarseGrid: cfg.Coarse.GridRes,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Halo:       cfg.Shards.Halo,
-		Liars:      exp.LiarFrac(cfg.Adversary),
+		Liars:      cfg.Liars,
 		GoVersion:  runtime.Version(),
 	}
 	if cfg.Robust.Mode != fit.RobustOff {

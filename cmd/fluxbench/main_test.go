@@ -351,7 +351,7 @@ func runShardBenchReport(t *testing.T, args ...string) (shardThroughputReport, [
 // TestRunRejectsBadTrackerFlags pins that out-of-range search and fault
 // flags fail the run instead of silently falling back to defaults (a
 // negative -liars used to run honest, a negative -coarsek the default
-// shortlist).
+// shortlist), and that -robust takes only off and both.
 func TestRunRejectsBadTrackerFlags(t *testing.T) {
 	search := [][]string{
 		{"-liars", "-0.5"},
@@ -360,6 +360,8 @@ func TestRunRejectsBadTrackerFlags(t *testing.T) {
 		{"-coarse", "-coarsek", "-5"},
 		{"-coarsegrid", "-1"},
 		{"-robust", "sometimes"},
+		{"-robust", "huber"},
+		{"-robust", "loso"},
 	}
 	faults := [][]string{{"-dropout", "-0.1"}, {"-delayrounds", "-1"}}
 	for _, bad := range append(search, faults...) {

@@ -90,7 +90,7 @@ type shardBenchOpts struct {
 	activeSet int
 	capacity  int
 	metrics   bool
-	// search holds the Coarse, Robust and Adversary settings written by
+	// search holds the Coarse, Robust and Liars settings written by
 	// exp.BindSearchFlags; its other fields are unused.
 	search exp.Config
 }
@@ -262,7 +262,7 @@ func runShardSweep(opts shardBenchOpts) (shardThroughputReport, error) {
 		Seed: opts.seed, Skew: opts.skew,
 		ActiveSet: opts.activeSet, Capacity: opts.capacity,
 		CoarseTopK: search.Coarse.TopK, CoarseGrid: search.Coarse.GridRes,
-		Liars:      exp.LiarFrac(search.Adversary),
+		Liars:      search.Liars,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		GoVersion:  runtime.Version(),
 	}
@@ -318,8 +318,8 @@ func runShardSweep(opts shardBenchOpts) (shardThroughputReport, error) {
 		trackerSeed := src.Uint64()
 		// Tamper the stream once, outside the timed region: the cells measure
 		// what the defense adds to the tracker step, not the attacker's cost.
-		if search.Adversary.Enabled() {
-			adv, err := sniffer.NewAdversary(search.Adversary, src.Uint64())
+		if search.Liars > 0 {
+			adv, err := sniffer.NewAdversary(exp.LiarMix(search.Liars), src.Uint64())
 			if err != nil {
 				return shardThroughputReport{}, err
 			}

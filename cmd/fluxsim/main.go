@@ -10,7 +10,7 @@
 //	fluxsim -users 2 -dropout 0.2 -loss 0.1   # localize from a degraded sniff
 //	fluxsim -users 2 -delay 0.3               # 30% of reports arrive too late for the sniff
 //	fluxsim -users 2 -liars 0.1               # 10% of sniffed sensors lie
-//	fluxsim -users 2 -liars 0.1 -robust huber # same attack, robust-fit defense
+//	fluxsim -users 2 -liars 0.1 -robust both  # same attack, robust-fit defense (off or both)
 //	fluxsim -users 3 -metrics     # print the run's work counters at exit
 //	fluxsim -users 3 -coarse -coarsek 64      # coarse-to-fine candidate shortlist
 //	fluxsim -users 4 -shards 2x2 -halo 2      # tiled tracking demo with handoff log
@@ -123,8 +123,8 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if cfg.Adversary.Enabled() {
-		adv, err := sniffer.NewAdversary(cfg.Adversary, src.Uint64())
+	if cfg.Liars > 0 {
+		adv, err := sniffer.NewAdversary(exp.LiarMix(cfg.Liars), src.Uint64())
 		if err != nil {
 			return err
 		}

@@ -24,7 +24,8 @@ func TestRunValidation(t *testing.T) {
 
 // TestRunRejectsBadTrackerFlags pins that out-of-range search and fault
 // flags fail the run instead of silently falling back to defaults (a
-// negative -coarsek used to run the exact search).
+// negative -coarsek used to run the exact search), and that -robust takes
+// only off and both.
 func TestRunRejectsBadTrackerFlags(t *testing.T) {
 	for _, bad := range [][]string{
 		{"-coarsek", "-3"},
@@ -32,6 +33,8 @@ func TestRunRejectsBadTrackerFlags(t *testing.T) {
 		{"-liars", "-0.1"},
 		{"-liars", "NaN"},
 		{"-robust", "sometimes"},
+		{"-robust", "huber"},
+		{"-robust", "loso"},
 		{"-loss", "1.5"},
 		{"-delayrounds", "-1"},
 	} {

@@ -75,7 +75,7 @@
 //	E13  figShard   tiled tracking: seams, halos, per-tile work
 //	E14  —          shard scale-out: skewed 10⁴–10⁵-user populations
 //	E15  —          resident serving (historical; perfbench serve-stream now)
-//	E16  figByzantine  Byzantine sensors × robust-fit defenses
+//	E16  figByzantine  Byzantine breakdown curve: 0–40% liars × robust defense
 //	A4   countermeasure  traffic shaping (dummy flux + route
 //	                randomization) vs attacker accuracy
 //

@@ -224,13 +224,13 @@ func (sn *Sniffer) NewFaultInjector(cfg fault.Config, seed uint64) (*fault.Injec
 }
 
 // NewAdversary builds a Byzantine adversary over this sniffer's monitored
-// nodes (the colluding-coalition behavior needs their positions). Tampered
-// readings compose with a fault injector by applying the adversary first —
-// a compromised sensor's report can still be lost or delayed downstream.
+// nodes. Tampered readings compose with a fault injector by applying the
+// adversary first — a compromised sensor's report can still be lost or
+// delayed downstream.
 // Seed it from the trial's seed stream; which sensors lie is then a pure
 // function of that seed (see fault.Adversary).
 func (sn *Sniffer) NewAdversary(cfg fault.AdversaryConfig, seed uint64) (*fault.Adversary, error) {
-	return fault.NewAdversary(cfg, sn.points, seed)
+	return fault.NewAdversary(cfg, len(sn.points), seed)
 }
 
 // ProblemMasked builds the NLS fitting problem over the delivered reports of
@@ -280,9 +280,9 @@ type TrackerConfig struct {
 	VMax float64
 	// Search configures the tracker's inner candidate search, including the
 	// robust-fitting defense against Byzantine sensors: setting
-	// Search.Robust.Mode (huber, loso, or both) makes every Step/StepMasked
-	// round derive per-sensor trust multipliers from the fit's own residuals
-	// and re-rank on the reweighted problem (see fit.RobustConfig).
+	// Search.Robust.Mode to fit.RobustBoth makes every Step/StepMasked round
+	// derive per-sensor trust multipliers from the fit's own residuals and
+	// re-rank on the reweighted problem (see fit.RobustConfig).
 	Search            fit.Options
 	UniformWeights    bool // disable §4.D importance weighting (ablation)
 	ActiveSetLimit    int  // cap on users searched per round (§5.C regime)

@@ -44,11 +44,8 @@ func FuzzAdversaryMaskedFit(f *testing.F) {
 			s *= 1 + 1e-9
 			fi, fd, fr = fi/s, fd/s, fr/s
 		}
-		advCfg := fault.AdversaryConfig{
-			InflateFrac: fi, DeflateFrac: fd, ReplayFrac: fr,
-			ReplayLag: 1 + int(replay)%3,
-		}
-		robust := fit.RobustConfig{Mode: fit.RobustMode(int(mode) % 4)}
+		advCfg := fault.AdversaryConfig{InflateFrac: fi, DeflateFrac: fd, ReplayFrac: fr}
+		robust := fit.RobustConfig{Mode: []fit.RobustMode{fit.RobustOff, fit.RobustBoth}[mode%2]}
 
 		src := rng.New(seed)
 		users := traffic.RandomUsers(sc.Field(), 1+int(seed%2), 1, 3, src)

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"fmt"
+
 	"fluxtrack/internal/fault"
 	"fluxtrack/internal/fit"
 	"fluxtrack/internal/rng"
@@ -23,22 +25,16 @@ func LiarMix(frac float64) fault.AdversaryConfig {
 	}
 }
 
-// LiarFrac inverts LiarMix: the compromised fraction a LiarMix blend was
-// built from. Halving and doubling a normal float are exact, so
-// LiarFrac(LiarMix(f)) == f for every f in [0, 1] outside the subnormal
-// range.
-func LiarFrac(a fault.AdversaryConfig) float64 { return 2 * a.InflateFrac }
-
-// FigByzantine crosses Byzantine attacker fractions with the fit-layer
-// defenses: 0%, 10%, and 25% of sensors lying (the LiarMix blend of
-// inflaters, deflaters, and replayers) against the undefended fit, Huber
-// IRLS down-weighting, leave-one-sensor-out flagging, and both combined.
-// Two users on random walks at 10% sampling, the Fig 8a working point.
-// Every cell runs the same paired (expID, cell, trial) seeds — identical
-// worlds, trajectories, liars — so rows differ only by the defense, and the
-// defense's recovery is measurable at small trial counts. Not in the paper;
-// it quantifies the attacker-vs-attacker arms race the threat model invites
-// (the localizer is itself the adversary of the paper's users).
+// FigByzantine is the defense's breakdown curve: 0% to 40% of sensors
+// lying in 5% steps (the LiarMix blend of inflaters, deflaters, and
+// replayers) against the undefended fit and the robust defense (LOSO flags,
+// then Huber IRLS). Two users on random walks at 10% sampling, the Fig 8a
+// working point. Every cell runs the same paired (expID, cell, trial) seeds
+// — identical worlds, trajectories, liars — so rows differ only by the
+// defense, and the defense's recovery is measurable at small trial counts.
+// Not in the paper; it quantifies the attacker-vs-attacker arms race the
+// threat model invites (the localizer is itself the adversary of the
+// paper's users).
 func FigByzantine(cfg Config) (Table, error) {
 	cfg = cfg.withDefaults()
 	t := Table{
@@ -47,27 +43,17 @@ func FigByzantine(cfg Config) (Table, error) {
 		Paper:   "not in the paper; measures how many lying sensors the fingerprint fit tolerates and what robust fitting buys back",
 		Columns: []string{"liars", "defense", "mean_err", "final_err"},
 	}
-	fracs := []struct {
-		name string
-		frac float64
-	}{
-		{"0%", 0},
-		{"10%", 0.10},
-		{"25%", 0.25},
-	}
 	defenses := []struct {
 		name string
 		mode fit.RobustMode
 	}{
 		{"plain", fit.RobustOff},
-		{"huber", fit.RobustHuber},
-		{"loso", fit.RobustLOSO},
 		{"both", fit.RobustBoth},
 	}
 
-	for _, fr := range fracs {
+	for pct := 0; pct <= 40; pct += 5 {
 		for _, def := range defenses {
-			fr, def := fr, def
+			frac := float64(pct) / 100
 			// Cell 0 for every combination: the paired-seed design of
 			// figRobust. Identical worlds and liars across defenses, so the
 			// defense column is the only moving part within a liar band.
@@ -80,7 +66,7 @@ func FigByzantine(cfg Config) (Table, error) {
 						return nil, err
 					}
 					bcfg := cfg
-					bcfg.Adversary = LiarMix(fr.frac)
+					bcfg.Liars = frac
 					bcfg.Robust = fit.RobustConfig{Mode: def.mode}
 					return trackTrial(bcfg, sc, trajs, 90, 5, false, src)
 				})
@@ -93,7 +79,7 @@ func FigByzantine(cfg Config) (Table, error) {
 				finals = append(finals, perRound[len(perRound)-1])
 			}
 			t.Rows = append(t.Rows, []string{
-				fr.name, def.name, f2(stats.Mean(all)), f2(stats.Mean(finals)),
+				fmt.Sprintf("%d%%", pct), def.name, f2(stats.Mean(all)), f2(stats.Mean(finals)),
 			})
 		}
 	}

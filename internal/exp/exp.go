@@ -98,18 +98,19 @@ type Config struct {
 	// injector seeded from the trial seed, so fault patterns are byte-stable
 	// at any worker count like everything else in this package.
 	Fault fault.Config
-	// Adversary compromises a deterministic subset of each tracking trial's
-	// sensors with Byzantine behaviors — inflated, deflated, or replayed
-	// readings and colluding coalitions (see fault.AdversaryConfig).
-	// Tampering happens upstream of the Fault injector, so a liar's report
-	// can still be lost or delayed. The zero value keeps every sensor
-	// honest. Each trial gets its own adversary seeded from the trial seed,
-	// so the compromised set is byte-stable at any worker count.
-	Adversary fault.AdversaryConfig
+	// Liars is the fraction of each tracking trial's sensors compromised
+	// with the LiarMix blend of Byzantine behaviors — inflated, deflated,
+	// or replayed readings (see fault.AdversaryConfig). Tampering happens
+	// upstream of the Fault injector, so a liar's report can still be lost
+	// or delayed. Zero keeps every sensor honest. Each trial gets its own
+	// adversary seeded from the trial seed, so the compromised set is
+	// byte-stable at any worker count.
+	Liars float64
 	// Robust arms the robust-fitting defense in every localization and
 	// tracker search (fit.Options.Robust): per-sensor trust multipliers
-	// derived from Huber or leave-one-sensor-out residual checks, re-ranking
-	// on the reweighted problem. The zero value keeps the undefended fit.
+	// derived from leave-one-sensor-out flags and then Huber IRLS,
+	// re-ranking on the reweighted problem. The zero value keeps the
+	// undefended fit.
 	Robust fit.RobustConfig
 	// Coarse, when Enabled, switches every tracking trial to the
 	// coarse-to-fine candidate search: each trial's tracker precomputes a

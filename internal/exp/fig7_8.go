@@ -25,8 +25,8 @@ import (
 // (smc.ErrAllMasked) carries the previous estimates forward — degraded, not
 // broken.
 //
-// When cfg.Adversary is enabled a deterministic subset of sensors lies
-// before the injector runs (inflate, deflate, replay, coalition — see
+// When cfg.Liars is nonzero a deterministic subset of sensors lies before
+// the injector runs (the LiarMix blend of inflate, deflate and replay — see
 // fault.Adversary), and cfg.Robust arms the fit-layer defense against them.
 func trackTrial(cfg Config, sc *core.Scenario, trajectories []mobility.Trajectory,
 	sampleCount int, vmax float64, uniformWeights bool, src *rng.Source) ([]float64, error) {
@@ -72,8 +72,8 @@ func trackTrial(cfg Config, sc *core.Scenario, trajectories []mobility.Trajector
 	}
 	// Same gating for the adversary seed: honest trials keep their streams.
 	var adv *fault.Adversary
-	if cfg.Adversary.Enabled() {
-		adv, err = sniffer.NewAdversary(cfg.Adversary, src.Uint64())
+	if cfg.Liars > 0 {
+		adv, err = sniffer.NewAdversary(LiarMix(cfg.Liars), src.Uint64())
 		if err != nil {
 			return nil, err
 		}

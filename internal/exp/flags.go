@@ -12,16 +12,16 @@ import (
 
 // BindSearchFlags declares the tracker search flags on fs: -coarse,
 // -coarsek, -coarsegrid, -robust and -liars. Call the returned function
-// after fs.Parse: it rejects a negative -coarsek or -coarsegrid, a negative
-// or NaN -liars and an unknown -robust mode, then writes cfg.Coarse,
-// cfg.Robust and cfg.Adversary (the LiarMix blend). A nonzero -coarsek or
-// -coarsegrid implies -coarse, and zero means the fingerprint package
-// default. cfg.DBCache is left to the caller.
+// after fs.Parse: it rejects a negative -coarsek or -coarsegrid, a -liars
+// outside [0, 1] and an unknown -robust mode, then writes cfg.Coarse,
+// cfg.Robust and cfg.Liars. A nonzero -coarsek or -coarsegrid implies
+// -coarse, and zero means the fingerprint package default. cfg.DBCache is
+// left to the caller.
 func BindSearchFlags(fs *flag.FlagSet) func(cfg *Config) error {
 	coarse := fs.Bool("coarse", false, "shortlist tracking candidates through the coarse-to-fine fingerprint search")
 	coarseK := fs.Int("coarsek", 0, "coarse shortlist size per user (0 = default 64; implies -coarse)")
 	coarseG := fs.Int("coarsegrid", 0, "fingerprint grid resolution per axis (0 = default 24; implies -coarse)")
-	robust := fs.String("robust", "", "robust-fit defense: off, huber, loso, or both")
+	robust := fs.String("robust", "", "robust-fit defense: off or both (leave-one-sensor-out flags, then Huber IRLS)")
 	liars := fs.Float64("liars", 0, "fraction of Byzantine sensors (half inflate, a quarter deflate, a quarter replay)")
 	return func(cfg *Config) error {
 		if *coarseK < 0 {
@@ -37,8 +37,7 @@ func BindSearchFlags(fs *flag.FlagSet) func(cfg *Config) error {
 		if err != nil {
 			return err
 		}
-		adv := LiarMix(*liars)
-		if err := adv.Validate(); err != nil {
+		if err := LiarMix(*liars).Validate(); err != nil {
 			return err
 		}
 		cfg.Coarse = fingerprint.CoarseConfig{}
@@ -46,7 +45,7 @@ func BindSearchFlags(fs *flag.FlagSet) func(cfg *Config) error {
 			cfg.Coarse = fingerprint.CoarseConfig{Enabled: true, TopK: *coarseK, GridRes: *coarseG}.WithDefaults()
 		}
 		cfg.Robust = fit.RobustConfig{Mode: mode}
-		cfg.Adversary = adv
+		cfg.Liars = *liars
 		return nil
 	}
 }

@@ -29,7 +29,7 @@ func TestBindFlagsApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Coarse.Enabled || cfg.Robust.Mode != fit.RobustOff || cfg.Adversary.Enabled() || cfg.Fault.Enabled() {
+	if cfg.Coarse.Enabled || cfg.Robust.Mode != fit.RobustOff || cfg.Liars != 0 || cfg.Fault.Enabled() {
 		t.Errorf("no flags must leave the zero config: %+v", cfg)
 	}
 
@@ -45,8 +45,8 @@ func TestBindFlagsApply(t *testing.T) {
 	if cfg.Robust.Mode != fit.RobustBoth {
 		t.Errorf("robust mode = %v, want both", cfg.Robust.Mode)
 	}
-	if cfg.Adversary != LiarMix(0.1) || LiarFrac(cfg.Adversary) != 0.1 {
-		t.Errorf("adversary = %+v, want LiarMix(0.1)", cfg.Adversary)
+	if cfg.Liars != 0.1 {
+		t.Errorf("liars = %v, want 0.1", cfg.Liars)
 	}
 	if cfg.Fault.DropoutFrac != 0.2 || cfg.Fault.DelayProb != 0.1 || cfg.Fault.DelayRounds != 3 {
 		t.Errorf("fault config = %+v", cfg.Fault)

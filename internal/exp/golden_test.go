@@ -332,7 +332,7 @@ func TestGoldenFieldHotspot(t *testing.T) {
 	cfg.Shards = shard.Grid{Rows: 2, Cols: 2, Halo: 2}
 	cfg.Coarse = fingerprint.CoarseConfig{Enabled: true, TopK: 24, GridRes: 10}
 	cfg.Robust = fit.RobustConfig{Mode: fit.RobustBoth}
-	cfg.Adversary = LiarMix(0.1)
+	cfg.Liars = 0.1
 	cfg.Fault = goldenFault
 	goldenRender(t, goldenHotspotKey, e, cfg)
 }

@@ -36,7 +36,7 @@ func All() []Experiment {
 		{ID: "figRobust", Run: FigRobust, Note: "tracking under degraded sensing"},
 		{ID: "figCoarse", Run: FigCoarse, Note: "coarse shortlist size vs accuracy"},
 		{ID: "figShard", Run: FigShard, Note: "field sharding: seams, halos, work"},
-		{ID: "figByzantine", Run: FigByzantine, Note: "Byzantine sensors × robust defenses"},
+		{ID: "figByzantine", Run: FigByzantine, Note: "Byzantine breakdown curve: liars × robust defense"},
 	}
 }
 

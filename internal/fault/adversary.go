@@ -8,9 +8,9 @@
 // report can also be lost or delayed like anyone else's.
 //
 // Determinism follows the injector's contract exactly: every draw is a pure
-// splitmix64-finalizer hash of (seed, round, sensor, kind), never a shared
-// sequential stream, so which sensors lie — and when — is a pure function
-// of the adversary seed. Trials that own their adversary stay byte-identical
+// splitmix64-finalizer hash of (seed, sensor, kind), never a shared
+// sequential stream, so which sensors lie is a pure function of the
+// adversary seed. Trials that own their adversary stay byte-identical
 // at any worker count (the contract pinned by internal/exp's golden tests).
 
 package fault
@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"math"
 
-	"fluxtrack/internal/geom"
 	"fluxtrack/internal/obs"
 )
 
@@ -29,20 +28,15 @@ type Behavior uint8
 const (
 	// Honest sensors report their true reading untouched.
 	Honest Behavior = iota
-	// Inflate multiplies the true reading by AdversaryConfig.InflateFactor,
-	// fabricating phantom flux mass near the sensor.
+	// Inflate multiplies the true reading by InflateFactor, fabricating
+	// phantom flux mass near the sensor.
 	Inflate
-	// Deflate multiplies the true reading by AdversaryConfig.DeflateFactor,
-	// hiding real flux (cloaking the users the sensor overhears).
+	// Deflate multiplies the true reading by DeflateFactor, hiding real flux
+	// (cloaking the users the sensor overhears).
 	Deflate
-	// Replay reports the sensor's own true reading from
-	// AdversaryConfig.ReplayLag rounds ago: plausible values, stale truth.
+	// Replay reports the sensor's own true reading from ReplayLag rounds
+	// ago: plausible values, stale truth.
 	Replay
-	// Coalition marks a sensor inside the colluding region: all coalition
-	// members apply the same CoalitionFactor bias, fabricating a coherent
-	// phantom hotspot (factor > 1) or a coherent blind spot (factor < 1)
-	// that single-sensor consistency checks cannot separate from a real user.
-	Coalition
 )
 
 // String returns the behavior's short name.
@@ -56,14 +50,25 @@ func (b Behavior) String() string {
 		return "deflate"
 	case Replay:
 		return "replay"
-	case Coalition:
-		return "coalition"
 	}
 	return fmt.Sprintf("Behavior(%d)", uint8(b))
 }
 
-// AdversaryConfig selects which Byzantine behaviors an Adversary applies and
-// how hard. The zero value compromises nothing (Apply becomes a copying
+// The compromised sensors' fixed attack strengths.
+const (
+	// InflateFactor is the multiplier inflating sensors apply.
+	InflateFactor = 4
+	// DeflateFactor is the multiplier deflating sensors apply: it quarters
+	// the reading.
+	DeflateFactor = 0.25
+	// ReplayLag is how many rounds old a replaying sensor's reading is.
+	// Before ReplayLag rounds have elapsed the sensor replays the first
+	// round it ever saw.
+	ReplayLag = 3
+)
+
+// AdversaryConfig selects how many sensors an Adversary compromises with
+// each behavior. The zero value compromises nothing (Apply becomes a copying
 // pass-through).
 type AdversaryConfig struct {
 	// InflateFrac, DeflateFrac, and ReplayFrac are the expected fractions of
@@ -73,61 +78,14 @@ type AdversaryConfig struct {
 	InflateFrac float64
 	DeflateFrac float64
 	ReplayFrac  float64
-	// InflateFactor is the multiplier inflating sensors apply (zero means 4).
-	InflateFactor float64
-	// DeflateFactor is the multiplier deflating sensors apply (zero means
-	// 0.25). Values in (0, 1) shrink the reading; the default quarters it.
-	DeflateFactor float64
-	// ReplayLag is how many rounds old a replaying sensor's reading is (zero
-	// means 3 when ReplayFrac > 0). Before ReplayLag rounds have elapsed the
-	// sensor replays the first round it ever saw.
-	ReplayLag int
-	// LieProb is the per-round probability that a compromised sensor
-	// actually tampers this round (zero means 1 — always lie). Intermittent
-	// lying evades defenses that flag persistently inconsistent sensors.
-	LieProb float64
-	// CoalitionRegion and CoalitionFactor arm a colluding coalition: every
-	// sensor whose position falls inside the region applies the factor to
-	// its readings, regardless of the per-sensor fraction draws. A zero-area
-	// region or a factor of 0 or 1 disables the coalition.
-	CoalitionRegion geom.Rect
-	CoalitionFactor float64
-	// Seed salts the adversary's substream on top of the per-trial seed, so
-	// an adversary and a fault injector in one trial draw independently even
-	// from related seeds.
-	Seed uint64
-}
-
-func (c AdversaryConfig) withDefaults() AdversaryConfig {
-	if c.InflateFactor <= 0 {
-		c.InflateFactor = 4
-	}
-	if c.DeflateFactor <= 0 {
-		c.DeflateFactor = 0.25
-	}
-	if c.ReplayLag <= 0 && c.ReplayFrac > 0 {
-		c.ReplayLag = 3
-	}
-	if c.LieProb <= 0 {
-		c.LieProb = 1
-	}
-	return c
-}
-
-// coalitionArmed reports whether the coalition parameters name a non-trivial
-// colluding region.
-func (c AdversaryConfig) coalitionArmed() bool {
-	return c.CoalitionFactor > 0 && c.CoalitionFactor != 1 &&
-		c.CoalitionRegion.Width() > 0 && c.CoalitionRegion.Height() > 0
 }
 
 // Enabled reports whether the configuration compromises anything at all.
 func (c AdversaryConfig) Enabled() bool {
-	return c.InflateFrac > 0 || c.DeflateFrac > 0 || c.ReplayFrac > 0 || c.coalitionArmed()
+	return c.InflateFrac > 0 || c.DeflateFrac > 0 || c.ReplayFrac > 0
 }
 
-// Validate rejects fractions outside [0, 1] (or summing past 1), non-finite
-// factors, and negative lags.
+// Validate rejects fractions outside [0, 1] or summing past 1.
 func (c AdversaryConfig) Validate() error {
 	for _, p := range []struct {
 		name string
@@ -136,7 +94,6 @@ func (c AdversaryConfig) Validate() error {
 		{"InflateFrac", c.InflateFrac},
 		{"DeflateFrac", c.DeflateFrac},
 		{"ReplayFrac", c.ReplayFrac},
-		{"LieProb", c.LieProb},
 	} {
 		if math.IsNaN(p.v) || p.v < 0 || p.v > 1 {
 			return fmt.Errorf("fault: %s = %v outside [0, 1]", p.name, p.v)
@@ -145,31 +102,14 @@ func (c AdversaryConfig) Validate() error {
 	if sum := c.InflateFrac + c.DeflateFrac + c.ReplayFrac; sum > 1 {
 		return fmt.Errorf("fault: behavior fractions sum to %v > 1", sum)
 	}
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{
-		{"InflateFactor", c.InflateFactor},
-		{"DeflateFactor", c.DeflateFactor},
-		{"CoalitionFactor", c.CoalitionFactor},
-	} {
-		if math.IsNaN(p.v) || math.IsInf(p.v, 0) || p.v < 0 {
-			return fmt.Errorf("fault: %s = %v must be finite and non-negative", p.name, p.v)
-		}
-	}
-	if c.ReplayLag < 0 {
-		return fmt.Errorf("fault: ReplayLag = %d negative", c.ReplayLag)
-	}
 	return nil
 }
 
-// Salt constants for the adversary's draw domains, disjoint from the
-// injector's salts (saltFail..saltStuck occupy 1..5) so an adversary and an
-// injector built from the same seed never share a draw.
-const (
-	saltAdvKind = 16 + iota // construction-time behavior assignment
-	saltAdvLie              // per-round lie gate (LieProb < 1)
-)
+// saltAdvKind is the draw domain of the construction-time behavior
+// assignment, disjoint from the injector's salts (saltFail..saltStuck
+// occupy 1..5) so an adversary and an injector built from the same seed
+// never share a draw.
+const saltAdvKind = 16
 
 // Adversary applies one AdversaryConfig to a sequential stream of true
 // readings for a fixed set of sensors, producing the tampered readings the
@@ -178,7 +118,6 @@ const (
 // trial, seeded from the trial seed, and output is byte-identical regardless
 // of how trials shard over workers.
 type Adversary struct {
-	cfg  AdversaryConfig
 	seed uint64
 	n    int
 
@@ -204,7 +143,6 @@ type adversaryMetrics struct {
 	inflated *obs.Counter // fault.adv.inflated
 	deflated *obs.Counter // fault.adv.deflated
 	replayed *obs.Counter // fault.adv.replayed
-	colluded *obs.Counter // fault.adv.coalition
 }
 
 // SetMetrics binds (or, with nil, unbinds) the observability registry the
@@ -223,7 +161,6 @@ func (a *Adversary) SetMetrics(m *obs.Metrics) {
 		inflated: m.Counter("fault.adv.inflated"),
 		deflated: m.Counter("fault.adv.deflated"),
 		replayed: m.Counter("fault.adv.replayed"),
-		colluded: m.Counter("fault.adv.coalition"),
 	}
 }
 
@@ -238,32 +175,25 @@ func (a *Adversary) draw(round, sensor, salt int) float64 {
 	return float64(z>>11) / (1 << 53)
 }
 
-// NewAdversary builds an Adversary over the sensors at the given positions
-// (the coalition needs geometry; the other behaviors only need the count).
-// The per-trial seed combines with cfg.Seed; construction performs all of
-// the per-sensor behavior assignments, so the compromised set is fixed
-// before the first round.
-func NewAdversary(cfg AdversaryConfig, positions []geom.Point, seed uint64) (*Adversary, error) {
+// NewAdversary builds an Adversary over n sensors from the per-trial seed.
+// Construction performs all of the per-sensor behavior assignments, so the
+// compromised set is fixed before the first round.
+func NewAdversary(cfg AdversaryConfig, n int, seed uint64) (*Adversary, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(positions) == 0 {
-		return nil, fmt.Errorf("fault: adversary needs at least one sensor position")
+	if n <= 0 {
+		return nil, fmt.Errorf("fault: adversary needs at least one sensor")
 	}
-	cfg = cfg.withDefaults()
 	a := &Adversary{
-		cfg:      cfg,
-		seed:     mix64(seed ^ mix64(cfg.Seed+0x9e3779b97f4a7c15)),
-		n:        len(positions),
-		behavior: make([]Behavior, len(positions)),
+		// The salt keeps the adversary's substream apart from a fault
+		// injector seeded from the same trial seed.
+		seed:     mix64(seed ^ mix64(0x9e3779b97f4a7c15)),
+		n:        n,
+		behavior: make([]Behavior, n),
 	}
-	coalition := cfg.coalitionArmed()
 	replays := false
-	for i, pos := range positions {
-		if coalition && cfg.CoalitionRegion.Contains(pos) {
-			a.behavior[i] = Coalition
-			continue
-		}
+	for i := range a.behavior {
 		// One banded draw splits the kinds, so the total compromised
 		// fraction is exactly InflateFrac+DeflateFrac+ReplayFrac.
 		u := a.draw(0, i, saltAdvKind)
@@ -278,7 +208,7 @@ func NewAdversary(cfg AdversaryConfig, positions []geom.Point, seed uint64) (*Ad
 		}
 	}
 	if replays {
-		a.ring = make([][]float64, cfg.ReplayLag+1)
+		a.ring = make([][]float64, ReplayLag+1)
 		for i := range a.ring {
 			a.ring[i] = make([]float64, a.n)
 		}
@@ -324,35 +254,27 @@ func (a *Adversary) Apply(readings []float64) ([]float64, error) {
 	a.round++
 	out := make([]float64, a.n)
 	copy(out, readings)
-	var nTampered, nInflated, nDeflated, nReplayed, nColluded uint64
+	var nTampered, nInflated, nDeflated, nReplayed uint64
 	for i, v := range readings {
-		b := a.behavior[i]
-		if b == Honest {
+		switch a.behavior[i] {
+		case Honest:
 			continue
-		}
-		if a.cfg.LieProb < 1 && a.draw(r, i, saltAdvLie) >= a.cfg.LieProb {
-			continue // honest round for an intermittent liar
-		}
-		switch b {
 		case Inflate:
-			out[i] = v * a.cfg.InflateFactor
+			out[i] = v * InflateFactor
 			nInflated++
 		case Deflate:
-			out[i] = v * a.cfg.DeflateFactor
+			out[i] = v * DeflateFactor
 			nDeflated++
 		case Replay:
-			if r < a.cfg.ReplayLag {
+			if r < ReplayLag {
 				out[i] = a.first[i]
 				if r == 0 {
 					out[i] = v // nothing to replay yet: the truth, this once
 				}
 			} else {
-				out[i] = a.ring[(r-a.cfg.ReplayLag)%len(a.ring)][i]
+				out[i] = a.ring[(r-ReplayLag)%len(a.ring)][i]
 			}
 			nReplayed++
-		case Coalition:
-			out[i] = v * a.cfg.CoalitionFactor
-			nColluded++
 		}
 		nTampered++
 	}
@@ -369,7 +291,6 @@ func (a *Adversary) Apply(readings []float64) ([]float64, error) {
 		a.met.inflated.Add(w, nInflated)
 		a.met.deflated.Add(w, nDeflated)
 		a.met.replayed.Add(w, nReplayed)
-		a.met.colluded.Add(w, nColluded)
 	}
 	return out, nil
 }

@@ -18,11 +18,10 @@
 //
 // Beyond benign degradation, the package also models malice: the Adversary
 // (adversary.go) compromises a deterministic subset of sensors with
-// Byzantine behaviors — readings inflated or deflated by a factor, replays
-// of the sensor's own earlier truth, and colluding coalitions that bias a
-// whole region coherently. Tampering composes with the Injector (tamper
-// first, then degrade), and the defense side lives in internal/fit's robust
-// fitting options.
+// Byzantine behaviors — readings inflated or deflated by a fixed factor and
+// replays of the sensor's own earlier truth. Tampering composes with the
+// Injector (tamper first, then degrade), and the defense side lives in
+// internal/fit's robust fitting options.
 //
 // Every draw comes from a dedicated splitmix64-finalizer substream keyed by
 // (seed, round, sensor, fault kind), never from a shared sequential stream:

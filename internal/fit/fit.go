@@ -195,9 +195,9 @@ type Options struct {
 	Coarse *Coarse
 	// Robust, when its Mode is set, arms the robust-fitting defense against
 	// lying sensors (see robust.go): the search runs twice, deriving
-	// per-sensor trust multipliers from the first pass's residuals (Huber
-	// IRLS weights, leave-one-sensor-out flags, or both) and re-ranking on
-	// the reweighted problem. The zero value keeps the plain single-pass
+	// per-sensor trust multipliers from the first pass's residuals
+	// (leave-one-sensor-out flags, then Huber IRLS weights) and re-ranking
+	// on the reweighted problem. The zero value keeps the plain single-pass
 	// search. Robust searches remain deterministic and worker-count
 	// invariant — the reweighting is a serial, pure function of the pass-1
 	// result.

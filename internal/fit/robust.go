@@ -2,10 +2,11 @@
 //
 // The plain objective ‖W(F − F′)‖₂ trusts every reading equally (up to the
 // relative weights), so one Byzantine sensor inflating its flux by 4× can
-// drag the whole composition toward a phantom source. The defenses here
-// re-derive per-sensor trust from the fit's own residuals:
+// drag the whole composition toward a phantom source. The defense here
+// (RobustBoth) re-derives per-sensor trust from the fit's own residuals in
+// two stages, leave-one-sensor-out flagging and then Huber IRLS.
 //
-// Both tests score relative residuals: the weighted residual r_i is divided
+// Both stages score relative residuals: the weighted residual r_i is divided
 // by min(|wF′_i|, |wF̂_i|) + q — the smaller of reading and prediction, with
 // q a fifth of the mean reading magnitude — because flux readings span orders
 // of magnitude and an absolute-residual test would flag honest near-sink
@@ -16,28 +17,26 @@
 // numerically clean — a fit that good has no outliers to rank, only float
 // noise.
 //
-//   - Huber/IRLS (RobustHuber): fit once, measure each sensor's relative
-//     residual r_i against the robust scale s = 1.4826·median|r| (the MAD
-//     estimate of the residual spread), and down-weight sensors beyond the
-//     Huber knee by k·s/|r_i| — the classical M-estimator weight. A few
+//   - Leave-one-sensor-out: for each sensor i, refit the stretches with i
+//     excluded (a rank-1 downdate of the cached Gram matrix, so n tiny k×k
+//     solves) and compare i's reading against the prediction of the other
+//     n−1 sensors. A sensor whose LOSO residual exceeds losoThreshold robust
+//     scales s = 1.4826·median|r| (the MAD estimate of the residual spread)
+//     is flagged and down-weighted in proportion t·s/|r| (floored at
+//     losoDownWeight): unlike a plain Huber test this cannot be bought off
+//     by a liar large enough to drag the joint fit toward itself, because
+//     the liar never votes on its own replacement fit — while the graded
+//     ramp keeps a borderline flag (which may be an honest sensor near a
+//     source pass 1 mislocated) from erasing real evidence.
+//
+//   - Huber/IRLS: refit the stretches under the post-LOSO weights, measure
+//     each sensor's relative residual r_i against the robust scale, and
+//     down-weight sensors beyond the Huber knee by k·s/|r_i| — the
+//     classical M-estimator weight — never above the LOSO cap. irlsIters
 //     iteratively-reweighted solves at fixed positions re-estimate the
 //     stretches under the shrinking weights.
 //
-//   - Leave-one-sensor-out (RobustLOSO): for each sensor i, refit the
-//     stretches with i excluded (a rank-1 downdate of the cached Gram
-//     matrix, so n tiny k×k solves) and compare i's reading against the
-//     prediction of the other n−1 sensors. A sensor whose LOSO residual
-//     exceeds LOSOThreshold robust scales is flagged and down-weighted in
-//     proportion t·s/|r| (floored at LOSODownWeight): unlike the plain Huber
-//     test this cannot be bought off by a liar large enough to drag the
-//     joint fit toward itself, because the liar never votes on its own
-//     replacement fit — while the graded ramp keeps a borderline flag (which
-//     may be an honest sensor near a source pass 1 mislocated) from erasing
-//     real evidence.
-//
-//   - RobustBoth: LOSO flags first, then Huber reweights the survivors.
-//
-// Searcher.Search applies the configured mode as a two-pass search: a plain
+// Searcher.Search applies the defense as a two-pass search: a plain
 // pass finds the best composition, the multipliers are derived from its
 // residuals, and the search reruns on the reweighted problem. Every step is
 // a serial, pure function of the problem and the pass-1 result — no draws,
@@ -55,17 +54,12 @@ import (
 	"fluxtrack/internal/mat"
 )
 
-// RobustMode selects the consistency-check defense a search applies.
+// RobustMode selects whether a search applies the consistency-check defense.
 type RobustMode int
 
 const (
 	// RobustOff runs the plain search (the zero value).
 	RobustOff RobustMode = iota
-	// RobustHuber applies Huberized IRLS weights to every sensor.
-	RobustHuber
-	// RobustLOSO flags and down-weights sensors failing the
-	// leave-one-sensor-out residual test.
-	RobustLOSO
 	// RobustBoth runs the LOSO test first, then Huber IRLS on the result.
 	RobustBoth
 )
@@ -75,10 +69,6 @@ func (m RobustMode) String() string {
 	switch m {
 	case RobustOff:
 		return "off"
-	case RobustHuber:
-		return "huber"
-	case RobustLOSO:
-		return "loso"
 	case RobustBoth:
 		return "both"
 	}
@@ -86,59 +76,41 @@ func (m RobustMode) String() string {
 }
 
 // ParseRobustMode maps a flag/JSON string onto a RobustMode. The empty
-// string and "off" both disable the defense.
+// string, "off" and "none" disable the defense.
 func ParseRobustMode(s string) (RobustMode, error) {
 	switch s {
 	case "", "off", "none":
 		return RobustOff, nil
-	case "huber":
-		return RobustHuber, nil
-	case "loso":
-		return RobustLOSO, nil
 	case "both":
 		return RobustBoth, nil
 	}
-	return RobustOff, fmt.Errorf("fit: unknown robust mode %q (want off, huber, loso, or both)", s)
+	return RobustOff, fmt.Errorf("fit: unknown robust mode %q (want off or both)", s)
 }
 
-// RobustConfig tunes the robust-fitting defense. The zero value disables it;
-// a config with only Mode set uses the standard constants.
+// RobustConfig arms the robust-fitting defense. The zero value disables it.
 type RobustConfig struct {
-	// Mode selects the defense (off, huber, loso, both).
+	// Mode selects the defense (off or both).
 	Mode RobustMode
-	// HuberK is the Huber knee in robust scales: residuals within K·scale
-	// keep full weight, larger ones are down-weighted by K·scale/|r| (zero
-	// means 1.5, the textbook constant for ~95% Gaussian efficiency).
-	HuberK float64
-	// IRLSIters is how many reweighted stretch refits the Huber pass runs
-	// (zero means 3).
-	IRLSIters int
-	// LOSOThreshold flags a sensor whose leave-one-out residual exceeds this
-	// many robust scales (zero means 4).
-	LOSOThreshold float64
-	// LOSODownWeight is the smallest weight multiplier a flagged sensor can
-	// keep (zero means 0.05): flagged sensors are down-weighted by
-	// LOSOThreshold·scale/|residual|, floored here — small enough to
+}
+
+// The defense's tuning constants.
+const (
+	// huberK is the Huber knee in robust scales: residuals within k·scale
+	// keep full weight, larger ones are down-weighted by k·scale/|r| (the
+	// textbook constant for ~95% Gaussian efficiency).
+	huberK = 1.5
+	// irlsIters is how many reweighted stretch refits the Huber pass runs.
+	irlsIters = 3
+	// losoThreshold flags a sensor whose leave-one-out residual exceeds this
+	// many robust scales.
+	losoThreshold = 4
+	// losoDownWeight is the smallest weight multiplier a flagged sensor can
+	// keep: flagged sensors are down-weighted by
+	// losoThreshold·scale/|residual|, floored here — small enough to
 	// neutralize an egregious liar, nonzero so the problem's positive-weight
 	// invariant holds.
-	LOSODownWeight float64
-}
-
-func (c RobustConfig) withDefaults() RobustConfig {
-	if c.HuberK <= 0 {
-		c.HuberK = 1.5
-	}
-	if c.IRLSIters <= 0 {
-		c.IRLSIters = 3
-	}
-	if c.LOSOThreshold <= 0 {
-		c.LOSOThreshold = 4
-	}
-	if c.LOSODownWeight <= 0 {
-		c.LOSODownWeight = 0.05
-	}
-	return c
-}
+	losoDownWeight = 0.05
+)
 
 // Enabled reports whether the config names an active defense mode.
 func (c RobustConfig) Enabled() bool { return c.Mode != RobustOff }
@@ -149,11 +121,6 @@ type RobustReport struct {
 	// compacted indices for a masked problem) the LOSO test down-weighted,
 	// ascending.
 	Flagged []int
-	// Scale is the robust residual scale (1.4826·MAD) of the final residual
-	// pass; zero when the fit was too clean to estimate a spread.
-	Scale float64
-	// Iters is how many IRLS refits the Huber pass performed.
-	Iters int
 	// Adjusted reports whether any multiplier moved below 1 — when false the
 	// reweighted problem would be identical and the caller can skip pass 2.
 	Adjusted bool
@@ -199,7 +166,6 @@ func robustScale(resid, scratch []float64) float64 {
 // [multFloor, 1]. It is a pure, serial function of its inputs — equal
 // problems and evals yield bit-identical multipliers at any worker count.
 func (s *Searcher) RobustMultipliers(p *Problem, ev Eval, rc RobustConfig) ([]float64, RobustReport, error) {
-	rc = rc.withDefaults()
 	n := len(p.points)
 	k := len(ev.Positions)
 	var rep RobustReport
@@ -285,130 +251,122 @@ func (s *Searcher) RobustMultipliers(p *Problem, ev Eval, rc RobustConfig) ([]fl
 		}
 	}
 
-	if rc.Mode == RobustLOSO || rc.Mode == RobustBoth {
-		// Leave-one-sensor-out: exclude sample i by a rank-1 downdate of
-		// (G, d), refit, and score i against the others' prediction.
-		gi := make([]float64, k*k)
-		di := make([]float64, k)
-		xi := make([]float64, k)
-		loso := make([]float64, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < k; j++ {
-				aji := aw[j][i]
-				di[j] = d[j] - aji*p.wb[i]
-				for l := 0; l < k; l++ {
-					gi[j*k+l] = gram[j*k+l] - aji*aw[l][i]
-				}
+	// Leave-one-sensor-out: exclude sample i by a rank-1 downdate of (G, d),
+	// refit, and score i against the others' prediction.
+	gi := make([]float64, k*k)
+	di := make([]float64, k)
+	xi := make([]float64, k)
+	loso := make([]float64, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < k; j++ {
+			aji := aw[j][i]
+			di[j] = d[j] - aji*p.wb[i]
+			for l := 0; l < k; l++ {
+				gi[j*k+l] = gram[j*k+l] - aji*aw[l][i]
 			}
-			finite := true
-			for j := 0; j < k && finite; j++ {
-				if math.IsNaN(di[j]) || math.IsInf(di[j], 0) {
-					finite = false
-				}
-			}
-			if !finite {
-				// A non-finite reading poisons every downdate except its
-				// own; score it maximally suspect and move on.
-				loso[i] = math.Inf(1)
-				continue
-			}
-			mat.NNLSGramInto(gi, di, xi, &ws)
-			pred := 0.0
-			for j := 0; j < k; j++ {
-				if xi[j] != 0 {
-					pred += xi[j] * aw[j][i]
-				}
-			}
-			loso[i] = relResid(p.wb[i], pred)
 		}
-		scale := robustScale(loso, scratch)
-		rep.Scale = scale
-		if scale > cleanScale {
-			flagged := make([]int, 0, 4)
-			for i, r := range loso {
-				if math.IsNaN(r) {
-					r = math.Inf(1)
-				}
-				if math.Abs(r) > rc.LOSOThreshold*scale {
-					flagged = append(flagged, i)
-				}
+		finite := true
+		for j := 0; j < k && finite; j++ {
+			if math.IsNaN(di[j]) || math.IsInf(di[j], 0) {
+				finite = false
 			}
-			// Keep enough sensors for the composition fit to stay
-			// overdetermined; a test that flags half the field is telling us
-			// the scale estimate broke, not that half the field lies.
-			if len(flagged) > 0 && n-len(flagged) >= k+1 && len(flagged) <= n/2 {
-				for _, i := range flagged {
-					// Graded down-weight t·s/|r|: a sensor just past the
-					// threshold keeps most of its weight (a borderline flag
-					// may be an honest sensor near a source the pass-1 fit
-					// missed), while an egregious liar collapses to the
-					// LOSODownWeight floor.
-					r := math.Abs(loso[i])
-					m := rc.LOSOThreshold * scale / r
-					if math.IsNaN(m) || m < rc.LOSODownWeight {
-						m = rc.LOSODownWeight
-					}
-					mult[i] = m
-				}
-				rep.Flagged = flagged
+		}
+		if !finite {
+			// A non-finite reading poisons every downdate except its own;
+			// score it maximally suspect and move on.
+			loso[i] = math.Inf(1)
+			continue
+		}
+		mat.NNLSGramInto(gi, di, xi, &ws)
+		pred := 0.0
+		for j := 0; j < k; j++ {
+			if xi[j] != 0 {
+				pred += xi[j] * aw[j][i]
 			}
+		}
+		loso[i] = relResid(p.wb[i], pred)
+	}
+	if scale := robustScale(loso, scratch); scale > cleanScale {
+		flagged := make([]int, 0, 4)
+		for i, r := range loso {
+			if math.IsNaN(r) {
+				r = math.Inf(1)
+			}
+			if math.Abs(r) > losoThreshold*scale {
+				flagged = append(flagged, i)
+			}
+		}
+		// Keep enough sensors for the composition fit to stay
+		// overdetermined; a test that flags half the field is telling us the
+		// scale estimate broke, not that half the field lies.
+		if len(flagged) > 0 && n-len(flagged) >= k+1 && len(flagged) <= n/2 {
+			for _, i := range flagged {
+				// Graded down-weight t·s/|r|: a sensor just past the
+				// threshold keeps most of its weight (a borderline flag may
+				// be an honest sensor near a source the pass-1 fit missed),
+				// while an egregious liar collapses to the losoDownWeight
+				// floor.
+				r := math.Abs(loso[i])
+				m := losoThreshold * scale / r
+				if math.IsNaN(m) || m < losoDownWeight {
+					m = losoDownWeight
+				}
+				mult[i] = m
+			}
+			rep.Flagged = flagged
 		}
 	}
 
-	if rc.Mode == RobustHuber || rc.Mode == RobustBoth {
-		// IRLS: refit the stretches under the current multipliers, rescore
-		// residuals, tighten the Huber weights, repeat.
-		gm := make([]float64, k*k)
-		dm := make([]float64, k)
-		// Huber may only lower a multiplier below what LOSO left — never undo
-		// a flag — so snapshot the post-LOSO values as per-sensor caps.
-		losoCap := append([]float64(nil), mult...)
-		for it := 0; it < rc.IRLSIters; it++ {
+	// IRLS: refit the stretches under the current multipliers, rescore
+	// residuals, tighten the Huber weights, repeat.
+	gm := make([]float64, k*k)
+	dm := make([]float64, k)
+	// Huber may only lower a multiplier below what LOSO left — never undo a
+	// flag — so snapshot the post-LOSO values as per-sensor caps.
+	losoCap := append([]float64(nil), mult...)
+	for it := 0; it < irlsIters; it++ {
+		for j := 0; j < k; j++ {
+			dm[j] = 0
+			for l := j; l < k; l++ {
+				gm[j*k+l] = 0
+			}
+		}
+		for i := 0; i < n; i++ {
+			m2 := mult[i] * mult[i]
+			wb := p.wb[i]
+			if math.IsNaN(wb) || math.IsInf(wb, 0) {
+				continue // hostile reading: keep it out of the refit
+			}
 			for j := 0; j < k; j++ {
-				dm[j] = 0
+				aji := aw[j][i]
+				dm[j] += m2 * aji * wb
 				for l := j; l < k; l++ {
-					gm[j*k+l] = 0
+					gm[j*k+l] += m2 * aji * aw[l][i]
 				}
 			}
-			for i := 0; i < n; i++ {
-				m2 := mult[i] * mult[i]
-				wb := p.wb[i]
-				if math.IsNaN(wb) || math.IsInf(wb, 0) {
-					continue // hostile reading: keep it out of the refit
-				}
-				for j := 0; j < k; j++ {
-					aji := aw[j][i]
-					dm[j] += m2 * aji * wb
-					for l := j; l < k; l++ {
-						gm[j*k+l] += m2 * aji * aw[l][i]
-					}
+		}
+		for j := 0; j < k; j++ {
+			for l := j + 1; l < k; l++ {
+				gm[l*k+j] = gm[j*k+l]
+			}
+		}
+		mat.NNLSGramInto(gm, dm, x, &ws)
+		residAt(x)
+		scale := robustScale(resid, scratch)
+		if scale <= cleanScale {
+			break // fit too clean to rank outliers — nothing to shrink
+		}
+		knee := huberK * scale
+		for i, r := range resid {
+			h := 1.0
+			ar := math.Abs(r)
+			if !(ar <= knee) { // NaN lands here too
+				h = knee / ar // Inf/NaN residuals collapse to the floor
+				if math.IsNaN(h) || h < multFloor {
+					h = multFloor
 				}
 			}
-			for j := 0; j < k; j++ {
-				for l := j + 1; l < k; l++ {
-					gm[l*k+j] = gm[j*k+l]
-				}
-			}
-			mat.NNLSGramInto(gm, dm, x, &ws)
-			rep.Iters++
-			residAt(x)
-			scale := robustScale(resid, scratch)
-			rep.Scale = scale
-			if scale <= cleanScale {
-				break // fit too clean to rank outliers — nothing to shrink
-			}
-			knee := rc.HuberK * scale
-			for i, r := range resid {
-				h := 1.0
-				ar := math.Abs(r)
-				if !(ar <= knee) { // NaN lands here too
-					h = knee / ar // Inf/NaN residuals collapse to the floor
-					if math.IsNaN(h) || h < multFloor {
-						h = multFloor
-					}
-				}
-				mult[i] = math.Min(losoCap[i], h)
-			}
+			mult[i] = math.Min(losoCap[i], h)
 		}
 	}
 

@@ -63,9 +63,10 @@ type TenantConfig struct {
 	TileCapacity   int     `json:"tile_capacity"`    // sharded per-tile admission cap
 	Queue          int     `json:"queue"`            // ingestion queue depth
 	// Robust arms the robust-fit defense against Byzantine sensor reports
-	// for every round this tenant steps: "off" (or ""), "huber", "loso", or
-	// "both" (fit.ParseRobustMode). Defended tenants pay a second search
-	// pass per round but tolerate tampered readings (see fit.RobustConfig).
+	// for every round this tenant steps: "off" (or "") or "both"
+	// (fit.ParseRobustMode); any other value is rejected. Defended tenants
+	// pay a second search pass per round but tolerate tampered readings
+	// (see fit.RobustConfig).
 	Robust string `json:"robust"`
 }
 

@@ -329,6 +329,14 @@ func TestServeAPIErrors(t *testing.T) {
 		resp, _ = doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/b", TenantConfig{Users: 1, Shards: shards})
 		check("bad shards "+shards, resp, http.StatusBadRequest)
 	}
+	// Only off and both are defense modes.
+	for _, robust := range []string{"loso", "huber"} {
+		resp, body := doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/b", TenantConfig{Users: 1, Robust: robust})
+		check("removed robust mode "+robust, resp, http.StatusBadRequest)
+		if !bytes.Contains(body, []byte("want off or both")) {
+			t.Errorf("robust %q rejection does not name the valid modes: %s", robust, body)
+		}
+	}
 	resp, _ = doJSON(t, http.MethodGet, hs.URL+"/v1/tenant/nope/estimate", nil)
 	check("unknown tenant", resp, http.StatusNotFound)
 	resp, _ = doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/a/observe",

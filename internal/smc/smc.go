@@ -74,8 +74,8 @@ type Config struct {
 	// Search tunes the inner candidate-ranking search. Setting
 	// Search.Robust.Mode arms the robust-fitting defense against Byzantine
 	// sensors in every Step/StepMasked round: the round's search runs twice,
-	// down-weighting sensors whose residuals fail the Huber or
-	// leave-one-sensor-out consistency checks (see fit.RobustConfig). The
+	// down-weighting sensors whose residuals fail the leave-one-sensor-out
+	// and Huber consistency checks (see fit.RobustConfig). The
 	// reweighting is a serial pure function of the first pass, so robust
 	// rounds keep the tracker's byte-identical worker-invariance contract.
 	Search fit.Options
