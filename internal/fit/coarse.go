@@ -105,8 +105,9 @@ func (p *Problem) scoreSignatureRHS(col, rhs []float64) (score, x float64) {
 
 // scoreColNorm is the clean-path scoreSignatureRHS: no weights, no mask,
 // and the column's squared norm precomputed by the database. The projection
-// accumulates in the same sequential order as the fused loop, so the score
-// is bit-identical to the general path.
+// runs through mat.Dot's four-lane order, so the score agrees with the
+// general path's to rounding, not bit for bit; which path scores a problem
+// depends on the problem alone, so its ranking stays deterministic.
 func scoreColNorm(col, rhs []float64, norm2 float64) (score, x float64) {
 	proj := mat.Dot(col, rhs)
 	if norm2 == 0 || proj <= 0 {
@@ -159,8 +160,7 @@ func (s *Searcher) scoreCells(p *Problem, db *fingerprint.DB, users, workers int
 	}
 	// Unweighted, unmasked problems score against the raw columns, whose
 	// squared norms the database caches at build time — that halves the
-	// per-pass dot work without changing a bit (the norm and projection
-	// accumulate independently either way).
+	// per-pass dot work.
 	clean := p.origIdx == nil && p.weights == nil
 	score := func(c int) (float64, float64) {
 		if clean {

@@ -1,12 +1,16 @@
 package fit
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"fluxtrack/internal/fluxmodel"
 	"fluxtrack/internal/geom"
 	"fluxtrack/internal/mat"
+	"fluxtrack/internal/obs"
 	"fluxtrack/internal/rng"
 )
 
@@ -182,6 +186,212 @@ func TestGramEvaluatorDeterministic(t *testing.T) {
 		if first.Stretches[j] != second.Stretches[j] {
 			t.Errorf("stretch[%d] not deterministic: %v vs %v", j, first.Stretches[j], second.Stretches[j])
 		}
+	}
+}
+
+// refConditional is the memo-free reference of searchConditional: the same
+// restart permutations, greedy order, sweeps and evalScratch slot layout
+// (fixed users in user order, the scanned user last), but every scan solves
+// all of its candidates afresh and ranks them with a full sort. It runs in a
+// scratch of its own over the candidate caches s.prepare built, and returns
+// the NNLS solves it made and whether some restart had a non-final sweep
+// that moved no incumbent — after which every later scan repeats a key.
+func refConditional(s *Searcher, p *Problem, candidates [][]geom.Point, opts Options) (res Result, solves uint64, converged bool) {
+	opts = opts.withDefaults()
+	k := len(candidates)
+	sc := &evalScratch{}
+	sc.ensure(len(p.points), k)
+	scan := func(j int, bestIdx []int, assigned []bool) []RankedPosition {
+		var fixed []*candCol
+		for o := 0; o < k; o++ {
+			if o != j && assigned[o] {
+				fixed = append(fixed, &s.cands[o][bestIdx[o]])
+			}
+		}
+		kk := len(fixed) + 1
+		nc := len(candidates[j])
+		objs, strs, ord := make([]float64, nc), make([]float64, nc), make([]int, nc)
+		sc.setK(kk)
+		for i := range objs {
+			for slot, c := range fixed {
+				sc.setCol(slot, c)
+			}
+			sc.setCol(kk-1, &s.cands[j][i])
+			objs[i], strs[i], ord[i] = sc.solve(p), sc.x[kk-1], i
+		}
+		sort.Slice(ord, func(a, b int) bool {
+			if objs[ord[a]] != objs[ord[b]] {
+				return objs[ord[a]] < objs[ord[b]]
+			}
+			return ord[a] < ord[b]
+		})
+		ranked := make([]RankedPosition, min(opts.TopM, nc))
+		for t := range ranked {
+			i := ord[t]
+			ranked[t] = RankedPosition{Pos: candidates[j][i], Index: i, Stretch: strs[i], Objective: objs[i]}
+		}
+		if objs[ord[0]] < math.Inf(1) {
+			bestIdx[j] = ord[0]
+		}
+		return ranked
+	}
+
+	restarts := opts.Restarts
+	if k == 1 {
+		restarts = 1
+	}
+	src := rng.New(opts.Seed ^ 0xf1a7)
+	bestObj := math.Inf(1)
+	for attempt := 0; attempt < restarts; attempt++ {
+		bestIdx, assigned := make([]int, k), make([]bool, k)
+		for _, j := range src.Perm(k) {
+			scan(j, bestIdx, assigned)
+			assigned[j] = true
+		}
+		var run Result
+		run.PerUser = make([][]RankedPosition, k)
+		for sweep := 0; sweep < opts.Sweeps; sweep++ {
+			final := sweep == opts.Sweeps-1
+			before := append([]int(nil), bestIdx...)
+			for j := 0; j < k; j++ {
+				ranked := scan(j, bestIdx, assigned)
+				if !final {
+					continue
+				}
+				run.PerUser[j] = ranked
+				sc.setK(k)
+				positions := make([]geom.Point, k)
+				for o := range positions {
+					sc.setCol(o, &s.cands[o][bestIdx[o]])
+					positions[o] = candidates[o][bestIdx[o]]
+				}
+				obj := sc.solve(p)
+				run.Best = insertTopM(run.Best, makeEval(positions, sc.x[:k], obj), opts.TopM)
+			}
+			if !final && slices.Equal(before, bestIdx) {
+				converged = true
+			}
+		}
+		if len(run.Best) > 0 && run.Best[0].Objective < bestObj {
+			res, bestObj = run, run.Best[0].Objective
+		}
+	}
+	return res, sc.ws.Solves, converged
+}
+
+// sameResultBits fails unless got and want hold the same compositions and
+// rankings with bit-identical objectives and stretches.
+func sameResultBits(t *testing.T, label string, got, want Result) {
+	t.Helper()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if len(got.Best) != len(want.Best) || len(got.PerUser) != len(want.PerUser) {
+		t.Fatalf("%s: %d best / %d users, reference %d / %d", label,
+			len(got.Best), len(got.PerUser), len(want.Best), len(want.PerUser))
+	}
+	for r, w := range want.Best {
+		g := got.Best[r]
+		ok := same(g.Objective, w.Objective) && len(g.Positions) == len(w.Positions)
+		for j := 0; ok && j < len(w.Positions); j++ {
+			ok = g.Positions[j] == w.Positions[j] && same(g.Stretches[j], w.Stretches[j])
+		}
+		if !ok {
+			t.Fatalf("%s: Best[%d] = %+v, reference %+v", label, r, g, w)
+		}
+	}
+	for j, wr := range want.PerUser {
+		if len(got.PerUser[j]) != len(wr) {
+			t.Fatalf("%s: user %d ranks %d, reference %d", label, j, len(got.PerUser[j]), len(wr))
+		}
+		for r, w := range wr {
+			g := got.PerUser[j][r]
+			if g.Pos != w.Pos || g.Index != w.Index || !same(g.Objective, w.Objective) || !same(g.Stretch, w.Stretch) {
+				t.Fatalf("%s: PerUser[%d][%d] = %+v, reference %+v", label, j, r, g, w)
+			}
+		}
+	}
+}
+
+// TestConditionalMemoExact: the conditional search's scan memo changes no
+// output bit. For k = 1..4 users, serial and with 3 workers, plain and
+// robust=both, Searcher.Search must reproduce refConditional exactly —
+// Best and PerUser, indices, objectives and stretches. The robust case runs
+// the reference through the same two passes; its pass 2 repeats pass 1's
+// keys on a reweighted problem, so a memo that outlived pass 1 would fail
+// it. Where the reference saw a sweep converge, the memo must also have
+// saved NNLS solves, as fit.nnls.solves reports.
+func TestConditionalMemoExact(t *testing.T) {
+	sinks := []geom.Point{geom.Pt(7, 8), geom.Pt(22, 9), geom.Pt(14, 23), geom.Pt(25, 25)}
+	cs := []float64{1.5, 2.5, 1, 2}
+	reweighted, saved := 0, 0
+	for k := 1; k <= 4; k++ {
+		for _, robust := range []bool{false, true} {
+			p, _ := poisonedProblem(t, sinks[:k], cs[:k], 60, 3, 4, uint64(10+k))
+			cands := randomCandidates(p.Model().Field(), k, 40, rng.New(uint64(20+k)))
+			opts := Options{MaxExhaustive: 1, Seed: uint64(k)}
+			if robust {
+				opts.Robust = RobustConfig{Mode: RobustBoth}
+			}
+
+			ref := NewSearcher()
+			if err := ref.prepare(p, cands, 1); err != nil {
+				t.Fatal(err)
+			}
+			want, refSolves, converged := refConditional(ref, p, cands, opts)
+			if robust {
+				mult, rep, err := ref.RobustMultipliers(p, want.Best[0], opts.Robust)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Adjusted {
+					reweighted++
+					p2, err := p.reweighted(mult)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := ref.prepare(p2, cands, 1); err != nil {
+						t.Fatal(err)
+					}
+					var solves2 uint64
+					var converged2 bool
+					want, solves2, converged2 = refConditional(ref, p2, cands, opts)
+					refSolves += solves2
+					converged = converged || converged2
+				}
+			}
+
+			for _, workers := range []int{1, 3} {
+				label := fmt.Sprintf("k=%d robust=%v workers=%d", k, robust, workers)
+				m := obs.New(workers)
+				opts.Workers, opts.Metrics = workers, m
+				got, err := NewSearcher().Search(p, cands, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Exhaustive {
+					t.Fatalf("%s: expected the conditional path", label)
+				}
+				sameResultBits(t, label, got, want)
+				solves := m.Counter("fit.nnls.solves").Value()
+				if robust {
+					// RobustMultipliers solves the pass-1 best composition
+					// and its leave-one-out refits outside the search.
+					continue
+				}
+				if solves > refSolves || (converged && solves >= refSolves) {
+					t.Errorf("%s: fit.nnls.solves = %d, reference %d (a sweep converged: %v)",
+						label, solves, refSolves, converged)
+				}
+				if converged && k > 1 {
+					saved++
+				}
+			}
+		}
+	}
+	if reweighted == 0 {
+		t.Error("no robust case reached pass 2")
+	}
+	if saved == 0 {
+		t.Error("no multi-user case converged, so the memo's savings went unchecked")
 	}
 }
 

@@ -18,8 +18,9 @@
 // cancels catastrophically for good fits — so objectives keep full relative
 // precision.
 //
-// Every Gram entry is a pure function of its candidate pair (the dot
-// product runs in ascending index order regardless of which slot changed),
+// Every Gram entry is a pure function of its candidate pair (mat.Dot's
+// summation order depends only on the column length, not on which slot
+// changed),
 // so evaluations are bit-identical no matter how compositions are sharded
 // across workers or in which order slots were filled: the determinism
 // contract of internal/exp survives unchanged.

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"fluxtrack/internal/geom"
@@ -14,7 +14,7 @@ import (
 
 // Searcher owns every reusable buffer of the candidate-composition search:
 // the per-candidate column caches (one arena for all weighted columns), one
-// evalScratch per worker, and the ranking buffers of the conditional scan.
+// evalScratch per worker, and the objective buffers of the conditional scan.
 // A zero-effort NewSearcher is ready to use; the first search sizes the
 // arenas and subsequent searches of similar shape reuse them, which is how
 // the SMC tracker keeps its per-round filtering step allocation-flat: it
@@ -31,7 +31,6 @@ type Searcher struct {
 	// Conditional-scan buffers, indexed by candidate.
 	objs    []float64
 	stretch []float64
-	order   []int
 
 	// Exhaustive-scan per-(worker, candidate) best objective/stretch pairs.
 	bestArena []float64
@@ -434,44 +433,56 @@ func (s *Searcher) searchExhaustive(p *Problem, candidates [][]geom.Point, total
 	res := Result{Best: best, Exhaustive: true, PerUser: make([][]RankedPosition, k)}
 	for j := 0; j < k; j++ {
 		objs, strs := workerObjs(0, j)
-		res.PerUser[j] = s.rankFromSlices(candidates[j], objs, strs, opts.TopM)
+		ranked := make([]RankedPosition, 0, min(opts.TopM, len(objs)))
+		res.PerUser[j] = appendTopM(ranked, candidates[j], objs, strs, opts.TopM)
 	}
 	return res, nil
 }
 
-// rankFromSlices builds a user's top-M ranking from the per-candidate best
-// objective and stretch arrays, ordering by (objective, index) like the
-// conditional scan does. Unseen candidates (+Inf) cannot occur after a full
-// exhaustive scan but are sorted last defensively.
-func (s *Searcher) rankFromSlices(cands []geom.Point, objs, strs []float64, topM int) []RankedPosition {
-	nc := len(cands)
-	if cap(s.order) < nc {
-		s.order = make([]int, nc)
+// rankBefore reports whether a candidate with objective oa and index ia
+// ranks ahead of one with (ob, ib): lower objective first, then lower index.
+// A NaN objective ranks after every number, +Inf included, so the order is
+// total and a ranking that meets NaN objectives is still defined.
+func rankBefore(oa float64, ia int, ob float64, ib int) bool {
+	if oa < ob {
+		return true
 	}
-	ord := s.order[:nc]
-	for i := range ord {
-		ord[i] = i
+	if oa > ob {
+		return false
 	}
-	sort.Slice(ord, func(a, b int) bool {
-		if objs[ord[a]] != objs[ord[b]] {
-			return objs[ord[a]] < objs[ord[b]]
+	if an, bn := math.IsNaN(oa), math.IsNaN(ob); an != bn {
+		return bn
+	}
+	return ia < ib
+}
+
+// appendTopM appends to dst the topM best of a user's candidates by
+// rankBefore, given each candidate's objective and fitted stretch, and
+// returns the extended slice. It selects by bounded insertion instead of
+// sorting all N candidates: once topM entries are held, a candidate costs
+// one comparison against the current last entry unless it enters the list.
+// Both search strategies rank through it; unseen candidates (+Inf, which a
+// full exhaustive scan cannot leave) rank last among the numbers.
+func appendTopM(dst []RankedPosition, cands []geom.Point, objs, strs []float64, topM int) []RankedPosition {
+	start := len(dst)
+	m := min(topM, len(objs))
+	for i, o := range objs {
+		if len(dst)-start == m {
+			last := dst[len(dst)-1]
+			if !rankBefore(o, i, last.Objective, last.Index) {
+				continue
+			}
+			dst = dst[:len(dst)-1]
 		}
-		return ord[a] < ord[b]
-	})
-	if topM > nc {
-		topM = nc
-	}
-	ranked := make([]RankedPosition, topM)
-	for t := range ranked {
-		i := ord[t]
-		ranked[t] = RankedPosition{
-			Pos:       cands[i],
-			Index:     i,
-			Stretch:   strs[i],
-			Objective: objs[i],
+		dst = append(dst, RankedPosition{})
+		at := len(dst) - 1
+		for at > start && rankBefore(o, i, dst[at-1].Objective, dst[at-1].Index) {
+			dst[at] = dst[at-1]
+			at--
 		}
+		dst[at] = RankedPosition{Pos: cands[i], Index: i, Stretch: strs[i], Objective: o}
 	}
-	return ranked
+	return dst
 }
 
 // searchConditional approximates the exhaustive ranking: users are
@@ -481,6 +492,16 @@ func (s *Searcher) rankFromSlices(cands []geom.Point, objs, strs []float64, topM
 // Multiple restarts with permuted initialization order guard against the
 // local minima of this coordinate descent; the restart with the lowest
 // final objective wins.
+//
+// A scan of user j is a pure function of j and the incumbent index of
+// every other assigned user, so the call keeps a scanMemo over that key
+// and reuses the stored ranking when a key repeats — within a restart once
+// a sweep moves no incumbent, and across restarts that revisit the same
+// incumbents. The reuse is exact: every Gram entry is a pure function of
+// its candidate pair, the key fixes the slot layout, and the NNLS solve
+// keeps no state between calls, so a rescan would recompute the same bits.
+// The memo lives for this call only: a later search, or the second pass of
+// a robust search over a reweighted problem, starts with an empty one.
 func (s *Searcher) searchConditional(p *Problem, candidates [][]geom.Point, opts Options) (Result, error) {
 	k := len(candidates)
 	restarts := opts.Restarts
@@ -488,12 +509,13 @@ func (s *Searcher) searchConditional(p *Problem, candidates [][]geom.Point, opts
 		restarts = 1 // a single sweep already ranks every candidate exactly
 	}
 	src := rng.New(opts.Seed ^ 0xf1a7)
+	memo := newScanMemo(k, restarts*k*(1+opts.Sweeps), opts.TopM)
 
 	var best Result
 	bestObj := math.Inf(1)
 	for attempt := 0; attempt < restarts; attempt++ {
 		order := src.Perm(k)
-		res, err := s.runConditional(p, candidates, order, opts)
+		res, err := s.runConditional(p, candidates, order, opts, memo)
 		if err != nil {
 			return Result{}, err
 		}
@@ -507,7 +529,7 @@ func (s *Searcher) searchConditional(p *Problem, candidates [][]geom.Point, opts
 // runConditional performs one greedy initialization (in the given user
 // order) followed by refinement sweeps. Rankings are materialized only on
 // the final sweep; earlier passes just move the incumbents.
-func (s *Searcher) runConditional(p *Problem, candidates [][]geom.Point, order []int, opts Options) (Result, error) {
+func (s *Searcher) runConditional(p *Problem, candidates [][]geom.Point, order []int, opts Options, memo *scanMemo) (Result, error) {
 	k := len(candidates)
 	bestIdx := make([]int, k)
 	assigned := make([]bool, k)
@@ -515,25 +537,27 @@ func (s *Searcher) runConditional(p *Problem, candidates [][]geom.Point, order [
 	// Greedy initialization: place users one at a time, each minimizing the
 	// joint objective with the already-placed ones.
 	for _, j := range order {
-		if _, _, err := s.scanUser(p, candidates, bestIdx, assigned, j, opts, false); err != nil {
+		if _, err := s.scanUser(p, candidates, bestIdx, assigned, j, opts, memo); err != nil {
 			return Result{}, err
 		}
 		assigned[j] = true
 	}
 
-	// Refinement sweeps with full per-user rankings on the final sweep.
+	// Refinement sweeps with full per-user rankings on the final sweep,
+	// where each user's update also offers the incumbent composition (in
+	// user order, so Positions and Stretches align user-by-user) to Best.
 	var res Result
 	res.PerUser = make([][]RankedPosition, k)
 	for sweep := 0; sweep < opts.Sweeps; sweep++ {
 		final := sweep == opts.Sweeps-1
 		for j := 0; j < k; j++ {
-			ranked, bestEval, err := s.scanUser(p, candidates, bestIdx, assigned, j, opts, final)
+			ranked, err := s.scanUser(p, candidates, bestIdx, assigned, j, opts, memo)
 			if err != nil {
 				return Result{}, err
 			}
 			if final {
-				res.PerUser[j] = ranked
-				res.Best = insertTopM(res.Best, bestEval, opts.TopM)
+				res.PerUser[j] = append([]RankedPosition(nil), ranked...)
+				res.Best = insertTopM(res.Best, s.incumbentEval(p, candidates, bestIdx), opts.TopM)
 			}
 		}
 	}
@@ -541,107 +565,118 @@ func (s *Searcher) runConditional(p *Problem, candidates [][]geom.Point, order [
 }
 
 // scanUser ranks user j's candidates with every other assigned user fixed
-// at its incumbent position, updating bestIdx[j] to the winner. The fixed
-// users occupy the leading scratch slots and user j's candidate the last
-// one, so per candidate only one Gram row is recomputed. When wantRanked is
-// set it returns the topM ranking; when every other user is assigned it
-// also re-evaluates the incumbent composition in user order (so Positions
-// and Stretches align user-by-user for the caller) and returns it.
+// at its incumbent position, updating bestIdx[j] to the winner (unchanged
+// when no candidate has a finite objective), and returns the topM ranking.
+// The ranking is read-only: it may be the memo's stored copy. On a memo
+// miss the fixed users occupy the leading scratch slots and user j's
+// candidate the last one, so per candidate only one Gram row is
+// recomputed.
 func (s *Searcher) scanUser(p *Problem, candidates [][]geom.Point, bestIdx []int, assigned []bool,
-	j int, opts Options, wantRanked bool) ([]RankedPosition, Eval, error) {
-	k := len(candidates)
-	fixed := 0
-	for o := 0; o < k; o++ {
-		if o != j && assigned[o] {
-			fixed++
-		}
-	}
-	kk := fixed + 1
-	nc := len(candidates[j])
-	objs := growFloats(&s.objs, nc)
-	strJ := growFloats(&s.stretch, nc)
-	workers := resolveWorkers(nc, opts.Workers)
-	scratches := s.scratchSet(workers, len(p.points), kk)
-	err := parallelFor(nc, opts.Workers, func(w, i int) error {
-		sc := scratches[w]
-		sc.setK(kk)
-		slot := 0
+	j int, opts Options, memo *scanMemo) ([]RankedPosition, error) {
+	ranked, ok := memo.find(j, bestIdx, assigned)
+	if !ok {
+		k := len(candidates)
+		fixed := 0
 		for o := 0; o < k; o++ {
-			if o == j || !assigned[o] {
-				continue
+			if o != j && assigned[o] {
+				fixed++
 			}
-			sc.setCol(slot, &s.cands[o][bestIdx[o]]) // no-op after the first candidate
-			slot++
 		}
-		sc.setCol(kk-1, &s.cands[j][i])
-		objs[i] = sc.solve(p)
-		strJ[i] = sc.x[kk-1]
-		return nil
-	})
-	if err != nil {
-		return nil, Eval{}, err
-	}
-
-	bestI := bestIdx[j]
-	bestObj := math.Inf(1)
-	for i := 0; i < nc; i++ {
-		if objs[i] < bestObj {
-			bestObj, bestI = objs[i], i
-		}
-	}
-	bestIdx[j] = bestI
-
-	var ranked []RankedPosition
-	if wantRanked {
-		if cap(s.order) < nc {
-			s.order = make([]int, nc)
-		}
-		ord := s.order[:nc]
-		for i := range ord {
-			ord[i] = i
-		}
-		sort.Slice(ord, func(a, b int) bool {
-			if objs[ord[a]] != objs[ord[b]] {
-				return objs[ord[a]] < objs[ord[b]]
+		kk := fixed + 1
+		nc := len(candidates[j])
+		objs := growFloats(&s.objs, nc)
+		strJ := growFloats(&s.stretch, nc)
+		workers := resolveWorkers(nc, opts.Workers)
+		scratches := s.scratchSet(workers, len(p.points), kk)
+		err := parallelFor(nc, opts.Workers, func(w, i int) error {
+			sc := scratches[w]
+			sc.setK(kk)
+			slot := 0
+			for o := 0; o < k; o++ {
+				if o == j || !assigned[o] {
+					continue
+				}
+				sc.setCol(slot, &s.cands[o][bestIdx[o]]) // no-op after the first candidate
+				slot++
 			}
-			return ord[a] < ord[b]
+			sc.setCol(kk-1, &s.cands[j][i])
+			objs[i] = sc.solve(p)
+			strJ[i] = sc.x[kk-1]
+			return nil
 		})
-		topM := opts.TopM
-		if topM > nc {
-			topM = nc
+		if err != nil {
+			return nil, err
 		}
-		ranked = make([]RankedPosition, topM)
-		for t := range ranked {
-			i := ord[t]
-			ranked[t] = RankedPosition{
-				Pos:       candidates[j][i],
-				Index:     i,
-				Stretch:   strJ[i],
-				Objective: objs[i],
-			}
-		}
+		ranked = memo.store(candidates[j], objs, strJ, opts.TopM)
 	}
+	if ranked[0].Objective < math.Inf(1) {
+		bestIdx[j] = ranked[0].Index
+	}
+	return ranked, nil
+}
 
-	var bestEval Eval
-	allAssigned := true
-	for o := 0; o < k; o++ {
-		if o != j && !assigned[o] {
-			allAssigned = false
-			break
+// incumbentEval evaluates the composition of every user's incumbent, in
+// user order.
+func (s *Searcher) incumbentEval(p *Problem, candidates [][]geom.Point, bestIdx []int) Eval {
+	k := len(candidates)
+	sc := s.scratchSet(1, len(p.points), k)[0]
+	sc.setK(k)
+	positions := make([]geom.Point, k)
+	for o := range positions {
+		sc.setCol(o, &s.cands[o][bestIdx[o]])
+		positions[o] = candidates[o][bestIdx[o]]
+	}
+	obj := sc.solve(p)
+	return makeEval(positions, sc.x[:k], obj)
+}
+
+// scanMemo stores the ranking of every distinct user scan of one
+// searchConditional call, keyed by the scanned user and the incumbent index
+// of every other user (-1 when unassigned). Keys and rankings live in flat
+// arenas sized for the call's worst case of all-distinct scans; only the
+// topM ranking is kept, never the N-length objective vectors. Lookups scan
+// the keys linearly: a call holds at most Restarts·K·(1+Sweeps) entries of
+// K+1 ints, negligible next to one scan's N composition solves.
+type scanMemo struct {
+	key  []int            // the key of the scan being looked up
+	keys []int            // stored keys, len(key) ints per entry
+	offs []int            // entry e's ranking is tops[offs[e]:offs[e+1]]
+	tops []RankedPosition // stored rankings, back to back
+}
+
+func newScanMemo(k, scans, topM int) *scanMemo {
+	return &scanMemo{
+		key:  make([]int, k+1),
+		keys: make([]int, 0, scans*(k+1)),
+		offs: append(make([]int, 0, scans+1), 0),
+		tops: make([]RankedPosition, 0, scans*topM),
+	}
+}
+
+// find sets the lookup key to a scan of user j against the given
+// incumbents and returns that scan's stored ranking, if any.
+func (m *scanMemo) find(j int, bestIdx []int, assigned []bool) ([]RankedPosition, bool) {
+	m.key[0] = j
+	for o, a := range assigned {
+		m.key[o+1] = -1
+		if a && o != j {
+			m.key[o+1] = bestIdx[o]
 		}
 	}
-	if allAssigned {
-		sc := scratches[0]
-		sc.setK(k)
-		for o := 0; o < k; o++ {
-			sc.setCol(o, &s.cands[o][bestIdx[o]])
+	for e := 0; e+1 < len(m.offs); e++ {
+		if slices.Equal(m.keys[e*len(m.key):(e+1)*len(m.key)], m.key) {
+			return m.tops[m.offs[e]:m.offs[e+1]:m.offs[e+1]], true
 		}
-		obj := sc.solve(p)
-		positions := make([]geom.Point, k)
-		for o := range positions {
-			positions[o] = candidates[o][bestIdx[o]]
-		}
-		bestEval = makeEval(positions, sc.x[:k], obj)
 	}
-	return ranked, bestEval, nil
+	return nil, false
+}
+
+// store ranks a scan's objectives under the key of the last find and
+// returns the stored ranking.
+func (m *scanMemo) store(cands []geom.Point, objs, strs []float64, topM int) []RankedPosition {
+	start := len(m.tops)
+	m.tops = appendTopM(m.tops, cands, objs, strs, topM)
+	m.keys = append(m.keys, m.key...)
+	m.offs = append(m.offs, len(m.tops))
+	return m.tops[start:len(m.tops):len(m.tops)]
 }

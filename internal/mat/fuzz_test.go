@@ -12,10 +12,12 @@ package mat
 //
 // CI runs these for a 20s smoke per target (see .github/workflows/ci.yml);
 // `go test` without -fuzz still executes the seed corpus as regression
-// tests.
+// tests. FuzzNorm2Dot checks the vector kernels under them against exact
+// math/big arithmetic.
 
 import (
 	"math"
+	"math/big"
 	"testing"
 )
 
@@ -260,4 +262,78 @@ func TestNNLSPropertySweep(t *testing.T) {
 		NNLSGramInto(g, d, x, &ws)
 		checkNNLSSolution(t, a, b, x, "sweep")
 	}
+}
+
+// fuzzVector draws n values with random signs and magnitudes spread over
+// 10^±spread, with roughly one in eight exactly zero.
+func fuzzVector(s *uint64, n, spread int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		if fuzzMix(s)%8 == 0 {
+			continue
+		}
+		e := float64(int(fuzzMix(s)%uint64(2*spread+1)) - spread)
+		v[i] = (2*fuzzFloat(s) - 1) * math.Pow(10, e)
+	}
+	return v
+}
+
+// exactDot returns Σ a_i b_i and Σ |a_i b_i| in 2200-bit arithmetic: every
+// float64 product is exact, and the sums round at 2^-2200 relative, far
+// below the fuzz target's tolerance.
+func exactDot(a, b []float64) (sum, abs *big.Float) {
+	sum, abs = new(big.Float).SetPrec(2200), new(big.Float).SetPrec(2200)
+	for i := range a {
+		p := new(big.Float).SetPrec(2200).SetFloat64(a[i])
+		p.Mul(p, new(big.Float).SetFloat64(b[i]))
+		sum.Add(sum, p)
+		abs.Add(abs, p.Abs(p))
+	}
+	return sum, abs
+}
+
+// FuzzNorm2Dot compares Dot and Norm2 with exact references. Dot must lie
+// within 4n ulp of Σ|a_i b_i| of the exact sum (the classic γ_n bound of
+// recursive summation, with slack for the four-lane order), and Norm2
+// within 4n ulp of the exact norm, whether it takes the fast path or the
+// scaled fallback. Both allow 4n smallest subnormals for terms that
+// underflow.
+func FuzzNorm2Dot(f *testing.F) {
+	f.Add(uint64(1), uint8(7), uint8(3))
+	f.Add(uint64(2), uint8(64), uint8(0))
+	f.Add(uint64(3), uint8(5), uint8(200))  // overflowing and underflowing squares
+	f.Add(uint64(4), uint8(33), uint8(160)) // near the fast-path boundaries
+	f.Add(uint64(5), uint8(0), uint8(10))   // empty
+	f.Add(uint64(6), uint8(9), uint8(150))  // squares in the subnormal range
+	f.Add(uint64(7), uint8(12), uint8(255)) // spread capped at 300
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw, spreadRaw uint8) {
+		s := seed
+		n := int(nRaw) % 65
+		spread := min(int(spreadRaw)*2, 300)
+		a, b := fuzzVector(&s, n, spread), fuzzVector(&s, n, spread)
+		tiny := 4 * float64(n) * math.SmallestNonzeroFloat64
+		eps := 4 * float64(n) * 0x1p-52
+
+		sum, abs := exactDot(a, b)
+		if absF, _ := abs.Float64(); !math.IsInf(absF, 0) {
+			want, _ := sum.Float64()
+			if got := Dot(a, b); math.Abs(got-want) > eps*absF+tiny {
+				t.Fatalf("Dot = %v, exact %v (Σ|ab| = %v, n = %d)", got, want, absF, n)
+			}
+		}
+
+		want := 0.0
+		if ssq, _ := exactDot(a, a); ssq.Sign() > 0 {
+			want, _ = new(big.Float).SetPrec(2200).Sqrt(ssq).Float64()
+		}
+		got := Norm2(a)
+		switch {
+		case math.IsInf(want, 1):
+			if !math.IsInf(got, 1) {
+				t.Fatalf("Norm2 = %v, exact norm overflows", got)
+			}
+		case math.Abs(got-want) > eps*want+tiny:
+			t.Fatalf("Norm2 = %v, exact %v (n = %d)", got, want, n)
+		}
+	})
 }

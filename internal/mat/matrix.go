@@ -151,20 +151,49 @@ func (m *Dense) String() string {
 }
 
 // Dot returns the inner product of a and b. It panics on length mismatch.
+// Four independent accumulators over the leading multiple of four break
+// the floating-point add dependency chain; the remaining up-to-three terms
+// fold into the first lane, and the lanes combine as (s0+s1)+(s2+s3). The
+// summation order is a fixed function of the length, so equal inputs give
+// bit-identical sums.
 func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic("mat: Dot length mismatch")
 	}
-	var s float64
-	for i, v := range a {
-		s += v * b[i]
+	b = b[:len(a)]
+	var s0, s1, s2, s3 float64
+	for len(a) >= 4 && len(b) >= 4 {
+		s0 += a[0] * b[0]
+		s1 += a[1] * b[1]
+		s2 += a[2] * b[2]
+		s3 += a[3] * b[3]
+		a, b = a[4:], b[4:]
 	}
-	return s
+	for i, v := range a {
+		s0 += v * b[i]
+	}
+	return (s0 + s1) + (s2 + s3)
 }
 
 // Norm2 returns the Euclidean norm of v.
+//
+// The fast path is the plain square root of Dot(v, v). It is accurate to a
+// few ulp whenever that sum lies in (1e-280, 1e280): no term can have
+// overflowed, and a square that underflows loses at most 5e-324, some 28
+// orders of magnitude under one ulp of the sum. Outside that range —
+// overflow to +Inf, a sum dominated by underflowed squares, an all-zero
+// vector, an infinite or NaN entry — it falls back to the LAPACK-style
+// scaled accumulation and returns that result unchanged.
 func Norm2(v []float64) float64 {
-	// Scaled accumulation for overflow resistance.
+	if ssq := Dot(v, v); ssq > 1e-280 && ssq < 1e280 {
+		return math.Sqrt(ssq)
+	}
+	return norm2Scaled(v)
+}
+
+// norm2Scaled is the overflow- and underflow-resistant scaled form of
+// Norm2: one division per non-zero entry.
+func norm2Scaled(v []float64) float64 {
 	var scale, ssq float64 = 0, 1
 	for _, x := range v {
 		if x == 0 {

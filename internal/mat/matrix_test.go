@@ -124,11 +124,64 @@ func TestVectorHelpers(t *testing.T) {
 	}
 }
 
+// TestNorm2OverflowResistance: wherever the unscaled sum of squares leaves
+// Norm2's fast-path range — overflow, underflow, both at once, an infinite
+// or NaN entry — Norm2 must return exactly what the scaled form does, and
+// the scaled form must still get the magnitudes right.
 func TestNorm2OverflowResistance(t *testing.T) {
-	v := []float64{1e200, 1e200}
-	want := 1e200 * math.Sqrt2
-	if got := Norm2(v); math.Abs(got-want)/want > 1e-12 {
-		t.Errorf("Norm2 overflowed: %v, want %v", got, want)
+	inf, nan := math.Inf(1), math.NaN()
+	for _, tc := range []struct {
+		name string
+		v    []float64
+		want float64 // NaN: want NaN
+	}{
+		{"overflow", []float64{1e200, 1e200}, 1e200 * math.Sqrt2},
+		{"overflow-long", []float64{1e200, -1e200, 1e200, -1e200, 1e200}, 1e200 * math.Sqrt(5)},
+		{"underflow", []float64{1e-200, 1e-200}, 1e-200 * math.Sqrt2},
+		{"underflow-long", []float64{-1e-200, 1e-200, 1e-200, 1e-200, 1e-200, 1e-200}, 1e-200 * math.Sqrt(6)},
+		{"mixed", []float64{1e-200, 1e200, -1e-200, 1e200}, 1e200 * math.Sqrt2},
+		{"subnormal", []float64{5e-324, 5e-324, 0}, 5e-324 * math.Sqrt2},
+		{"subnormal-squares", []float64{3e-160, 0, -4e-160}, 5e-160},
+		{"zeros", []float64{0, 0, 0, 0, 0}, 0},
+		{"plus-inf", []float64{1, inf, 2}, inf},
+		{"minus-inf", []float64{-inf, 1e-200, 3, 4, 5}, inf},
+		{"two-inf", []float64{inf, -inf}, nan},
+		{"nan", []float64{1, 2, nan, 4, 5}, nan},
+		{"nan-and-inf", []float64{inf, nan}, nan},
+	} {
+		got, scaled := Norm2(tc.v), norm2Scaled(tc.v)
+		if math.Float64bits(got) != math.Float64bits(scaled) && !(math.IsNaN(got) && math.IsNaN(scaled)) {
+			t.Errorf("%s: Norm2 = %v, scaled form = %v", tc.name, got, scaled)
+		}
+		switch {
+		case math.IsNaN(tc.want):
+			if !math.IsNaN(got) {
+				t.Errorf("%s: Norm2 = %v, want NaN", tc.name, got)
+			}
+		case math.IsInf(tc.want, 0) || tc.want == 0:
+			if got != tc.want {
+				t.Errorf("%s: Norm2 = %v, want %v", tc.name, got, tc.want)
+			}
+		case math.Abs(got-tc.want)/tc.want > 1e-12:
+			t.Errorf("%s: Norm2 = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestDotRemainder covers every remainder length of Dot's four-lane loop.
+// Small integers keep every partial sum exact, so any summation order must
+// return the closed-form value.
+func TestDotRemainder(t *testing.T) {
+	for n := 0; n <= 9; n++ {
+		a, b := make([]float64, n), make([]float64, n)
+		want := 0.0
+		for i := range a {
+			a[i], b[i] = float64(i+1), float64(2*i-5)
+			want += a[i] * b[i]
+		}
+		if got := Dot(a, b); got != want {
+			t.Errorf("n=%d: Dot = %v, want %v", n, got, want)
+		}
 	}
 }
 
