@@ -34,15 +34,14 @@ func goldenConfig() Config {
 // and the field-hotspot entry of the golden file.
 var goldenFault = fault.Config{DropoutFrac: 0.15, LossProb: 0.10, DelayProb: 0.20, DelayRounds: 1, StuckFrac: 0.05}
 
-// The experiments TestGoldenFaultInjection and TestGoldenByzantine run,
-// each pinned in the golden file under "fault/<id>" and "byzantine/<id>".
+// The experiments TestGoldenFaultInjection, TestGoldenByzantine and
+// TestGoldenFieldHotspot run, each pinned in the golden file under
+// "fault/<id>", "byzantine/<id>" and "field-hotspot/<id>".
 var (
 	goldenFaultIDs     = []string{"fig7", "fig8a", "figRobust"}
 	goldenByzantineIDs = []string{"fig7", "fig8a"}
+	goldenHotspotIDs   = []string{"fig7", "fig8a"}
 )
-
-// goldenHotspotKey names the golden entry of TestGoldenFieldHotspot.
-const goldenHotspotKey = "field-hotspot/fig7"
 
 // renderAt runs one experiment at the given worker count and seed and
 // returns the rendered table.
@@ -112,7 +111,9 @@ func goldenKeys() []string {
 	for _, id := range goldenByzantineIDs {
 		keys = append(keys, "byzantine/"+id)
 	}
-	keys = append(keys, goldenHotspotKey)
+	for _, id := range goldenHotspotIDs {
+		keys = append(keys, "field-hotspot/"+id)
+	}
 	sort.Strings(keys)
 	return keys
 }
@@ -315,26 +316,33 @@ func TestGoldenFaultInjection(t *testing.T) {
 }
 
 // TestGoldenFieldHotspot pins the benchmark's field-hotspot shape at test
-// size: fig7 through a 2×2 tile grid with the coarse shortlist, the
-// robust=both defense, 10% Byzantine sensors and goldenFault all on, so
-// one golden entry covers shard routing, fingerprint databases, the robust
-// second pass and the masked step together.
+// size: fig7 and fig8a through a 2×2 tile grid with the coarse shortlist,
+// the robust=both defense, 10% Byzantine sensors and goldenFault all on, so
+// the entries cover shard routing, fingerprint databases, the robust second
+// pass and the masked step together. fig7's tiles solve only one-user
+// compositions; fig8a's reach the multi-variable NNLS solver.
 func TestGoldenFieldHotspot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden determinism suite skipped in -short mode")
 	}
-	e, err := ByID("fig7")
-	if err != nil {
-		t.Fatal(err)
+	for _, id := range goldenHotspotIDs {
+		id := id
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			e, err := ByID(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := goldenConfig()
+			cfg.Workers = 1
+			cfg.Shards = shard.Grid{Rows: 2, Cols: 2, Halo: 2}
+			cfg.Coarse = fingerprint.CoarseConfig{Enabled: true, TopK: 24, GridRes: 10}
+			cfg.Robust = fit.RobustConfig{Mode: fit.RobustBoth}
+			cfg.Liars = 0.1
+			cfg.Fault = goldenFault
+			goldenRender(t, "field-hotspot/"+id, e, cfg)
+		})
 	}
-	cfg := goldenConfig()
-	cfg.Workers = 1
-	cfg.Shards = shard.Grid{Rows: 2, Cols: 2, Halo: 2}
-	cfg.Coarse = fingerprint.CoarseConfig{Enabled: true, TopK: 24, GridRes: 10}
-	cfg.Robust = fit.RobustConfig{Mode: fit.RobustBoth}
-	cfg.Liars = 0.1
-	cfg.Fault = goldenFault
-	goldenRender(t, goldenHotspotKey, e, cfg)
 }
 
 // TestGoldenRerunIdentity reruns a cross-section of the pipelines in the

@@ -12,9 +12,9 @@
 // The database is a pure function of (model, sample points, grid
 // resolution): columns are filled by the batched fluxmodel.KernelMatrixInto
 // into index-disjoint arena slots, so builds are worker-count-invariant,
-// and cell lookup goes through a geom.Quadtree whose (distance, id)
-// tie-break makes candidate-to-cell assignment deterministic even for
-// positions equidistant from several centers (see DESIGN.md §6.5).
+// and cell lookup is grid arithmetic whose lowest-index tie-break makes
+// candidate-to-cell assignment deterministic even for positions
+// equidistant from several centers (see DESIGN.md §6.5).
 package fingerprint
 
 import (
@@ -65,9 +65,10 @@ func (c CoarseConfig) WithDefaults() CoarseConfig {
 	return c
 }
 
-// DB is a fingerprint database: one kernel signature column per grid cell,
-// plus a quadtree over the cell centers for nearest-cell lookup. A DB is
-// immutable after NewDB and safe for concurrent readers.
+// DB is a fingerprint database: one kernel signature column per grid cell
+// of a regular grid, so the nearest cell to a position is found by grid
+// arithmetic. A DB is immutable after NewDB and safe for concurrent
+// readers.
 type DB struct {
 	field   geom.Rect
 	res     int
@@ -75,7 +76,9 @@ type DB struct {
 	cols    []float64 // cells × numSamples, row-major per cell
 	norms   []float64 // per-cell unweighted ‖column‖², cached at build time
 	n       int       // samples per column
-	qt      *geom.Quadtree
+	// invW and invH are the reciprocal cell width and height, which map a
+	// position to its grid cell.
+	invW, invH float64
 }
 
 // NewDB builds the fingerprint database for the given model and sniffed
@@ -127,10 +130,10 @@ func NewDBOver(model *fluxmodel.Model, bounds geom.Rect, points []geom.Point, cf
 		cols:    make([]float64, cells*n),
 		norms:   make([]float64, cells),
 		n:       n,
-		qt:      geom.NewQuadtree(field),
 	}
 	cw := field.Width() / float64(res)
 	ch := field.Height() / float64(res)
+	db.invW, db.invH = 1/cw, 1/ch
 	for c := range db.centers {
 		ix, iy := c%res, c/res
 		db.centers[c] = geom.Pt(
@@ -157,12 +160,6 @@ func NewDBOver(model *fluxmodel.Model, bounds geom.Rect, points []geom.Point, cf
 		return nil
 	}); err != nil {
 		return nil, err
-	}
-	// The quadtree over cell centers resolves candidate positions to cells;
-	// ids are the cell indices, so equidistant centers tie-break to the
-	// lowest cell index.
-	for c, p := range db.centers {
-		db.qt.Insert(c, p)
 	}
 	if m != nil {
 		m.Counter("fingerprint.db.builds").Inc(0)
@@ -201,14 +198,43 @@ func (db *DB) Column(c int) []float64 {
 // cannot use the cache (the effective column changes per problem).
 func (db *DB) ColumnNorm2(c int) float64 { return db.norms[c] }
 
-// CellOf returns the cell whose center is nearest to p, resolved through
-// the quadtree with its (distance, id) tie-break: positions equidistant
-// from several centers — candidates on exact cell edges — always map to the
-// lowest cell index, which keeps shortlists deterministic.
+// CellOf returns the cell whose center is nearest to p. Positions
+// equidistant from several centers — candidates on exact cell edges —
+// always map to the lowest cell index, which keeps shortlists
+// deterministic. A position outside the bounds maps to the nearest
+// boundary cell. A non-finite coordinate, or one so large that its squared
+// distance overflows, still gives a valid cell: every distance compares as
+// NaN or +Inf, so the scan keeps the lowest-index neighbor of the clamped
+// cell.
+//
+// The nearest center of a regular grid lies in the cell containing p, so
+// CellOf computes that cell's clamped index and compares p's squared
+// distance to the centers of it and its neighbors, in ascending cell index
+// with a strict <. The neighbors absorb any rounding of the index on a
+// cell edge.
 func (db *DB) CellOf(p geom.Point) int {
-	nb, ok := db.qt.Nearest(p)
-	if !ok {
-		return 0 // unreachable: NewDB always inserts at least one cell
+	ix := gridIndex((p.X-db.field.Min.X)*db.invW, db.res)
+	iy := gridIndex((p.Y-db.field.Min.Y)*db.invH, db.res)
+	best, bestD := -1, 0.0
+	for y := max(iy-1, 0); y <= min(iy+1, db.res-1); y++ {
+		for x := max(ix-1, 0); x <= min(ix+1, db.res-1); x++ {
+			c := y*db.res + x
+			if d := p.Dist2(db.centers[c]); best < 0 || d < bestD {
+				best, bestD = c, d
+			}
+		}
 	}
-	return nb.ID
+	return best
+}
+
+// gridIndex clamps the cell coordinate f into [0, res): NaN and negative
+// coordinates map to 0, and coordinates at or past res to res−1.
+func gridIndex(f float64, res int) int {
+	switch {
+	case !(f >= 0):
+		return 0
+	case f >= float64(res):
+		return res - 1
+	}
+	return int(f)
 }

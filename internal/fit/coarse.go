@@ -18,11 +18,11 @@
 // column, no solve.
 //
 // Determinism: cell scores are pure functions of (cell, observation) written
-// into index-disjoint slots; candidate→cell assignment goes through the
-// quadtree's (distance, id) tie-break; the shortlist selection orders by
-// (score descending, candidate index ascending) and the surviving indices
-// are re-sorted ascending before the exact sub-search, so the sub-search
-// sees candidates in their original relative order. With TopK ≥ the
+// into index-disjoint slots; candidate→cell assignment breaks distance ties
+// to the lowest cell index (fingerprint.DB.CellOf); the shortlist selection
+// orders by (score descending, candidate index ascending) and the surviving
+// indices are re-sorted ascending before the exact sub-search, so the
+// sub-search sees candidates in their original relative order. With TopK ≥ the
 // candidate count the shortlist is the identity and the whole pipeline —
 // scoring, selection, sub-search, index remap — reproduces the exact search
 // byte for byte, which is what the differential suite in coarse_test.go
@@ -250,7 +250,7 @@ func (s *Searcher) searchCoarse(p *Problem, candidates [][]geom.Point, opts Opti
 	for j, cs := range candidates {
 		nc := len(cs)
 		kk := min(topK, nc)
-		// Candidate → containing cell → score. The quadtree probe is a pure
+		// Candidate → containing cell → score. The cell lookup is a pure
 		// function of the candidate position.
 		candScores := growFloats(&s.candScores, nc)
 		if err := parallelFor(nc, opts.Workers, func(_, i int) error {

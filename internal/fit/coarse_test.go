@@ -57,8 +57,8 @@ func coarseDB(t *testing.T, p *Problem, pts []geom.Point, res int) *fingerprint.
 // conditional, serial and parallel — the coarse pipeline with TopK equal to
 // (or exceeding) the candidate count returns a Result that is deeply equal
 // to the exact search's, including every objective bit and every ranking
-// index. The coarse path is exercised in full (cell scoring, quadtree
-// probes, selection, remap), not short-circuited.
+// index. The coarse path is exercised in full (cell scoring, cell
+// lookups, selection, remap), not short-circuited.
 func TestCoarseFullKByteIdentical(t *testing.T) {
 	type variant struct {
 		name          string

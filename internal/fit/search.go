@@ -67,10 +67,13 @@ type searchMetrics struct {
 	calls   *obs.Counter // fit.search.calls: Search/Evaluate invocations
 	columns *obs.Counter // fit.search.columns: candidate kernel columns filled
 	solves  *obs.Counter // fit.nnls.solves: composition NNLS solves
-	iters   *obs.Counter // fit.nnls.iters: active-set NNLS iterations
+	iters   *obs.Counter // fit.nnls.iters: NNLS warm-start rounds and active-set iterations
 
 	// Coarse-prestage counters, only advanced when Options.Coarse is set.
-	knnProbes    *obs.Counter // fit.coarse.knn_probes: candidate→cell lookups
+	// fit.coarse.knn_probes: candidate→cell lookups (DB.CellOf calls). The
+	// name is kept from the former nearest-neighbour lookup because the
+	// benchmark ledger reads it.
+	knnProbes    *obs.Counter
 	shortlisted  *obs.Counter // fit.coarse.shortlist: candidates surviving the prestage
 	exactAvoided *obs.Counter // fit.coarse.exact_avoided: candidates the exact stage skipped
 

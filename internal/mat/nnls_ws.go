@@ -20,10 +20,10 @@ type NNLSWorkspace struct {
 
 	// Solves and Iters are cumulative work meters, maintained by every
 	// solve through this workspace: Solves counts NNLSGramInto calls and
-	// Iters the active-set (outer) iterations they burned; the k=1
-	// closed-form path counts as a solve with zero iterations. They are
-	// plain (non-atomic) fields — a workspace is single-goroutine by
-	// contract — and exist so the observability layer (internal/obs via
+	// Iters the iterations they burned — each warm-start round and each
+	// active-set (outer) iteration; the k=1 closed-form path counts as a
+	// solve with zero iterations. They are plain (non-atomic) fields — a
+	// workspace is single-goroutine by contract — and exist so the observability layer (internal/obs via
 	// fit.Searcher) can report NNLS effort without touching the solver's
 	// hot loop. Callers that want per-call deltas read before and after.
 	Solves uint64
@@ -64,10 +64,20 @@ const nnlsGramTol = 1e-10
 // The algorithm is the same active-set iteration as NNLS with the passive
 // subproblems solved by Cholesky on the Gram submatrix instead of QR on
 // the column submatrix: closed form for one passive variable, a direct
-// dense factorization above. Rank-deficient passive sets are handled the
-// same way as in NNLS — the newest variable is dropped and the iteration
-// continues — so degenerate compositions (e.g. two users at the same
-// position) stay well-defined.
+// dense factorization above. Instead of starting from x = 0 and adding one
+// variable per iteration, it starts from every variable passive: it solves
+// on the passive set, drops every variable whose solution is not positive,
+// and repeats until the solution is positive on the whole set (at most k
+// rounds), then runs the active-set loop from there. In the search's
+// compositions nearly every variable is positive at the optimum, so the
+// warm start usually ends the solve after one factorization. If a warm
+// round's set is rank-deficient the solve falls back to x = 0 and the
+// empty set, the from-zero start. Either start ends at one Cholesky solve
+// over the final passive set, so on a positive-definite Gram matrix both
+// return the same bits (DESIGN.md §6.1). Rank-deficient passive sets in the
+// active-set loop are handled the same way as in NNLS — the newest variable
+// is dropped and the iteration continues — so degenerate compositions
+// (e.g. two users at the same position) stay well-defined.
 func NNLSGramInto(g, d, x []float64, ws *NNLSWorkspace) {
 	k := len(d)
 	if len(g) != k*k || len(x) != k {
@@ -85,9 +95,7 @@ func NNLSGramInto(g, d, x []float64, ws *NNLSWorkspace) {
 		return
 	}
 	ws.ensure(k)
-	for j := range x {
-		x[j] = 0
-	}
+	ws.warmStart(g, d, x, k)
 
 	maxOuter := 3 * k
 	for outer := 0; outer < maxOuter; outer++ {
@@ -117,12 +125,7 @@ func NNLSGramInto(g, d, x []float64, ws *NNLSWorkspace) {
 		// Inner loop: solve the equality-constrained problem on the passive
 		// set and move x toward it, clamping variables that would go negative.
 		for inner := 0; inner < maxOuter; inner++ {
-			idx := ws.idx[:0]
-			for j := 0; j < k; j++ {
-				if ws.passive[j] {
-					idx = append(idx, j)
-				}
-			}
+			idx := ws.passiveIdx()
 			if !ws.cholSolve(g, d, k, idx) {
 				// Degenerate passive set: drop the newest variable and stop.
 				ws.passive[best] = false
@@ -164,6 +167,60 @@ func NNLSGramInto(g, d, x []float64, ws *NNLSWorkspace) {
 			}
 		}
 	}
+}
+
+// warmStart sets (x, passive) to the active-set loop's starting point. It
+// makes every variable passive, solves on the passive set and drops every
+// variable whose solution is at most nnlsGramTol (or NaN, so a NaN in g or
+// d leaves the variable to the active-set loop, which never admits it),
+// until the solution is positive on the whole set; x is then that solution
+// on the set and zero off it. Each round drops at least one variable, so there are at most k.
+// A rank-deficient set resets to x = 0 with nothing passive. Each round
+// counts one iteration.
+func (ws *NNLSWorkspace) warmStart(g, d, x []float64, k int) {
+	for j := range x {
+		x[j] = 0
+		ws.passive[j] = true
+	}
+	for {
+		idx := ws.passiveIdx()
+		if len(idx) == 0 {
+			return
+		}
+		ws.Iters++
+		if !ws.cholSolve(g, d, k, idx) {
+			for _, j := range idx {
+				ws.passive[j] = false
+			}
+			return
+		}
+		z := ws.z[:len(idx)]
+		dropped := false
+		for t, j := range idx {
+			if !(z[t] > nnlsGramTol) {
+				ws.passive[j] = false
+				dropped = true
+			}
+		}
+		if !dropped {
+			for t, j := range idx {
+				x[j] = z[t]
+			}
+			return
+		}
+	}
+}
+
+// passiveIdx lists the passive variables in ascending index order into the
+// workspace's index buffer.
+func (ws *NNLSWorkspace) passiveIdx() []int {
+	idx := ws.idx[:0]
+	for j, p := range ws.passive {
+		if p {
+			idx = append(idx, j)
+		}
+	}
+	return idx
 }
 
 // cholSolve solves G[idx,idx] z = d[idx] by a dense Cholesky factorization

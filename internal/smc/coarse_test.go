@@ -88,8 +88,8 @@ func TestStepCoarseFullKMatchesExact(t *testing.T) {
 
 // TestStepWorkerInvarianceCoarse demands byte-identical coarse-tracker
 // output at every worker count, at a realistic (lossy) shortlist size and
-// including the masked/stale rounds: the prestage's cell scores, quadtree
-// probes, and shortlist selection must all be pure functions of the round.
+// including the masked/stale rounds: the prestage's cell scores, cell
+// lookups, and shortlist selection must all be pure functions of the round.
 func TestStepWorkerInvarianceCoarse(t *testing.T) {
 	coarse := fingerprint.CoarseConfig{Enabled: true, TopK: 48}
 	serial := coarseScenario(t, 1, 6, coarse)
