@@ -21,7 +21,7 @@
 //
 //	geom       points, rects, ray-boundary intersection
 //	rng        deterministic splitmix64 RNG and geometric samplers
-//	mat        dense matrices, QR/Cholesky LSQ, NNLS, LM/GN solvers
+//	mat        dense matrices, QR/Cholesky LSQ, NNLS, LM solver
 //	stats      summaries, CDFs, percentiles
 //	deploy     perturbed-grid and uniform-random deployments
 //	network    unit-disk graph, BFS hops, neighborhood smoothing

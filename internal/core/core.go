@@ -40,7 +40,9 @@ import (
 
 // ScenarioConfig configures a simulated deployment. The zero value gives
 // the paper's standard setup (§5.A): 900 nodes in perturbed grids on a
-// 30x30 field with communication radius 2.4 (average degree ≈ 18).
+// 30x30 field with communication radius 2.4 (average degree ≈ 18). A
+// negative or non-finite Nodes, Radius or field extent is an error, and so
+// is a non-zero field without positive width and height.
 type ScenarioConfig struct {
 	Field      geom.Rect   // deployment field; zero means 30x30
 	Nodes      int         // node count; zero means 900
@@ -54,14 +56,36 @@ type ScenarioConfig struct {
 	SmoothPasses int
 }
 
+// check rejects a negative or non-finite node count, radius or field
+// extent. It runs before withDefaults, so zero still means the default.
+func (c ScenarioConfig) check() error {
+	if c.Nodes < 0 {
+		return fmt.Errorf("core: node count must not be negative, got %d", c.Nodes)
+	}
+	if !(c.Radius >= 0) || math.IsInf(c.Radius, 1) {
+		return fmt.Errorf("core: radius must be finite and non-negative, got %v", c.Radius)
+	}
+	if f := c.Field; f != (geom.Rect{}) {
+		for _, v := range []float64{f.Min.X, f.Min.Y, f.Max.X, f.Max.Y} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("core: field %v is not finite", f)
+			}
+		}
+		if !(f.Width() > 0 && f.Height() > 0) {
+			return fmt.Errorf("core: field %v must have positive width and height", f)
+		}
+	}
+	return nil
+}
+
 func (c ScenarioConfig) withDefaults() ScenarioConfig {
-	if c.Field.Width() <= 0 || c.Field.Height() <= 0 {
+	if c.Field == (geom.Rect{}) {
 		c.Field = geom.Square(30)
 	}
-	if c.Nodes <= 0 {
+	if c.Nodes == 0 {
 		c.Nodes = 900
 	}
-	if c.Radius <= 0 {
+	if c.Radius == 0 {
 		c.Radius = 2.4
 	}
 	if c.Deployment == 0 {
@@ -88,6 +112,9 @@ type Scenario struct {
 
 // NewScenario deploys a network per cfg and calibrates the flux model.
 func NewScenario(cfg ScenarioConfig, src *rng.Source) (*Scenario, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	positions, err := deploy.Generate(deploy.Config{
 		Field: cfg.Field, N: cfg.Nodes, Kind: cfg.Deployment,

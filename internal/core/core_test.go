@@ -96,6 +96,53 @@ func TestGroundFluxSmoothing(t *testing.T) {
 	}
 }
 
+// TestScenarioConfigValidation: a negative or non-finite node count,
+// radius or field extent is an error instead of a silent default, while
+// zero still selects the default and SmoothPasses -1 still disables
+// smoothing.
+func TestScenarioConfigValidation(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	tests := []struct {
+		name string
+		cfg  ScenarioConfig
+		ok   bool
+	}{
+		{"zero radius and field", ScenarioConfig{Nodes: 100}, true},
+		{"explicit values", ScenarioConfig{Nodes: 100, Radius: 4, Field: geom.Square(12), SmoothPasses: -1}, true},
+		{"offset field", ScenarioConfig{Nodes: 100, Field: geom.NewRect(geom.Pt(5, 5), geom.Pt(20, 15))}, true},
+		{"negative nodes", ScenarioConfig{Nodes: -1}, false},
+		{"negative radius", ScenarioConfig{Nodes: 100, Radius: -2.4}, false},
+		{"NaN radius", ScenarioConfig{Nodes: 100, Radius: nan}, false},
+		{"+Inf radius", ScenarioConfig{Nodes: 100, Radius: inf}, false},
+		{"-Inf radius", ScenarioConfig{Nodes: 100, Radius: -inf}, false},
+		{"negative field side", ScenarioConfig{Nodes: 100, Field: geom.Square(-30)}, false},
+		{"zero-height field", ScenarioConfig{Nodes: 100, Field: geom.Rect{Max: geom.Pt(30, 0)}}, false},
+		{"NaN field side", ScenarioConfig{Nodes: 100, Field: geom.Square(nan)}, false},
+		{"+Inf field side", ScenarioConfig{Nodes: 100, Field: geom.Square(inf)}, false},
+		{"-Inf field corner", ScenarioConfig{Nodes: 100, Field: geom.Rect{Min: geom.Pt(-inf, 0), Max: geom.Pt(30, 30)}}, false},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			sc, err := NewScenario(tt.cfg, rng.New(3))
+			if !tt.ok {
+				if err == nil {
+					t.Fatalf("NewScenario(%+v) accepted an invalid config", tt.cfg)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sc.Network().Len() != tt.cfg.Nodes {
+				t.Errorf("node count = %d, want %d", sc.Network().Len(), tt.cfg.Nodes)
+			}
+			if d := sc.Network().AvgDegree(); !(d > 0) {
+				t.Errorf("average degree = %v, want a connected world", d)
+			}
+		})
+	}
+}
+
 func TestNewSnifferValidation(t *testing.T) {
 	sc := defaultScenario(t, 4)
 	src := rng.New(5)

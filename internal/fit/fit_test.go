@@ -244,32 +244,6 @@ func TestInsertTopM(t *testing.T) {
 	}
 }
 
-func TestLocalizeLMSingleUser(t *testing.T) {
-	// With enough restarts LM finds the single-user optimum on noiseless
-	// model data; this is the baseline's best case.
-	truth := geom.Pt(16, 13)
-	p, _ := modelProblem(t, []geom.Point{truth}, []float64{2}, 90, 12)
-	ev, err := LocalizeLM(p, 1, 40, rng.New(13))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The paper argues this baseline is unreliable on rectangular fields
-	// (piecewise-smooth objective), so only require it to clearly beat a
-	// random guess (expected error ~11.7 for uniform guesses on a 30x30
-	// field); the candidate search in TestLocalizeSingleUser is the one held
-	// to sub-1.0 accuracy.
-	if d := ev.Positions[0].Dist(truth); d > 5.0 {
-		t.Errorf("LM baseline position error %.2f, want <= 5.0", d)
-	}
-}
-
-func TestLocalizeLMValidation(t *testing.T) {
-	p, _ := modelProblem(t, []geom.Point{geom.Pt(10, 10)}, []float64{1}, 20, 14)
-	if _, err := LocalizeLM(p, 0, 5, rng.New(1)); err == nil {
-		t.Error("zero users must error")
-	}
-}
-
 func TestProblemAccessors(t *testing.T) {
 	p, pts := modelProblem(t, []geom.Point{geom.Pt(10, 10)}, []float64{1}, 25, 15)
 	if p.NumSamples() != 25 || len(pts) != 25 {

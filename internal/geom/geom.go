@@ -220,35 +220,3 @@ func (s ExitSlabs) Scale(dx, dy float64) float64 {
 func Lerp(a, b Point, t float64) Point {
 	return Point{X: a.X + (b.X-a.X)*t, Y: a.Y + (b.Y-a.Y)*t}
 }
-
-// PolylineLength returns the total length of the polyline through pts.
-func PolylineLength(pts []Point) float64 {
-	var total float64
-	for i := 1; i < len(pts); i++ {
-		total += pts[i-1].Dist(pts[i])
-	}
-	return total
-}
-
-// PointAlong returns the point reached after traveling dist along the
-// polyline pts from its start. Distances beyond the end clamp to the final
-// vertex; an empty polyline returns the zero point and ok=false.
-func PointAlong(pts []Point, dist float64) (Point, bool) {
-	if len(pts) == 0 {
-		return Point{}, false
-	}
-	if dist <= 0 {
-		return pts[0], true
-	}
-	for i := 1; i < len(pts); i++ {
-		seg := pts[i-1].Dist(pts[i])
-		if dist <= seg {
-			if seg == 0 {
-				return pts[i], true
-			}
-			return Lerp(pts[i-1], pts[i], dist/seg), true
-		}
-		dist -= seg
-	}
-	return pts[len(pts)-1], true
-}

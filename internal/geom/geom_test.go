@@ -274,53 +274,3 @@ func TestLerp(t *testing.T) {
 		t.Errorf("Lerp t=0.5 = %v, want (5,10)", got)
 	}
 }
-
-func TestPolylineLength(t *testing.T) {
-	tests := []struct {
-		name string
-		pts  []Point
-		want float64
-	}{
-		{"empty", nil, 0},
-		{"single", []Point{Pt(1, 1)}, 0},
-		{"L shape", []Point{Pt(0, 0), Pt(3, 0), Pt(3, 4)}, 7},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := PolylineLength(tt.pts); !almostEqual(got, tt.want, 1e-12) {
-				t.Errorf("PolylineLength = %v, want %v", got, tt.want)
-			}
-		})
-	}
-}
-
-func TestPointAlong(t *testing.T) {
-	path := []Point{Pt(0, 0), Pt(10, 0), Pt(10, 10)}
-	tests := []struct {
-		name string
-		dist float64
-		want Point
-	}{
-		{"start", 0, Pt(0, 0)},
-		{"negative clamps to start", -5, Pt(0, 0)},
-		{"mid first segment", 5, Pt(5, 0)},
-		{"vertex", 10, Pt(10, 0)},
-		{"mid second segment", 15, Pt(10, 5)},
-		{"end", 20, Pt(10, 10)},
-		{"beyond end clamps", 100, Pt(10, 10)},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			got, ok := PointAlong(path, tt.dist)
-			if !ok {
-				t.Fatal("PointAlong reported not ok")
-			}
-			if got.Dist(tt.want) > 1e-12 {
-				t.Errorf("PointAlong(%v) = %v, want %v", tt.dist, got, tt.want)
-			}
-		})
-	}
-	if _, ok := PointAlong(nil, 1); ok {
-		t.Error("PointAlong(nil) must report not ok")
-	}
-}

@@ -140,43 +140,6 @@ func FuzzNNLSGramInto(f *testing.F) {
 	})
 }
 
-// FuzzNNLSInto drives the column-space workspace solver (which forms the
-// normal equations itself) and cross-checks it against the explicit
-// Gram-space path: both must produce the same solution bit for bit, since
-// NNLSInto delegates to NNLSGramInto after accumulating the same G and d in
-// a different loop order — catching any asymmetry or aliasing bug in the
-// accumulation.
-func FuzzNNLSInto(f *testing.F) {
-	f.Add(uint64(1), uint8(3), uint8(8))
-	f.Add(uint64(5), uint8(6), uint8(3))
-	f.Add(uint64(11), uint8(2), uint8(12))
-	f.Fuzz(func(t *testing.T, seed uint64, kRaw, mRaw uint8) {
-		k, m := clampDims(kRaw, mRaw)
-		a, b := fuzzProblem(seed, m, k)
-		var ws NNLSWorkspace
-		x := make([]float64, k)
-		if err := NNLSInto(a, b, x, &ws); err != nil {
-			t.Fatal(err)
-		}
-		checkNNLSSolution(t, a, b, x, "NNLSInto")
-
-		g, d := gramOf(a, b)
-		var ws2 NNLSWorkspace
-		x2 := make([]float64, k)
-		NNLSGramInto(g, d, x2, &ws2)
-		checkNNLSSolution(t, a, b, x2, "NNLSGramInto(cross)")
-		// The two accumulations round differently (upper-triangle loop vs
-		// full dot products), so solutions agree to conditioning, not bits.
-		ax1, _ := a.MulVec(x)
-		ax2, _ := a.MulVec(x2)
-		r1, r2 := Norm2(Sub(ax1, b)), Norm2(Sub(ax2, b))
-		scale := math.Max(math.Max(r1, r2), 1e-12)
-		if math.Abs(r1-r2) > 1e-6*scale+1e-9 {
-			t.Fatalf("NNLSInto residual %v vs Gram-path residual %v", r1, r2)
-		}
-	})
-}
-
 // FuzzCholSolve targets the Cholesky kernel of the active-set iteration
 // directly: for a strictly SPD Gram submatrix it must solve the passive-set
 // normal equations accurately, and it must report false (not return

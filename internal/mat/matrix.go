@@ -1,8 +1,8 @@
 // Package mat implements the dense linear-algebra kernels the
 // fingerprinting pipeline needs: a small row-major matrix type, QR and
 // Cholesky least-squares solvers, non-negative least squares
-// (Lawson-Hanson), and the Gauss-Newton / Levenberg-Marquardt nonlinear
-// least-squares solvers the paper cites ([15] Madsen, Nielsen, Tingleff).
+// (Lawson-Hanson), and the Levenberg-Marquardt nonlinear least-squares
+// solver the paper cites ([15] Madsen, Nielsen, Tingleff).
 //
 // The package is self-contained (standard library only) because the Go
 // scientific-computing ecosystem is intentionally not a dependency of this

@@ -17,7 +17,7 @@ type NLSResult struct {
 	Converged  bool      // whether a convergence criterion was met
 }
 
-// NLSOptions configures the Gauss-Newton and Levenberg-Marquardt solvers.
+// NLSOptions configures the Levenberg-Marquardt solver.
 type NLSOptions struct {
 	MaxIter int     // maximum iterations (default 100)
 	TolGrad float64 // stop when ||J^T r||_inf below this (default 1e-8)
@@ -59,55 +59,6 @@ func numJacobian(r Residualer, x, r0 []float64, h float64) *Dense {
 		}
 	}
 	return jac
-}
-
-// GaussNewton minimizes 0.5*||r(x)||^2 starting from x0 using damped
-// Gauss-Newton steps with simple backtracking. The paper notes that classic
-// solvers like this require a differentiable objective and therefore fail on
-// non-differentiable boundary geometry; this implementation exists as the
-// paper's "traditional numerical technique" baseline.
-func GaussNewton(r Residualer, x0 []float64, opts NLSOptions) (NLSResult, error) {
-	opts = opts.withDefaults()
-	x := append([]float64(nil), x0...)
-	res := r(x)
-	f := 0.5 * Dot(res, res)
-
-	for iter := 1; iter <= opts.MaxIter; iter++ {
-		jac := numJacobian(r, x, res, opts.FDStep)
-		// Solve J dx = -r in the least-squares sense.
-		neg := make([]float64, len(res))
-		for i, v := range res {
-			neg[i] = -v
-		}
-		dx, err := SolveLSQ(jac, neg)
-		if err != nil {
-			return NLSResult{X: x, Objective: f, Iterations: iter}, err
-		}
-		if gradInfNorm(jac, res) < opts.TolGrad {
-			return NLSResult{X: x, Objective: f, Iterations: iter, Converged: true}, nil
-		}
-		// Backtracking line search.
-		alpha := 1.0
-		improved := false
-		for k := 0; k < 30; k++ {
-			xt := AddScaled(x, alpha, dx)
-			rt := r(xt)
-			ft := 0.5 * Dot(rt, rt)
-			if ft < f {
-				x, res, f = xt, rt, ft
-				improved = true
-				break
-			}
-			alpha /= 2
-		}
-		if !improved {
-			return NLSResult{X: x, Objective: f, Iterations: iter}, ErrNoProgress
-		}
-		if alpha*Norm2(dx) < opts.TolStep*(Norm2(x)+opts.TolStep) {
-			return NLSResult{X: x, Objective: f, Iterations: iter, Converged: true}, nil
-		}
-	}
-	return NLSResult{X: x, Objective: f, Iterations: opts.MaxIter, Converged: false}, nil
 }
 
 // LevenbergMarquardt minimizes 0.5*||r(x)||^2 with the Madsen-Nielsen-
@@ -197,10 +148,6 @@ func jtRes(jac *Dense, res []float64) []float64 {
 		g[j] = s
 	}
 	return g
-}
-
-func gradInfNorm(jac *Dense, res []float64) float64 {
-	return infNorm(jtRes(jac, res))
 }
 
 func infNorm(v []float64) float64 {

@@ -48,33 +48,6 @@ func TestLevenbergMarquardtExpFit(t *testing.T) {
 	}
 }
 
-func TestGaussNewtonExpFit(t *testing.T) {
-	res, err := GaussNewton(expFitResiduals, []float64{1.5, -0.8}, NLSOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.X[0]-2) > 1e-4 || math.Abs(res.X[1]+0.5) > 1e-4 {
-		t.Errorf("GN exp fit = %v, want [2 -0.5]", res.X)
-	}
-}
-
-func TestGaussNewtonLinearOneStep(t *testing.T) {
-	// On a purely linear residual GN converges in essentially one iteration.
-	lin := func(x []float64) []float64 {
-		return []float64{x[0] + 2*x[1] - 3, 3*x[0] - x[1] - 2}
-	}
-	res, err := GaussNewton(lin, []float64{10, -10}, NLSOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Objective > 1e-12 {
-		t.Errorf("GN linear objective = %v, want ~0", res.Objective)
-	}
-	if res.Iterations > 4 {
-		t.Errorf("GN linear took %d iterations, want <= 4", res.Iterations)
-	}
-}
-
 func TestNLSObjectiveMonotoneUnderLM(t *testing.T) {
 	// LM accepts only improving steps, so the final objective can never
 	// exceed the initial one.

@@ -15,8 +15,6 @@ type NNLSWorkspace struct {
 	z       []float64 // passive-set solution of the equality-constrained solve
 	y       []float64 // forward-substitution intermediate
 	chol    []float64 // dense lower-triangular Cholesky factor, m×m row-major
-	gram    []float64 // k×k Gram buffer (NNLSInto only)
-	proj    []float64 // k projection buffer (NNLSInto only)
 
 	// Solves and Iters are cumulative work meters, maintained by every
 	// solve through this workspace: Solves counts NNLSGramInto calls and
@@ -278,50 +276,4 @@ func (ws *NNLSWorkspace) cholSolve(g, d []float64, k int, idx []int) bool {
 		z[a] = s / l[a*m+a]
 	}
 	return true
-}
-
-// NNLSInto is the workspace-taking form of NNLS: it solves
-// min ||A x − b||_2 subject to x >= 0 and writes the solution into x
-// (length A.Cols()), forming the normal equations in the workspace and
-// delegating to NNLSGramInto. After the workspace has grown to the problem
-// dimension, repeated solves allocate nothing.
-func NNLSInto(a *Dense, b, x []float64, ws *NNLSWorkspace) error {
-	if a.rows != len(b) {
-		return fmt.Errorf("mat: NNLSInto dimension mismatch %dx%d vs %d", a.rows, a.cols, len(b))
-	}
-	k := a.cols
-	if len(x) != k {
-		return fmt.Errorf("mat: NNLSInto solution length %d, want %d", len(x), k)
-	}
-	if cap(ws.gram) < k*k {
-		ws.gram = make([]float64, k*k)
-		ws.proj = make([]float64, k)
-	}
-	g := ws.gram[:k*k]
-	d := ws.proj[:k]
-	for i := range g {
-		g[i] = 0
-	}
-	for j := range d {
-		d[j] = 0
-	}
-	for i := 0; i < a.rows; i++ {
-		row := a.data[i*a.cols : (i+1)*a.cols]
-		for p, vp := range row {
-			if vp == 0 {
-				continue
-			}
-			d[p] += vp * b[i]
-			for q := p; q < k; q++ {
-				g[p*k+q] += vp * row[q]
-			}
-		}
-	}
-	for p := 0; p < k; p++ {
-		for q := p + 1; q < k; q++ {
-			g[q*k+p] = g[p*k+q]
-		}
-	}
-	NNLSGramInto(g, d, x, ws)
-	return nil
 }

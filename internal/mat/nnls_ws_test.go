@@ -32,11 +32,12 @@ func residualNorm(a *Dense, x, b []float64) float64 {
 	return Norm2(Sub(ax, b))
 }
 
-// TestNNLSIntoMatchesNNLS: the workspace solver and the allocating QR-based
-// solver reach the same constrained optimum across random problems. The two
-// use different passive-set sub-solvers (Cholesky on the Gram matrix vs QR
-// on the columns), so solutions agree to solver tolerance, not bit-for-bit;
-// both must satisfy the KKT conditions of the same convex problem.
+// TestNNLSIntoMatchesNNLS: the Gram-space workspace solver and the
+// allocating QR-based solver reach the same constrained optimum across
+// random problems. The two use different passive-set sub-solvers (Cholesky
+// on the Gram matrix vs QR on the columns), so solutions agree to solver
+// tolerance, not bit-for-bit; both must satisfy the KKT conditions of the
+// same convex problem.
 func TestNNLSIntoMatchesNNLS(t *testing.T) {
 	l := lcg(7)
 	var ws NNLSWorkspace
@@ -49,10 +50,9 @@ func TestNNLSIntoMatchesNNLS(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: NNLS: %v", trial, err)
 		}
+		g, d := gramOf(a, b)
 		x := make([]float64, k)
-		if err := NNLSInto(a, b, x, &ws); err != nil {
-			t.Fatalf("trial %d: NNLSInto: %v", trial, err)
-		}
+		NNLSGramInto(g, d, x, &ws)
 		for j := 0; j < k; j++ {
 			if x[j] < 0 || math.IsNaN(x[j]) {
 				t.Fatalf("trial %d: x[%d] = %v, want non-negative", trial, j, x[j])
@@ -124,10 +124,9 @@ func TestNNLSGramIntoDegenerate(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		a.Set(i, 2, a.At(i, 1)) // column 2 duplicates column 1
 	}
+	g, d := gramOf(a, b)
 	x := make([]float64, 3)
-	if err := NNLSInto(a, b, x, &ws); err != nil {
-		t.Fatal(err)
-	}
+	NNLSGramInto(g, d, x, &ws)
 	for j, v := range x {
 		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("degenerate solve: x[%d] = %v", j, v)
@@ -160,17 +159,14 @@ func TestNNLSGramIntoZero(t *testing.T) {
 func TestNNLSGramIntoNoAllocs(t *testing.T) {
 	l := lcg(11)
 	a, b := randProblem(&l, 12, 4)
+	g, d := gramOf(a, b)
 	var ws NNLSWorkspace
 	x := make([]float64, 4)
-	if err := NNLSInto(a, b, x, &ws); err != nil { // warm up
-		t.Fatal(err)
-	}
+	NNLSGramInto(g, d, x, &ws) // warm up
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := NNLSInto(a, b, x, &ws); err != nil {
-			t.Fatal(err)
-		}
+		NNLSGramInto(g, d, x, &ws)
 	})
 	if allocs != 0 {
-		t.Fatalf("NNLSInto steady state allocates %.1f times per solve, want 0", allocs)
+		t.Fatalf("NNLSGramInto steady state allocates %.1f times per solve, want 0", allocs)
 	}
 }

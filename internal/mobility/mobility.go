@@ -1,13 +1,12 @@
 // Package mobility provides the user-movement models of the paper's
 // evaluation: straight-line trajectories for the instant tracking cases
-// (Fig 7), speed-bounded random walks, and waypoint paths (the shape the
-// campus traces reduce to).
+// (Fig 7) and speed-bounded random walks.
 //
 // A model is any Trajectory: a function At(t) from observation time to a
-// position inside the field. Linear, Waypoint, and Static are deterministic
-// given their construction; RandomWalk draws turns from an explicit
-// *rng.Source, so walks replay exactly under a fixed seed. The walk's speed
-// bound is the same constant the SMC tracker's motion prior (internal/smc)
+// position inside the field. Linear and Static are deterministic given
+// their construction; RandomWalk draws turns from an explicit *rng.Source,
+// so walks replay exactly under a fixed seed. The walk's speed bound is
+// the same constant the SMC tracker's motion prior (internal/smc)
 // assumes — experiments that sweep maximum speed (Fig 10b) vary both
 // together. Trajectories produce geom.Point values clamped to the field
 // rectangle by construction, never by the consumer.
@@ -42,36 +41,6 @@ func (l Linear) At(t float64) geom.Point {
 		return l.Start
 	}
 	return l.Start.Add(l.V.Scale(t - l.T0))
-}
-
-// Waypoint follows a polyline at constant speed, holding the final vertex
-// after the path is exhausted.
-type Waypoint struct {
-	Points []geom.Point
-	Speed  float64
-	T0     float64
-}
-
-var _ Trajectory = Waypoint{}
-
-// NewWaypoint validates and returns a waypoint trajectory.
-func NewWaypoint(points []geom.Point, speed, t0 float64) (Waypoint, error) {
-	if len(points) == 0 {
-		return Waypoint{}, errors.New("mobility: waypoint path needs at least one point")
-	}
-	if speed <= 0 {
-		return Waypoint{}, fmt.Errorf("mobility: speed must be positive, got %v", speed)
-	}
-	return Waypoint{Points: append([]geom.Point(nil), points...), Speed: speed, T0: t0}, nil
-}
-
-// At implements Trajectory.
-func (w Waypoint) At(t float64) geom.Point {
-	if t < w.T0 {
-		return w.Points[0]
-	}
-	p, _ := geom.PointAlong(w.Points, w.Speed*(t-w.T0))
-	return p
 }
 
 // Static is a stationary user.

@@ -26,50 +26,6 @@ func TestLinearAt(t *testing.T) {
 	}
 }
 
-func TestWaypointValidation(t *testing.T) {
-	if _, err := NewWaypoint(nil, 1, 0); err == nil {
-		t.Error("empty path must error")
-	}
-	if _, err := NewWaypoint([]geom.Point{{}}, 0, 0); err == nil {
-		t.Error("zero speed must error")
-	}
-}
-
-func TestWaypointAt(t *testing.T) {
-	w, err := NewWaypoint([]geom.Point{geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(10, 10)}, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tests := []struct {
-		t    float64
-		want geom.Point
-	}{
-		{0, geom.Pt(0, 0)},   // before start
-		{1, geom.Pt(0, 0)},   // at start
-		{3.5, geom.Pt(5, 0)}, // 2.5 time units * speed 2 = 5 along
-		{6, geom.Pt(10, 0)},  // at the corner
-		{8.5, geom.Pt(10, 5)},
-		{100, geom.Pt(10, 10)}, // holds final vertex
-	}
-	for _, tt := range tests {
-		if got := w.At(tt.t); got.Dist(tt.want) > 1e-12 {
-			t.Errorf("At(%v) = %v, want %v", tt.t, got, tt.want)
-		}
-	}
-}
-
-func TestWaypointCopiesPoints(t *testing.T) {
-	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 1)}
-	w, err := NewWaypoint(pts, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts[0] = geom.Pt(99, 99)
-	if w.At(0) != geom.Pt(0, 0) {
-		t.Error("Waypoint aliased the caller's slice")
-	}
-}
-
 func TestStatic(t *testing.T) {
 	s := Static{Pos: geom.Pt(3, 4)}
 	for _, tt := range []float64{0, 1, 100} {

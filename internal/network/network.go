@@ -42,8 +42,8 @@ func New(field geom.Rect, positions []geom.Point, radius float64) (*Network, err
 	if len(positions) == 0 {
 		return nil, fmt.Errorf("network: no positions")
 	}
-	if radius <= 0 {
-		return nil, fmt.Errorf("network: radius must be positive, got %v", radius)
+	if !(radius > 0) || math.IsInf(radius, 1) {
+		return nil, fmt.Errorf("network: radius must be finite and positive, got %v", radius)
 	}
 	for i, p := range positions {
 		if !field.Contains(p) {
@@ -196,31 +196,6 @@ func (n *Network) LargestComponent() []int {
 		}
 	}
 	return out
-}
-
-// AvgHopDistance estimates the average Euclidean length of one hop, the
-// model's r parameter, by averaging the distance between BFS-adjacent node
-// pairs from the given source.
-func (n *Network) AvgHopDistance(source int) float64 {
-	hops := n.HopsFrom(source)
-	var total float64
-	var count int
-	for i := range n.pos {
-		if hops[i] <= 0 {
-			continue
-		}
-		// Average distance to neighbors one hop closer.
-		for _, j := range n.adj[i] {
-			if hops[j] == hops[i]-1 {
-				total += n.pos[i].Dist(n.pos[j])
-				count++
-			}
-		}
-	}
-	if count == 0 {
-		return n.radius
-	}
-	return total / float64(count)
 }
 
 // RadialHopProgress estimates the average Euclidean distance covered per hop

@@ -27,8 +27,10 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(field, nil, 1); err == nil {
 		t.Error("empty positions must error")
 	}
-	if _, err := New(field, []geom.Point{geom.Pt(1, 1)}, 0); err == nil {
-		t.Error("zero radius must error")
+	for _, r := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if _, err := New(field, []geom.Point{geom.Pt(1, 1)}, r); err == nil {
+			t.Errorf("radius %v must error", r)
+		}
 	}
 	if _, err := New(field, []geom.Point{geom.Pt(11, 1)}, 1); err == nil {
 		t.Error("out-of-field node must error")
@@ -179,14 +181,6 @@ func TestAvgDegreePaperSetup(t *testing.T) {
 	}
 }
 
-func TestAvgHopDistance(t *testing.T) {
-	n := lineNetwork(t)
-	// Along the path every hop is exactly 1.
-	if got := n.AvgHopDistance(0); math.Abs(got-1) > 1e-9 {
-		t.Errorf("AvgHopDistance = %v, want 1", got)
-	}
-}
-
 func TestRadialHopProgress(t *testing.T) {
 	n := lineNetwork(t)
 	// Along the path, every node's dist/hops is exactly 1.
@@ -237,16 +231,6 @@ func paperNetworkHelper(t testing.TB, seed uint64) *Network {
 		t.Fatal(err)
 	}
 	return n
-}
-
-func TestAvgHopDistanceIsolated(t *testing.T) {
-	n, err := New(geom.Square(10), []geom.Point{geom.Pt(5, 5)}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := n.AvgHopDistance(0); got != 2 {
-		t.Errorf("isolated AvgHopDistance = %v, want radius fallback 2", got)
-	}
 }
 
 func TestSmoothOverNeighborhood(t *testing.T) {

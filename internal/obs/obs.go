@@ -1,7 +1,7 @@
 // Package obs is the pipeline's near-zero-overhead observability layer:
 // sharded atomic counters, bounded histograms, and a structured step-trace
-// ring buffer (trace.go), with pluggable sinks (JSON, human-readable table,
-// expvar-style snapshot map).
+// ring buffer (trace.go), with pluggable sinks (JSON and a human-readable
+// table).
 //
 // The design constraints, in order:
 //
@@ -262,7 +262,7 @@ func (h HistogramValue) Quantile(q float64) float64 {
 }
 
 // Snapshot is a merged, name-sorted view of a Metrics registry — the
-// expvar-style export all sinks render from.
+// export all sinks render from.
 type Snapshot struct {
 	Counters   []CounterValue   `json:"counters"`
 	Histograms []HistogramValue `json:"histograms"`
@@ -302,25 +302,6 @@ func (m *Metrics) Snapshot() Snapshot {
 	}
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 	return s
-}
-
-// Vars flattens the snapshot into an expvar-style map: counters map to
-// their totals, histograms to {count, sum, mean, p50, p95}.
-func (s Snapshot) Vars() map[string]any {
-	out := make(map[string]any, len(s.Counters)+len(s.Histograms))
-	for _, c := range s.Counters {
-		out[c.Name] = c.Value
-	}
-	for _, h := range s.Histograms {
-		out[h.Name] = map[string]any{
-			"count": h.Count,
-			"sum":   h.Sum,
-			"mean":  h.Mean(),
-			"p50":   h.Quantile(0.50),
-			"p95":   h.Quantile(0.95),
-		}
-	}
-	return out
 }
 
 // WriteJSON writes the snapshot as indented JSON.

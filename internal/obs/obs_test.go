@@ -203,14 +203,6 @@ func TestSnapshotSinks(t *testing.T) {
 	if len(back.Counters) != 2 || back.Counters[1].Value != 2 {
 		t.Fatalf("JSON round trip = %+v", back)
 	}
-	// expvar-style map.
-	vars := snap.Vars()
-	if vars["a.one"] != uint64(1) {
-		t.Fatalf("Vars[a.one] = %v", vars["a.one"])
-	}
-	if _, ok := vars["lat_ms"].(map[string]any); !ok {
-		t.Fatalf("Vars[lat_ms] = %T, want map", vars["lat_ms"])
-	}
 	if len(snap.Counters) == 0 || len(snap.Histograms) == 0 {
 		t.Fatal("snapshot should hold both instrument kinds")
 	}

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 
 	"fluxtrack/internal/geom"
 )
@@ -96,32 +95,6 @@ func Read(r io.Reader) (Header, []Entry, error) {
 		prev = e.Time
 	}
 	return h, entries, nil
-}
-
-// ReadLenient parses a recording whose entries may be out of order or
-// duplicated — the shape a capture takes when a lossy or delayed collection
-// path reorders reports (§4.E asynchronous updating) or a collector retries
-// an upload. Entries are restored to time order with a stable sort, and when
-// several entries share one timestamp the last one in file order wins (it is
-// the retransmission). Structural errors (bad JSON, misaligned reading
-// vectors, invalid header) are still errors: leniency covers ordering, not
-// corruption.
-func ReadLenient(r io.Reader) (Header, []Entry, error) {
-	h, entries, err := read(r)
-	if err != nil {
-		return Header{}, nil, err
-	}
-	sort.SliceStable(entries, func(i, j int) bool { return entries[i].Time < entries[j].Time })
-	// Last-wins dedup: stable sort preserved file order within equal times,
-	// so the survivor of each run is the final occurrence.
-	out := entries[:0]
-	for i, e := range entries {
-		if i+1 < len(entries) && entries[i+1].Time == e.Time {
-			continue
-		}
-		out = append(out, e)
-	}
-	return h, out, nil
 }
 
 // read parses the header and raw entry stream without ordering checks.

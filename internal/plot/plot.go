@@ -4,10 +4,10 @@
 // inspection of experiment output, not publication graphics.
 //
 // Charts are pure functions from data to string: Bars lays out labeled
-// horizontal bars scaled to the widest value; Line and Lines rasterize one
-// or more float series onto a character grid. Rendering is
-// deterministic (no timestamps, no locale formatting), so chart output can
-// be asserted byte-for-byte in tests the same way experiment tables are.
+// horizontal bars scaled to the widest value; Lines rasterizes one or
+// more float series onto a character grid. Rendering is deterministic (no
+// timestamps, no locale formatting), so chart output can be asserted
+// byte-for-byte in tests the same way experiment tables are.
 // cmd/fluxbench and cmd/fluxsim are the only consumers.
 package plot
 
@@ -51,12 +51,6 @@ func Bars(labels []string, values []float64, maxWidth int) (string, error) {
 		fmt.Fprintf(&b, "%-*s | %s %.3g\n", labelW, l, strings.Repeat("#", n), v)
 	}
 	return b.String(), nil
-}
-
-// Line renders one series as an ASCII line chart of the given size. The x
-// axis is the sample index; the y axis spans [min, max] of the series.
-func Line(values []float64, width, height int) (string, error) {
-	return Lines([][]float64{values}, width, height)
 }
 
 // Lines renders several series in one chart, each with its own glyph

@@ -44,7 +44,7 @@ func TestBarsZeroValues(t *testing.T) {
 }
 
 func TestLineBasic(t *testing.T) {
-	out, err := Line([]float64{0, 1, 2, 3}, 20, 5)
+	out, err := Lines([][]float64{{0, 1, 2, 3}}, 20, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestLinesDegenerate(t *testing.T) {
 		t.Errorf("series of empty slices: %q, %v", out, err)
 	}
 	// Constant series must not divide by zero.
-	if _, err := Line([]float64{5, 5, 5}, 10, 4); err != nil {
+	if _, err := Lines([][]float64{{5, 5, 5}}, 10, 4); err != nil {
 		t.Errorf("constant series errored: %v", err)
 	}
 }

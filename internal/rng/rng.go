@@ -97,12 +97,6 @@ func (s *Source) Norm() float64 {
 	return u * f
 }
 
-// Exp returns an exponential variate with the given mean.
-func (s *Source) Exp(mean float64) float64 {
-	// 1-Float64() is in (0, 1], avoiding log(0).
-	return -mean * math.Log(1-s.Float64())
-}
-
 // Pareto returns a bounded Pareto variate on [lo, hi] with shape alpha > 0.
 // Heavy-tailed dwell times in the synthetic campus traces use this.
 func (s *Source) Pareto(lo, hi, alpha float64) float64 {

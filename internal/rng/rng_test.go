@@ -122,22 +122,6 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	s := New(17)
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		v := s.Exp(3)
-		if v < 0 {
-			t.Fatalf("Exp produced negative value %v", v)
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-3) > 0.05 {
-		t.Errorf("Exp mean = %v, want ~3", mean)
-	}
-}
-
 func TestParetoBounds(t *testing.T) {
 	s := New(19)
 	for i := 0; i < 10000; i++ {

@@ -37,34 +37,7 @@ type Tree struct {
 // index), mirroring the greedy parent selection of practical collection
 // protocols and keeping the construction deterministic.
 func Build(n *network.Network, root int) (*Tree, error) {
-	if root < 0 || root >= n.Len() {
-		return nil, fmt.Errorf("routing: root %d out of range [0, %d)", root, n.Len())
-	}
-	hops := n.HopsFrom(root)
-	parent := make([]int, n.Len())
-	for i := range parent {
-		parent[i] = -1
-	}
-	for i := 0; i < n.Len(); i++ {
-		if i == root || hops[i] < 0 {
-			continue
-		}
-		best := -1
-		var bestDist float64
-		for _, j := range n.Neighbors(i) {
-			if hops[j] != hops[i]-1 {
-				continue
-			}
-			d := n.Pos(i).Dist(n.Pos(int(j)))
-			if best < 0 || d < bestDist || (d == bestDist && int(j) < best) {
-				best, bestDist = int(j), d
-			}
-		}
-		parent[i] = best
-	}
-	t := &Tree{Root: root, Parent: parent, Hops: hops}
-	t.computeSubtreeSizes()
-	return t, nil
+	return BuildRandomized(n, root, 0, 0)
 }
 
 // BuildRandomized constructs a collection tree like Build, but each node,
@@ -78,12 +51,10 @@ func Build(n *network.Network, root int) (*Tree, error) {
 //
 // Every choice is a pure hash of (seed, root, node), never a shared stream,
 // so a given (network, root, jitter, seed) always yields the same tree
-// regardless of build order or worker count. jitter <= 0 reduces exactly to
-// Build; jitter >= 1 randomizes every parent choice.
+// regardless of build order or worker count. jitter <= 0 (or NaN) is Build:
+// no draw is made and every node keeps its nearest parent; jitter >= 1
+// randomizes every parent choice.
 func BuildRandomized(n *network.Network, root int, jitter float64, seed uint64) (*Tree, error) {
-	if jitter <= 0 {
-		return Build(n, root)
-	}
 	if root < 0 || root >= n.Len() {
 		return nil, fmt.Errorf("routing: root %d out of range [0, %d)", root, n.Len())
 	}
@@ -104,7 +75,9 @@ func BuildRandomized(n *network.Network, root int, jitter float64, seed uint64) 
 			if hops[j] != hops[i]-1 {
 				continue
 			}
-			closer = append(closer, int(j))
+			if jitter > 0 {
+				closer = append(closer, int(j))
+			}
 			d := n.Pos(i).Dist(n.Pos(int(j)))
 			if best < 0 || d < bestDist || (d == bestDist && int(j) < best) {
 				best, bestDist = int(j), d
@@ -168,22 +141,6 @@ func (t *Tree) Reached() int {
 		}
 	}
 	return count
-}
-
-// PathToRoot returns the node indices from node up to (and including) the
-// root. It returns nil when node is not covered by the tree.
-func (t *Tree) PathToRoot(node int) []int {
-	if node < 0 || node >= len(t.Hops) || t.Hops[node] < 0 {
-		return nil
-	}
-	path := make([]int, 0, t.Hops[node]+1)
-	for v := node; v >= 0; v = t.Parent[v] {
-		path = append(path, v)
-		if v == t.Root {
-			break
-		}
-	}
-	return path
 }
 
 // Flux returns the per-node traffic flux induced by this tree when every

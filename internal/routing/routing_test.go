@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"math"
 	"testing"
 
 	"fluxtrack/internal/deploy"
@@ -139,28 +140,9 @@ func TestTreeInvariants(t *testing.T) {
 	}
 }
 
-func TestPathToRoot(t *testing.T) {
-	n := lineNetwork(t)
-	tr, err := Build(n, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := tr.PathToRoot(4)
-	want := []int{4, 3, 2, 1, 0}
-	if len(path) != len(want) {
-		t.Fatalf("path = %v, want %v", path, want)
-	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("path = %v, want %v", path, want)
-		}
-	}
-	if got := tr.PathToRoot(-1); got != nil {
-		t.Errorf("PathToRoot(-1) = %v, want nil", got)
-	}
-}
-
-func TestPathToRootUnreached(t *testing.T) {
+// TestBuildUnreached: a node outside the root's component has no parent,
+// an empty subtree, and is not counted as reached.
+func TestBuildUnreached(t *testing.T) {
 	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(9, 9)}
 	n, err := network.New(geom.Square(10), pts, 1)
 	if err != nil {
@@ -170,8 +152,8 @@ func TestPathToRootUnreached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.PathToRoot(1); got != nil {
-		t.Errorf("PathToRoot(unreached) = %v, want nil", got)
+	if tr.Parent[1] != -1 || tr.Hops[1] != -1 {
+		t.Errorf("unreached Parent, Hops = %d, %d, want -1, -1", tr.Parent[1], tr.Hops[1])
 	}
 	if tr.SubtreeSize[1] != 0 {
 		t.Errorf("unreached SubtreeSize = %d, want 0", tr.SubtreeSize[1])
@@ -249,21 +231,69 @@ func treeInvariants(t *testing.T, tr *Tree) {
 	}
 }
 
-// TestBuildRandomizedZeroJitter: jitter 0 must reproduce Build exactly — the
-// countermeasure off-switch is the identity.
+// TestBuildRandomizedZeroJitter: with randomization off — Build, jitter 0
+// under any seed, or a NaN jitter — every reached non-root node's parent is
+// the nearest of its neighbors one hop closer to the root, the lowest index
+// winning ties. The expected parent is recomputed here from the network
+// alone, not from another tree build. The unit lattice adds exact ties,
+// which the perturbed paper network never has.
 func TestBuildRandomizedZeroJitter(t *testing.T) {
-	n := paperNetwork(t, 11)
-	plain, err := Build(n, 5)
+	var lattice []geom.Point
+	for i := 0; i < 16; i++ {
+		lattice = append(lattice, geom.Pt(float64(i%4), float64(i/4)))
+	}
+	latticeNet, err := network.New(geom.Square(3), lattice, 1.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rnd, err := BuildRandomized(n, 5, 0, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range plain.Parent {
-		if plain.Parent[i] != rnd.Parent[i] {
-			t.Fatalf("jitter 0 parent[%d] = %d, want Build's %d", i, rnd.Parent[i], plain.Parent[i])
+	for _, nw := range []struct {
+		name string
+		n    *network.Network
+		root int
+	}{
+		{"paper", paperNetwork(t, 11), 5},
+		{"lattice", latticeNet, 0},
+	} {
+		n, root := nw.n, nw.root
+		hops := n.HopsFrom(root)
+		want := make([]int, n.Len())
+		for i := range want {
+			want[i] = -1
+			if i == root || hops[i] < 0 {
+				continue
+			}
+			for _, j := range n.Neighbors(i) {
+				c := int(j)
+				if hops[c] != hops[i]-1 {
+					continue
+				}
+				if w := want[i]; w < 0 {
+					want[i] = c
+				} else if d, dw := n.Pos(i).Dist(n.Pos(c)), n.Pos(i).Dist(n.Pos(w)); d < dw || (d == dw && c < w) {
+					want[i] = c
+				}
+			}
+		}
+		builds := []struct {
+			name  string
+			build func() (*Tree, error)
+		}{
+			{"Build", func() (*Tree, error) { return Build(n, root) }},
+			{"jitter 0 seed 0", func() (*Tree, error) { return BuildRandomized(n, root, 0, 0) }},
+			{"jitter 0 seed 99", func() (*Tree, error) { return BuildRandomized(n, root, 0, 99) }},
+			{"jitter NaN", func() (*Tree, error) { return BuildRandomized(n, root, math.NaN(), 99) }},
+		}
+		for _, b := range builds {
+			tr, err := b.build()
+			if err != nil {
+				t.Fatalf("%s %s: %v", nw.name, b.name, err)
+			}
+			for i := range want {
+				if tr.Parent[i] != want[i] {
+					t.Fatalf("%s %s: parent[%d] = %d, want nearest closer neighbor %d",
+						nw.name, b.name, i, tr.Parent[i], want[i])
+				}
+			}
 		}
 	}
 }

@@ -49,7 +49,8 @@ type Config struct {
 }
 
 // TenantConfig is the JSON body of a tenant-creation request. Zero values
-// take the tracker defaults (core.TrackerConfig).
+// take the tracker defaults (core.TrackerConfig); a negative count, speed
+// bound or queue depth is rejected.
 type TenantConfig struct {
 	Users          int     `json:"users"`
 	Seed           uint64  `json:"seed"`
@@ -301,6 +302,18 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *tenant {
 func (s *Server) trackerFor(cfg TenantConfig) (core.StepTracker, error) {
 	if cfg.Users <= 0 {
 		return nil, errors.New("users must be >= 1")
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"samples", float64(cfg.Samples)}, {"track_m", float64(cfg.TrackM)}, {"vmax", cfg.VMax},
+		{"workers", float64(cfg.Workers)}, {"active_set_limit", float64(cfg.ActiveSetLimit)},
+		{"tile_capacity", float64(cfg.TileCapacity)}, {"queue", float64(cfg.Queue)},
+	} {
+		if f.v < 0 {
+			return nil, fmt.Errorf("%s must not be negative, got %v", f.name, f.v)
+		}
 	}
 	robustMode, err := fit.ParseRobustMode(cfg.Robust)
 	if err != nil {

@@ -329,6 +329,25 @@ func TestServeAPIErrors(t *testing.T) {
 		resp, _ = doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/b", TenantConfig{Users: 1, Shards: shards})
 		check("bad shards "+shards, resp, http.StatusBadRequest)
 	}
+	// A negative setting is an error, not the default.
+	for _, neg := range []struct {
+		field string
+		cfg   TenantConfig
+	}{
+		{"samples", TenantConfig{Users: 1, Samples: -5}},
+		{"track_m", TenantConfig{Users: 1, TrackM: -1}},
+		{"vmax", TenantConfig{Users: 1, VMax: -3}},
+		{"workers", TenantConfig{Users: 1, Workers: -2}},
+		{"active_set_limit", TenantConfig{Users: 1, ActiveSetLimit: -1}},
+		{"tile_capacity", TenantConfig{Users: 1, Shards: "2x2", TileCapacity: -4}},
+		{"queue", TenantConfig{Users: 1, Queue: -8}},
+	} {
+		resp, body := doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/b", neg.cfg)
+		check("negative "+neg.field, resp, http.StatusBadRequest)
+		if !bytes.Contains(body, []byte("bad tenant config: "+neg.field)) {
+			t.Errorf("negative %s rejection does not name the field: %s", neg.field, body)
+		}
+	}
 	// Only off and both are defense modes.
 	for _, robust := range []string{"loso", "huber"} {
 		resp, body := doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/b", TenantConfig{Users: 1, Robust: robust})

@@ -161,21 +161,6 @@ func (s *Simulator) finalize() {
 	s.sorted = true
 }
 
-// CountTransmissions returns how many packets node sent in [from, to).
-func (s *Simulator) CountTransmissions(node int, from, to float64) int {
-	s.finalize()
-	count := 0
-	for _, p := range s.packets {
-		if p.Time >= to {
-			break
-		}
-		if p.Time >= from && int(p.Node) == node {
-			count++
-		}
-	}
-	return count
-}
-
 // NodeCounts returns the per-node transmission counts in [from, to) as a
 // flux-style vector.
 func (s *Simulator) NodeCounts(from, to float64) []float64 {

@@ -261,27 +261,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestCountTransmissions(t *testing.T) {
-	net := testNet(t, 100, 20)
-	s, err := New(Config{Net: net})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pos := geom.Pt(15, 15)
-	if err := s.Collect(pos, 1, 0, rng.New(21)); err != nil {
-		t.Fatal(err)
-	}
-	sink := net.Nearest(pos)
-	got := s.CountTransmissions(sink, 0, s.WaveDuration()+1)
-	tree, err := routing.Build(net, sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != tree.SubtreeSize[sink] {
-		t.Errorf("sink transmitted %d packets, want %d", got, tree.SubtreeSize[sink])
-	}
-}
-
 func sum(xs []float64) float64 {
 	var s float64
 	for _, x := range xs {

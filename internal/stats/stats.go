@@ -1,15 +1,15 @@
 // Package stats provides the summary statistics used by the evaluation
-// harness: means, standard deviations, percentiles, empirical CDFs and
-// fixed-width histograms. Every figure in the paper's evaluation section is
-// ultimately a table of these quantities.
+// harness: means, standard deviations, percentiles and empirical CDF
+// values. Every figure in the paper's evaluation section is ultimately a
+// table of these quantities.
 //
 // Functions take plain []float64 and do not mutate their inputs (sorting
 // copies first), so experiment code can summarize the same error series
 // several ways. Percentile uses linear interpolation between order
-// statistics; CDF returns the full empirical step function that Fig 3a's
-// approximation-error curves are drawn from. Aggregation across parallel
-// trials happens in index order upstream (internal/exp), so identical
-// inputs reach this package regardless of worker count.
+// statistics; CDFAt evaluates the empirical distribution function that
+// Fig 3a's approximation-error curves are read from. Aggregation across
+// parallel trials happens in index order upstream (internal/exp), so
+// identical inputs reach this package regardless of worker count.
 package stats
 
 import (
@@ -125,33 +125,6 @@ func (s Summary) String() string {
 		s.N, s.Mean, s.StdDev, s.Min, s.Median, s.P90, s.Max)
 }
 
-// CDFPoint is one point of an empirical cumulative distribution function.
-type CDFPoint struct {
-	X float64 `json:"x"` // value
-	P float64 `json:"p"` // fraction of the sample <= X
-}
-
-// CDF returns the empirical CDF of xs evaluated at each distinct sample
-// value, in ascending order. The paper's Figure 3(a) is this object for the
-// model approximation error rate.
-func CDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	out := make([]CDFPoint, 0, len(s))
-	n := float64(len(s))
-	for i := 0; i < len(s); i++ {
-		// Collapse runs of equal values to a single point at the run end.
-		if i+1 < len(s) && s[i+1] == s[i] {
-			continue
-		}
-		out = append(out, CDFPoint{X: s[i], P: float64(i+1) / n})
-	}
-	return out
-}
-
 // CDFAt returns the empirical probability that a sample value is <= x.
 func CDFAt(xs []float64, x float64) float64 {
 	if len(xs) == 0 {
@@ -164,71 +137,4 @@ func CDFAt(xs []float64, x float64) float64 {
 		}
 	}
 	return float64(count) / float64(len(xs))
-}
-
-// Histogram is a fixed-width histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	// Under and Over count samples outside [Lo, Hi).
-	Under, Over int
-}
-
-// NewHistogram returns a histogram with the given bin count over [lo, hi).
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs positive bins, got %d", bins)
-	}
-	if !(lo < hi) {
-		return nil, fmt.Errorf("stats: histogram needs lo < hi, got [%v, %v)", lo, hi)
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}, nil
-}
-
-// Add records a sample.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Under++
-	case x >= h.Hi:
-		h.Over++
-	default:
-		idx := int(float64(len(h.Counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-		if idx == len(h.Counts) { // guard the x == Hi-epsilon rounding edge
-			idx--
-		}
-		h.Counts[idx]++
-	}
-}
-
-// Total returns the number of in-range samples recorded.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// BinCenter returns the center value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// RMSE returns the root-mean-square error between predicted and actual.
-// It panics on length mismatch, which is always a programming error here.
-func RMSE(predicted, actual []float64) float64 {
-	if len(predicted) != len(actual) {
-		panic("stats: RMSE length mismatch")
-	}
-	if len(predicted) == 0 {
-		return 0
-	}
-	var s float64
-	for i := range predicted {
-		d := predicted[i] - actual[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(predicted)))
 }

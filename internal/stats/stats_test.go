@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -119,43 +118,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestCDF(t *testing.T) {
-	pts := CDF([]float64{3, 1, 2, 2})
-	// Distinct values 1, 2, 3 with cumulative probabilities 0.25, 0.75, 1.
-	want := []CDFPoint{{1, 0.25}, {2, 0.75}, {3, 1}}
-	if len(pts) != len(want) {
-		t.Fatalf("CDF has %d points, want %d: %v", len(pts), len(want), pts)
-	}
-	for i := range want {
-		if pts[i] != want[i] {
-			t.Errorf("CDF[%d] = %v, want %v", i, pts[i], want[i])
-		}
-	}
-	if got := CDF(nil); got != nil {
-		t.Errorf("CDF(nil) = %v, want nil", got)
-	}
-}
-
-func TestCDFMonotoneProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) {
-				xs = append(xs, v)
-			}
-		}
-		pts := CDF(xs)
-		if len(xs) > 0 && (len(pts) == 0 || pts[len(pts)-1].P != 1) {
-			return false
-		}
-		return sort.SliceIsSorted(pts, func(i, j int) bool { return pts[i].X < pts[j].X }) &&
-			sort.SliceIsSorted(pts, func(i, j int) bool { return pts[i].P < pts[j].P })
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestCDFAt(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	if got := CDFAt(xs, 2.5); got != 0.5 {
@@ -170,62 +132,4 @@ func TestCDFAt(t *testing.T) {
 	if got := CDFAt(nil, 1); got != 0 {
 		t.Errorf("CDFAt(nil) = %v, want 0", got)
 	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 42} {
-		h.Add(x)
-	}
-	if h.Under != 1 {
-		t.Errorf("Under = %d, want 1", h.Under)
-	}
-	if h.Over != 2 {
-		t.Errorf("Over = %d, want 2", h.Over)
-	}
-	if h.Total() != 5 {
-		t.Errorf("Total = %d, want 5", h.Total())
-	}
-	wantCounts := []int{2, 1, 1, 0, 1}
-	for i, c := range wantCounts {
-		if h.Counts[i] != c {
-			t.Errorf("Counts[%d] = %d, want %d", i, h.Counts[i], c)
-		}
-	}
-	if got := h.BinCenter(0); got != 1 {
-		t.Errorf("BinCenter(0) = %v, want 1", got)
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Error("zero bins must error")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Error("lo == hi must error")
-	}
-}
-
-func TestRMSE(t *testing.T) {
-	if got := RMSE([]float64{1, 2}, []float64{1, 2}); got != 0 {
-		t.Errorf("RMSE identical = %v, want 0", got)
-	}
-	if got := RMSE([]float64{0, 0}, []float64{3, 4}); got != math.Sqrt(12.5) {
-		t.Errorf("RMSE = %v, want %v", got, math.Sqrt(12.5))
-	}
-	if got := RMSE(nil, nil); got != 0 {
-		t.Errorf("RMSE(nil) = %v, want 0", got)
-	}
-}
-
-func TestRMSEPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("RMSE with mismatched lengths did not panic")
-		}
-	}()
-	RMSE([]float64{1}, []float64{1, 2})
 }
