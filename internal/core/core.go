@@ -309,7 +309,9 @@ type TrackerConfig struct {
 	// robust-fitting defense against Byzantine sensors: setting
 	// Search.Robust.Mode to fit.RobustBoth makes every Step/StepMasked round
 	// derive per-sensor trust multipliers from the fit's own residuals and
-	// re-rank on the reweighted problem (see fit.RobustConfig).
+	// re-rank on the reweighted problem (see fit.RobustConfig). The
+	// tracker derives Search.Workers, Search.Metrics and Search.Coarse from
+	// Workers, Metrics and Coarse below; a preset Search.Coarse is an error.
 	Search            fit.Options
 	UniformWeights    bool // disable §4.D importance weighting (ablation)
 	ActiveSetLimit    int  // cap on users searched per round (§5.C regime)
@@ -412,22 +414,12 @@ func (sn *Sniffer) NewShardedTracker(numUsers int, cfg TrackerConfig, seed uint6
 	if grid.Tiles() == 0 {
 		grid = shard.Grid{Rows: 1, Cols: 1}
 	}
-	tmpl := sn.trackerTemplate(numUsers, cfg)
-	tmpl.Model, tmpl.SamplePoints, tmpl.NumUsers = nil, nil, 0 // per-tile overrides
-	tmpl.DBCache = nil
 	return shard.New(shard.Config{
-		Model:            sn.scenario.model,
-		SamplePoints:     sn.points,
-		NumUsers:         numUsers,
+		Tracker:          sn.trackerTemplate(numUsers, cfg),
 		Grid:             grid,
-		Tracker:          tmpl,
 		InitialPositions: cfg.InitialPositions,
-		Workers:          cfg.Workers,
 		TileCapacity:     cfg.TileCapacity,
 		PerTileMetrics:   cfg.PerTileMetrics,
-		Metrics:          cfg.Metrics,
-		Trace:            cfg.Trace,
-		Cache:            cfg.DBCache,
 	}, seed)
 }
 

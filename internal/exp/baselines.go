@@ -3,7 +3,6 @@ package exp
 import (
 	"math"
 
-	"fluxtrack/internal/core"
 	"fluxtrack/internal/ekf"
 	"fluxtrack/internal/fit"
 	"fluxtrack/internal/geom"
@@ -52,11 +51,7 @@ func BaselineEKF(cfg Config) (Table, error) {
 		stretch := src.Uniform(1, 3)
 
 		// SMC tracker (blind initialization, as always).
-		tracker, err := sniffer.NewTracker(1, core.TrackerConfig{
-			N: cfg.TrackN, M: cfg.TrackM, VMax: 5, Search: cfg.trackerSearch(),
-			Coarse: cfg.Coarse, Workers: cfg.Workers,
-			Metrics: cfg.Metrics, Trace: cfg.Trace,
-		}, seed+1)
+		tracker, err := sniffer.NewTracker(1, cfg.tracker(5), seed+1)
 		if err != nil {
 			return trialErrs{}, err
 		}
@@ -176,18 +171,15 @@ func AblationHeading(cfg Config) (Table, error) {
 	}
 	cells := []int{boolCell(false), boolCell(true)}
 	res, err := runCells(cfg, "ablA7", cells, func(ci, trial int, seed uint64) (headingTrial, error) {
-		heading := cells[ci] == 1
 		sc := cfg.scenario(defaultScenarioCfg(), seed)
 		src := rng.New(seed + 17)
 		sniffer, err := sc.NewSnifferCount(90, src)
 		if err != nil {
 			return headingTrial{}, err
 		}
-		tracker, err := sniffer.NewTracker(1, core.TrackerConfig{
-			N: cfg.TrackN, M: cfg.TrackM, VMax: 5, HeadingPrediction: heading,
-			Search: cfg.trackerSearch(), Coarse: cfg.Coarse, Workers: cfg.Workers,
-			Metrics: cfg.Metrics, Trace: cfg.Trace,
-		}, seed+1)
+		tc := cfg.tracker(5)
+		tc.HeadingPrediction = cells[ci] == 1
+		tracker, err := sniffer.NewTracker(1, tc, seed+1)
 		if err != nil {
 			return headingTrial{}, err
 		}

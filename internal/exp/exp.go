@@ -193,11 +193,15 @@ func (c Config) searchOpts(samples int, seed uint64) fit.Options {
 	return fit.Options{Samples: samples, TopM: 10, Seed: seed, Workers: c.Workers, Metrics: c.Metrics, Robust: c.Robust}
 }
 
-// trackerSearch builds the inner-search options for the SMC tracker,
-// bounded by the same Workers knob as the trial pool and carrying the
-// robust-defense mode into every tracker round.
-func (c Config) trackerSearch() fit.Options {
-	return fit.Options{Workers: c.Workers, Metrics: c.Metrics, Robust: c.Robust}
+// tracker is the tracker configuration every experiment starts from at
+// speed bound vmax; each experiment then sets only what it varies.
+func (c Config) tracker(vmax float64) core.TrackerConfig {
+	return core.TrackerConfig{
+		N: c.TrackN, M: c.TrackM, VMax: vmax,
+		Search: fit.Options{Robust: c.Robust},
+		Coarse: c.Coarse, DBCache: c.DBCache,
+		Workers: c.Workers, Metrics: c.Metrics, Trace: c.Trace,
+	}
 }
 
 // trialSeed derives a deterministic seed for one (experiment, cell, trial)

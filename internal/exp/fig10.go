@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"fluxtrack/internal/core"
 	"fluxtrack/internal/deploy"
 	"fluxtrack/internal/geom"
 	"fluxtrack/internal/rng"
@@ -105,11 +104,9 @@ func traceTrial(cfg Config, kind deploy.Kind, sampleFrac float64, vmax float64, 
 	if err != nil {
 		return 0, err
 	}
-	tracker, err := sniffer.NewTracker(len(run.paths), core.TrackerConfig{
-		N: cfg.TrackN, M: cfg.TrackM, VMax: vmax, ActiveSetLimit: 4,
-		Search: cfg.trackerSearch(), Coarse: cfg.Coarse, Workers: cfg.Workers,
-		Metrics: cfg.Metrics, Trace: cfg.Trace,
-	}, seed+3)
+	tc := cfg.tracker(vmax)
+	tc.ActiveSetLimit = 4
+	tracker, err := sniffer.NewTracker(len(run.paths), tc, seed+3)
 	if err != nil {
 		return 0, err
 	}

@@ -39,12 +39,9 @@ func trackTrial(cfg Config, sc *core.Scenario, trajectories []mobility.Trajector
 	for i := range stretches {
 		stretches[i] = src.Uniform(1, 3)
 	}
-	tcfg := core.TrackerConfig{
-		N: cfg.TrackN, M: cfg.TrackM, VMax: vmax, UniformWeights: uniformWeights,
-		Search: cfg.trackerSearch(), Coarse: cfg.Coarse, DBCache: cfg.DBCache,
-		Shards: cfg.Shards, Workers: cfg.Workers,
-		Metrics: cfg.Metrics, Trace: cfg.Trace,
-	}
+	tcfg := cfg.tracker(vmax)
+	tcfg.UniformWeights = uniformWeights
+	tcfg.Shards = cfg.Shards
 	if cfg.Shards.Tiles() > 0 {
 		// Seed each user's owning tile from its trajectory start so the
 		// first rounds route observations to the right shard.

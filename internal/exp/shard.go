@@ -132,12 +132,9 @@ func FigShard(cfg Config) (Table, error) {
 		}
 		// Always the sharded constructor — a 1×1 field reproduces the plain
 		// tracker byte for byte and exposes the same handoff/work meters.
-		field, err := sniffer.NewShardedTracker(k, core.TrackerConfig{
-			N: cfg.TrackN, M: cfg.TrackM, VMax: 5,
-			Search: cfg.trackerSearch(), Coarse: cfg.Coarse, DBCache: cfg.DBCache,
-			Shards: g, InitialPositions: starts,
-			Workers: cfg.Workers, Metrics: cfg.Metrics, Trace: cfg.Trace,
-		}, src.Uint64())
+		tc := cfg.tracker(5)
+		tc.Shards, tc.InitialPositions = g, starts
+		field, err := sniffer.NewShardedTracker(k, tc, src.Uint64())
 		if err != nil {
 			return shardTrial{}, err
 		}

@@ -5,6 +5,7 @@ import (
 
 	"fluxtrack/internal/fault"
 	"fluxtrack/internal/fingerprint"
+	"fluxtrack/internal/obs"
 	"fluxtrack/internal/shard"
 )
 
@@ -41,6 +42,30 @@ func TestShardOneByOneMatchesUnsharded(t *testing.T) {
 					plain.Render(), tiled.Render())
 			}
 		})
+	}
+}
+
+// TestBaselineSharesDBCache: the baselines' tracker gets the run's
+// fingerprint cache, so a second identical run reuses the first run's
+// databases and renders the same table.
+func TestBaselineSharesDBCache(t *testing.T) {
+	cfg := goldenConfig()
+	cfg.Coarse = fingerprint.CoarseConfig{Enabled: true, TopK: 24, GridRes: 10}
+	cfg.DBCache = fingerprint.NewCache(0)
+	cfg.Metrics = obs.New(0)
+	first, err := BaselineEKF(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := BaselineEKF(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits := cfg.Metrics.Counter("fingerprint.cache.hits").Value(); hits == 0 {
+		t.Error("second run missed the cache: fingerprint.cache.hits = 0")
+	}
+	if first.Render() != second.Render() {
+		t.Errorf("cached rerun changed the table:\n--- first\n%s--- second\n%s", first.Render(), second.Render())
 	}
 }
 

@@ -236,7 +236,7 @@ func refConditional(s *Searcher, p *Problem, candidates [][]geom.Point, opts Opt
 		return ranked
 	}
 
-	restarts := opts.Restarts
+	restarts := conditionalRestarts
 	if k == 1 {
 		restarts = 1
 	}
@@ -250,8 +250,8 @@ func refConditional(s *Searcher, p *Problem, candidates [][]geom.Point, opts Opt
 		}
 		var run Result
 		run.PerUser = make([][]RankedPosition, k)
-		for sweep := 0; sweep < opts.Sweeps; sweep++ {
-			final := sweep == opts.Sweeps-1
+		for sweep := 0; sweep < conditionalSweeps; sweep++ {
+			final := sweep == conditionalSweeps-1
 			before := append([]int(nil), bestIdx...)
 			for j := 0; j < k; j++ {
 				ranked := scan(j, bestIdx, assigned)

@@ -163,16 +163,6 @@ type Options struct {
 	// MaxExhaustive caps the composition count for exhaustive enumeration;
 	// above it the iterated conditional search runs instead (default 2e5).
 	MaxExhaustive int
-	// Sweeps is the number of refinement sweeps of the iterated conditional
-	// search (default 3).
-	Sweeps int
-	// Restarts is how many independent greedy initializations the iterated
-	// conditional search tries, keeping the run with the lowest objective
-	// (default 3; only one run happens with a single user). Coordinate
-	// descent over user positions has local minima — e.g. two estimates
-	// collapsing onto one strong user — and restarts with permuted user
-	// order escape most of them.
-	Restarts int
 	// Seed randomizes the restart permutations; runs with equal seeds and
 	// inputs are identical.
 	Seed uint64
@@ -204,6 +194,15 @@ type Options struct {
 	Robust RobustConfig
 }
 
+// The iterated conditional search keeps the best of conditionalRestarts
+// greedy initializations (one with a single user), each refined by
+// conditionalSweeps sweeps: restarts in permuted user order escape most
+// local minima, e.g. two estimates collapsing onto one strong user.
+const (
+	conditionalSweeps   = 3
+	conditionalRestarts = 3
+)
+
 func (o Options) withDefaults() Options {
 	if o.Samples <= 0 {
 		o.Samples = 2000
@@ -213,12 +212,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxExhaustive <= 0 {
 		o.MaxExhaustive = 200000
-	}
-	if o.Sweeps <= 0 {
-		o.Sweeps = 3
-	}
-	if o.Restarts <= 0 {
-		o.Restarts = 3
 	}
 	return o
 }

@@ -507,12 +507,12 @@ func appendTopM(dst []RankedPosition, cands []geom.Point, objs, strs []float64, 
 // a robust search over a reweighted problem, starts with an empty one.
 func (s *Searcher) searchConditional(p *Problem, candidates [][]geom.Point, opts Options) (Result, error) {
 	k := len(candidates)
-	restarts := opts.Restarts
+	restarts := conditionalRestarts
 	if k == 1 {
 		restarts = 1 // a single sweep already ranks every candidate exactly
 	}
 	src := rng.New(opts.Seed ^ 0xf1a7)
-	memo := newScanMemo(k, restarts*k*(1+opts.Sweeps), opts.TopM)
+	memo := newScanMemo(k, restarts*k*(1+conditionalSweeps), opts.TopM)
 
 	var best Result
 	bestObj := math.Inf(1)
@@ -551,8 +551,8 @@ func (s *Searcher) runConditional(p *Problem, candidates [][]geom.Point, order [
 	// user order, so Positions and Stretches align user-by-user) to Best.
 	var res Result
 	res.PerUser = make([][]RankedPosition, k)
-	for sweep := 0; sweep < opts.Sweeps; sweep++ {
-		final := sweep == opts.Sweeps-1
+	for sweep := 0; sweep < conditionalSweeps; sweep++ {
+		final := sweep == conditionalSweeps-1
 		for j := 0; j < k; j++ {
 			ranked, err := s.scanUser(p, candidates, bestIdx, assigned, j, opts, memo)
 			if err != nil {
@@ -638,8 +638,9 @@ func (s *Searcher) incumbentEval(p *Problem, candidates [][]geom.Point, bestIdx 
 // of every other user (-1 when unassigned). Keys and rankings live in flat
 // arenas sized for the call's worst case of all-distinct scans; only the
 // topM ranking is kept, never the N-length objective vectors. Lookups scan
-// the keys linearly: a call holds at most Restarts·K·(1+Sweeps) entries of
-// K+1 ints, negligible next to one scan's N composition solves.
+// the keys linearly: a call holds at most
+// conditionalRestarts·K·(1+conditionalSweeps) entries of K+1 ints,
+// negligible next to one scan's N composition solves.
 type scanMemo struct {
 	key  []int            // the key of the scan being looked up
 	keys []int            // stored keys, len(key) ints per entry

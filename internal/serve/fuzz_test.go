@@ -2,11 +2,16 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
+	"fluxtrack/internal/core"
 	"fluxtrack/internal/geom"
 	"fluxtrack/internal/rng"
 	"fluxtrack/internal/smc"
@@ -155,4 +160,66 @@ func bitsView(st smc.TrackerState) bitsTracker {
 		out.Users = append(out.Users, bu)
 	}
 	return out
+}
+
+// FuzzObserve throws arbitrary bodies at one small tenant's observe
+// handler. The contract: no panic, in the handler or in the tenant's
+// stepping goroutine; a body the handler accepts (202, or 429 when the
+// queue is full) decodes to sensor-length readings, present and age masks
+// that are absent or sensor-length, and no negative age; and every other
+// body gets 400.
+func FuzzObserve(f *testing.F) {
+	srv, err := New(Config{Scenario: core.ScenarioConfig{Nodes: 400}, Seed: 77})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(srv.Close)
+	h := srv.Handler()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/tenant/fz",
+		strings.NewReader(`{"users":1,"samples":20,"track_m":5}`)))
+	if rec.Code != http.StatusCreated {
+		f.Fatalf("create tenant: %d %s", rec.Code, rec.Body)
+	}
+	n := srv.Sensors()
+	readings := make([]float64, n)
+	stale := make([]int, n)
+	for i := range readings {
+		readings[i] = float64(i%7) + 0.5
+		stale[i] = 3
+	}
+	for _, o := range []Observation{
+		{T: 1, Readings: readings, Age: []int{1}}, // one age for every sensor's reading
+		{T: 2, Readings: readings, Age: stale},    // fully stale, no present mask
+	} {
+		body, err := json.Marshal(o)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/tenant/fz/observe", bytes.NewReader(body)))
+		var o Observation
+		valid := json.NewDecoder(bytes.NewReader(body)).Decode(&o) == nil &&
+			len(o.Readings) == n &&
+			(o.Present == nil || len(o.Present) == n) &&
+			(o.Age == nil || len(o.Age) == n)
+		for _, a := range o.Age {
+			valid = valid && a >= 0
+		}
+		switch rec.Code {
+		case http.StatusAccepted, http.StatusTooManyRequests:
+			if !valid {
+				t.Fatalf("status %d for a malformed body %q", rec.Code, body)
+			}
+		case http.StatusBadRequest:
+			if valid {
+				t.Fatalf("400 for a well-formed body %q: %s", body, rec.Body)
+			}
+		default:
+			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body)
+		}
+	})
 }

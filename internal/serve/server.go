@@ -34,10 +34,11 @@ type Config struct {
 	// built from the same Config are observation-compatible: readings
 	// generated against one are valid against the other.
 	Seed uint64
-	// MaxTenants caps concurrently resident tenants; zero means 64.
+	// MaxTenants caps concurrently resident tenants; zero means 64 and a
+	// negative value is an error.
 	MaxTenants int
 	// DefaultQueue is the per-tenant ingestion queue depth when the tenant
-	// config leaves it zero; zero means 64.
+	// config leaves it zero; zero means 64 and a negative value is an error.
 	DefaultQueue int
 	// Metrics receives the serve.* instruments plus every tenant tracker's
 	// smc.*/shard.*/fit.* counters; nil builds a private registry (exposed
@@ -72,8 +73,10 @@ type TenantConfig struct {
 }
 
 // Observation is the JSON body of an observe request: one measurement
-// round. Present/Age express fault-degraded delivery (internal/fault);
-// leaving Present null means every sensor delivered a fresh report.
+// round. Present/Age express fault-degraded delivery (internal/fault) and
+// apply independently: leaving Present null means every sensor delivered a
+// report, and leaving Age null means every report is fresh. Either, when
+// set, must have one entry per sensor, and no age may be negative.
 type Observation struct {
 	// T is the observation timestamp; zero or negative means "next round"
 	// (the tenant's step count + 1).
@@ -171,10 +174,14 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SnifferFraction == 0 {
 		cfg.SnifferFraction = 0.1
 	}
-	if cfg.MaxTenants <= 0 {
+	if cfg.MaxTenants < 0 || cfg.DefaultQueue < 0 {
+		return nil, fmt.Errorf("serve: MaxTenants (%d) and DefaultQueue (%d) must not be negative",
+			cfg.MaxTenants, cfg.DefaultQueue)
+	}
+	if cfg.MaxTenants == 0 {
 		cfg.MaxTenants = 64
 	}
-	if cfg.DefaultQueue <= 0 {
+	if cfg.DefaultQueue == 0 {
 		cfg.DefaultQueue = 64
 	}
 	m := cfg.Metrics
@@ -427,13 +434,7 @@ func (s *Server) stepOne(tn *tenant, o op) {
 		t = float64(tn.tracker.Steps() + 1)
 	}
 	start := time.Now()
-	var res smc.StepResult
-	var err error
-	if o.present == nil {
-		res, err = tn.tracker.Step(t, o.readings)
-	} else {
-		res, err = tn.tracker.StepMasked(t, o.readings, o.present, o.age)
-	}
+	res, err := tn.tracker.StepMasked(t, o.readings, o.present, o.age)
 	s.stepMs.Observe(0, float64(time.Since(start).Microseconds())/1000)
 	solves, iters := tn.tracker.WorkTotals()
 	tn.mu.Lock()
@@ -469,9 +470,15 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 			len(o.Readings), s.sensors)
 		return
 	}
-	if o.Present != nil && (len(o.Present) != s.sensors || (o.Age != nil && len(o.Age) != s.sensors)) {
+	if (o.Present != nil && len(o.Present) != s.sensors) || (o.Age != nil && len(o.Age) != s.sensors) {
 		httpError(w, http.StatusBadRequest, "present/age masks must match %d sensors", s.sensors)
 		return
+	}
+	for i, a := range o.Age {
+		if a < 0 {
+			httpError(w, http.StatusBadRequest, "age %d of sensor %d is negative", a, i)
+			return
+		}
 	}
 	// Non-blocking enqueue: a full queue IS the backpressure signal. The
 	// client retries after draining; nothing is silently dropped or

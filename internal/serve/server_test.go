@@ -325,7 +325,9 @@ func TestServeAPIErrors(t *testing.T) {
 	check("invalid id", resp, http.StatusBadRequest)
 	resp, _ = doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/b", TenantConfig{Users: 0})
 	check("zero users", resp, http.StatusBadRequest)
-	for _, shards := range []string{"2by2", "2x2x9"} {
+	// 4294967296x4294967296 overflows int and 30000x30000 outnumbers the
+	// sensors: both are rejected before any tile state is allocated.
+	for _, shards := range []string{"2by2", "2x2x9", "4294967296x4294967296", "30000x30000"} {
 		resp, _ = doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/b", TenantConfig{Users: 1, Shards: shards})
 		check("bad shards "+shards, resp, http.StatusBadRequest)
 	}
@@ -358,9 +360,18 @@ func TestServeAPIErrors(t *testing.T) {
 	}
 	resp, _ = doJSON(t, http.MethodGet, hs.URL+"/v1/tenant/nope/estimate", nil)
 	check("unknown tenant", resp, http.StatusNotFound)
-	resp, _ = doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/a/observe",
-		Observation{T: 1, Readings: []float64{1, 2, 3}})
-	check("wrong readings length", resp, http.StatusBadRequest)
+	for _, bad := range []struct {
+		name string
+		o    Observation
+	}{
+		{"wrong readings length", Observation{T: 1, Readings: []float64{1, 2, 3}}},
+		{"wrong present length", Observation{T: 1, Readings: w.clean[0], Present: []bool{true}}},
+		{"wrong age length without present", Observation{T: 1, Readings: w.clean[0], Age: []int{0}}},
+		{"negative age", Observation{T: 1, Readings: w.clean[0], Age: append(make([]int, srv.Sensors()-1), -1)}},
+	} {
+		resp, _ = doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/a/observe", bad.o)
+		check(bad.name, resp, http.StatusBadRequest)
+	}
 
 	// Corrupt blob → 400 before the stepping goroutine is ever involved.
 	req, _ := http.NewRequest(http.MethodPost, hs.URL+"/v1/tenant/a/restore", bytes.NewReader([]byte("garbage")))
@@ -416,5 +427,44 @@ func TestServeObserveAutoTimestamp(t *testing.T) {
 	est := waitRounds(t, hs.URL, "auto", 2)
 	if est.Time != 2 {
 		t.Fatalf("auto timestamp produced t=%v after 2 rounds, want 2", est.Time)
+	}
+}
+
+// TestServeObserveAgeWithoutPresent: an age vector applies on its own, so a
+// stale round without a present mask steps exactly like the same round with
+// an all-true mask.
+func TestServeObserveAgeWithoutPresent(t *testing.T) {
+	srv, hs := startServer(t)
+	w := serveWorld(t, srv)
+	cfg := TenantConfig{Users: testUsers, Seed: 5, Samples: 60, TrackM: 5}
+	age := make([]int, srv.Sensors())
+	all := make([]bool, srv.Sensors())
+	for i := range age {
+		age[i] = i % 3
+		all[i] = true
+	}
+	ests := make([]EstimateResponse, 2)
+	for i, present := range [][]bool{nil, all} {
+		id := []string{"bare", "masked"}[i]
+		createTenant(t, hs.URL, id, cfg)
+		observeAll(t, hs.URL, id, []Observation{
+			{T: 1, Readings: w.clean[0]},
+			{T: 2, Readings: w.clean[1], Present: present, Age: age},
+		})
+		ests[i] = waitRounds(t, hs.URL, id, 2)
+		ests[i].Tenant = ""
+	}
+	if !reflect.DeepEqual(ests[0], ests[1]) {
+		t.Fatalf("stale round without present diverged from the all-present round:\n%+v\n%+v", ests[0], ests[1])
+	}
+}
+
+// TestNewRejectsNegativeLimits: a negative tenant cap or queue depth is an
+// error, not the default.
+func TestNewRejectsNegativeLimits(t *testing.T) {
+	for _, cfg := range []Config{{MaxTenants: -1}, {DefaultQueue: -1}} {
+		if _, err := New(cfg); err == nil {
+			t.Errorf("New(%+v) accepted a negative limit", cfg)
+		}
 	}
 }

@@ -23,9 +23,8 @@ func routeTestField(t *testing.T, users int) *Field {
 		}
 	}
 	f, err := New(Config{
-		Model: m, SamplePoints: pts, NumUsers: users,
 		Grid:    Grid{Rows: 2, Cols: 2, Halo: 2},
-		Tracker: smc.Config{N: 40, M: 4},
+		Tracker: smc.Config{Model: m, SamplePoints: pts, NumUsers: users, N: 40, M: 4},
 	}, 5)
 	if err != nil {
 		t.Fatal(err)

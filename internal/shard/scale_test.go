@@ -105,12 +105,8 @@ func TestSkewedWorkerInvariance(t *testing.T) {
 				t.Parallel()
 				run := func(workers int) skewOutcome {
 					f, err := shard.New(shard.Config{
-						Model:        w.sc.Model(),
-						SamplePoints: w.points,
-						NumUsers:     users,
-						Grid:         grid,
-						Tracker:      smc.Config{N: 120, M: 6, Workers: 2},
-						Workers:      workers,
+						Grid:    grid,
+						Tracker: w.tracker(users, smc.Config{N: 120, M: 6, Workers: workers}),
 						// Seed ownership from the true starting cluster so the
 						// skew exists from round one, not only after handoffs
 						// herd the users together.
@@ -196,11 +192,8 @@ func TestTileCapacityAdmissionAndSpill(t *testing.T) {
 	}
 	run := func() trace {
 		f, err := shard.New(shard.Config{
-			Model:            w.sc.Model(),
-			SamplePoints:     w.points,
-			NumUsers:         users,
 			Grid:             shard.Grid{Rows: 2, Cols: 2, Halo: 2},
-			Tracker:          smc.Config{N: 250, M: 8},
+			Tracker:          w.tracker(users, smc.Config{N: 250, M: 8}),
 			TileCapacity:     3,
 			InitialPositions: starts,
 		}, 19)
@@ -263,8 +256,8 @@ func TestTileCapacityAdmissionAndSpill(t *testing.T) {
 func TestTileCapacityValidation(t *testing.T) {
 	w := buildWorld(t, 91, 1, 1, nil)
 	base := shard.Config{
-		Model: w.sc.Model(), SamplePoints: w.points, NumUsers: 9,
-		Grid: shard.Grid{Rows: 2, Cols: 2, Halo: 2}, Tracker: smc.Config{N: 50, M: 5},
+		Grid:    shard.Grid{Rows: 2, Cols: 2, Halo: 2},
+		Tracker: w.tracker(9, smc.Config{N: 50, M: 5}),
 	}
 	over := base
 	over.TileCapacity = 2 // 9 users > 2×4 slots
@@ -337,12 +330,8 @@ func TestScaleSmokeDigest(t *testing.T) {
 	capacity := (2*users + 63) / 64
 	digest := func(workers int) uint64 {
 		f, err := shard.New(shard.Config{
-			Model:        w.sc.Model(),
-			SamplePoints: w.points,
-			NumUsers:     users,
 			Grid:         shard.Grid{Rows: 8, Cols: 8, Halo: 3},
-			Tracker:      smc.Config{N: 60, M: 5, ActiveSetLimit: 6, Workers: 2},
-			Workers:      workers,
+			Tracker:      w.tracker(users, smc.Config{N: 60, M: 5, ActiveSetLimit: 6, Workers: workers}),
 			TileCapacity: capacity,
 		}, 77)
 		if err != nil {
@@ -393,11 +382,8 @@ func TestSpillGoldenHotCorner(t *testing.T) {
 	}
 	run := func() (int, int) {
 		f, err := shard.New(shard.Config{
-			Model:            w.sc.Model(),
-			SamplePoints:     w.points,
-			NumUsers:         users,
 			Grid:             shard.Grid{Rows: 4, Cols: 4, Halo: 2.5},
-			Tracker:          smc.Config{N: 120, M: 6},
+			Tracker:          w.tracker(users, smc.Config{N: 120, M: 6}),
 			TileCapacity:     3,
 			InitialPositions: starts,
 		}, 29)

@@ -20,7 +20,7 @@
 // every tile has finished, so no tile's step observes a same-round
 // migration. Every Monte Carlo draw comes from a (tile, user) substream
 // fixed at construction. Output is therefore byte-identical at any
-// Config.Workers value, and a 1×1 grid — whose single tile keeps the
+// Config.Tracker.Workers value, and a 1×1 grid — whose single tile keeps the
 // coordinator seed, the full sensor set in original order, and bounds equal
 // to the field — reproduces the unsharded tracker byte for byte.
 package shard
@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"fluxtrack/internal/fingerprint"
-	"fluxtrack/internal/fluxmodel"
 	"fluxtrack/internal/geom"
 	"fluxtrack/internal/obs"
 	"fluxtrack/internal/par"
@@ -79,8 +78,8 @@ func ParseGrid(s string) (Grid, error) {
 	}
 	r, err1 := strconv.Atoi(lo)
 	c, err2 := strconv.Atoi(hi)
-	if err1 != nil || err2 != nil || r < 1 || c < 1 {
-		return Grid{}, fmt.Errorf("shard: grid %q is not RxC with positive dimensions", s)
+	if err1 != nil || err2 != nil || r < 1 || c < 1 || r > math.MaxInt/c {
+		return Grid{}, fmt.Errorf("shard: grid %q is not RxC with positive dimensions and an int tile count", s)
 	}
 	return Grid{Rows: r, Cols: c}, nil
 }
@@ -125,34 +124,23 @@ func tileSeed(seed uint64, i, tiles int) uint64 {
 
 // Config configures a sharded tracking Field.
 type Config struct {
-	Model        *fluxmodel.Model
-	SamplePoints []geom.Point // global sniffed-node positions
-	NumUsers     int          // K: users tracked across the whole field
-	Grid         Grid
-
-	// Tracker is the per-tile tracker template: N, M, VMax, Search, Coarse,
-	// and the rest are copied into every tile's smc.Config. New overrides
-	// Model, SamplePoints, NumUsers, Bounds, and DBCache per tile, rejects a
-	// template with Search.Coarse preset (tiles must not share one
-	// misaligned database), and fills the template's Metrics/Trace from the
-	// Field's when unset. The template's Workers bounds goroutines inside
-	// one tile's step; Config.Workers bounds how many tiles step at once.
+	// Tracker describes the deployment (Model, the global SamplePoints, and
+	// NumUsers across the whole field) and is every tile's tracker template;
+	// each tile overrides only SamplePoints, Bounds and DBCache (shared by
+	// all tiles; nil creates a private cache when Coarse is enabled). Its
+	// Workers bounds both how many tiles step at once — packed
+	// longest-processing-time first by a deterministic cost estimate (owned
+	// users plus last round's NNLS work), so one hot tile does not serialize
+	// the round — and each tile's step; output is byte-identical at any
+	// value. Its Metrics and Trace also receive the coordinator's shard.*
+	// instruments and one tile-scoped span per stepped tile per round.
 	Tracker smc.Config
+	Grid    Grid
 
 	// InitialPositions, when non-nil (length NumUsers), seeds each user's
 	// owning tile from their starting position; nil assigns users to tiles
 	// round-robin and lets bootstrap plus handoff sort them out.
 	InitialPositions []geom.Point
-
-	// Workers bounds how many tiles step concurrently (0 = GOMAXPROCS,
-	// 1 = serial). Each round weighs every tile by a deterministic cost
-	// estimate (its owned-user count plus the NNLS work its tracker burned
-	// last round) and packs tiles onto workers longest-processing-time
-	// first, so one hot tile under a skewed user distribution does not
-	// serialize the round behind a contiguous shard. Scheduling never
-	// affects output — tiles write index-disjoint state and merge serially —
-	// so output is byte-identical at any value.
-	Workers int
 
 	// TileCapacity caps how many users one tile may own (0 = unlimited).
 	// When a migration would overflow the destination, the user is
@@ -171,18 +159,6 @@ type Config struct {
 	// (that tile's step-latency histogram). Off by default — a 32×32 grid
 	// would register 2048 extra instruments.
 	PerTileMetrics bool
-
-	// Metrics receives the coordinator's shard.* counters/histograms and is
-	// inherited by tile trackers whose template Metrics is unset; Trace
-	// receives one tile-scoped span (Span.Tile >= 0) per stepped tile per
-	// round alongside the tile trackers' own spans. Both are write-only.
-	Metrics *obs.Metrics
-	Trace   *obs.Trace
-
-	// Cache memoizes fingerprint database builds across tiles (and across
-	// Fields sharing the cache). Nil creates a private cache when the
-	// template enables the coarse prestage.
-	Cache *fingerprint.Cache
 }
 
 // tile is one shard: its ground, sensors, and tracker, plus the per-round
@@ -265,7 +241,7 @@ func (fm *fieldMetrics) bind(m *obs.Metrics, seed uint64) {
 
 // Field coordinates the tiles of a sharded deployment. Like smc.Tracker it
 // is not safe for concurrent use by multiple goroutines, but each round
-// fans the tiles out over Config.Workers internally.
+// fans the tiles out over Config.Tracker.Workers internally.
 type Field struct {
 	cfg      Config
 	field    geom.Rect
@@ -290,7 +266,7 @@ type Field struct {
 	load       []int // users currently owned per tile (capacity accounting)
 
 	// LPT scheduling state: per-tile cost estimates and the reusable
-	// worker plan (see Config.Workers).
+	// worker plan (see Config.Tracker.Workers).
 	costs []float64
 	plan  [][]int
 
@@ -308,14 +284,20 @@ type Field struct {
 // New builds a sharded Field over cfg's deployment; seed fixes every tile's
 // (and thereby every user's) RNG substream.
 func New(cfg Config, seed uint64) (*Field, error) {
-	if cfg.Model == nil {
+	tc := cfg.Tracker
+	if tc.Model == nil {
 		return nil, errors.New("shard: nil model")
 	}
-	if len(cfg.SamplePoints) == 0 {
+	if len(tc.SamplePoints) == 0 {
 		return nil, errors.New("shard: no sampling points")
 	}
-	if cfg.NumUsers <= 0 {
-		return nil, fmt.Errorf("shard: NumUsers must be positive, got %d", cfg.NumUsers)
+	if tc.NumUsers <= 0 {
+		return nil, fmt.Errorf("shard: NumUsers must be positive, got %d", tc.NumUsers)
+	}
+	// Every tile needs a sensor: reject a larger grid, per dimension so the
+	// product cannot overflow, before allocating any per-tile state.
+	if g, n := cfg.Grid, len(tc.SamplePoints); g.Rows > n || g.Cols > n || g.Tiles() > n {
+		return nil, fmt.Errorf("shard: grid %s has more tiles than the %d sensors", g, n)
 	}
 	tiles := cfg.Grid.Tiles()
 	if tiles < 1 {
@@ -324,41 +306,37 @@ func New(cfg Config, seed uint64) (*Field, error) {
 	if cfg.Grid.Halo < 0 || math.IsNaN(cfg.Grid.Halo) || math.IsInf(cfg.Grid.Halo, 0) {
 		return nil, fmt.Errorf("shard: halo %v must be finite and non-negative", cfg.Grid.Halo)
 	}
-	if cfg.Tracker.Search.Coarse != nil {
-		return nil, errors.New("shard: tracker template must not preset Search.Coarse; tiles build their own databases")
-	}
-	if cfg.InitialPositions != nil && len(cfg.InitialPositions) != cfg.NumUsers {
-		return nil, fmt.Errorf("shard: %d initial positions for %d users", len(cfg.InitialPositions), cfg.NumUsers)
+	if cfg.InitialPositions != nil && len(cfg.InitialPositions) != tc.NumUsers {
+		return nil, fmt.Errorf("shard: %d initial positions for %d users", len(cfg.InitialPositions), tc.NumUsers)
 	}
 	if cfg.TileCapacity < 0 {
 		return nil, fmt.Errorf("shard: TileCapacity %d must be non-negative", cfg.TileCapacity)
 	}
-	if cfg.TileCapacity > 0 && cfg.NumUsers > cfg.TileCapacity*tiles {
+	if cfg.TileCapacity > 0 && tc.NumUsers > cfg.TileCapacity*tiles {
 		return nil, fmt.Errorf("shard: %d users exceed TileCapacity %d × %d tiles",
-			cfg.NumUsers, cfg.TileCapacity, tiles)
+			tc.NumUsers, cfg.TileCapacity, tiles)
 	}
-	cache := cfg.Cache
-	if cache == nil && cfg.Tracker.Coarse.Enabled {
-		cache = fingerprint.NewCache(0)
+	if tc.DBCache == nil && tc.Coarse.Enabled {
+		cfg.Tracker.DBCache = fingerprint.NewCache(0)
 	}
 
-	field := cfg.Model.Field()
+	field := tc.Model.Field()
 	f := &Field{
 		cfg:        cfg,
 		field:      field,
 		seed:       seed,
 		tiles:      make([]*tile, tiles),
-		owner:      make([]int, cfg.NumUsers),
-		lastEst:    make([]smc.Estimate, cfg.NumUsers),
+		owner:      make([]int, tc.NumUsers),
+		lastEst:    make([]smc.Estimate, tc.NumUsers),
 		handIn:     make([]int, tiles),
 		handOut:    make([]int, tiles),
 		routeNext:  make([]int, tiles),
-		routeArena: make([]int, cfg.NumUsers),
+		routeArena: make([]int, tc.NumUsers),
 		load:       make([]int, tiles),
 		costs:      make([]float64, tiles),
 	}
 	for i := range f.tiles {
-		tl, err := f.newTile(i, cache, seed)
+		tl, err := f.newTile(i, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -379,11 +357,11 @@ func New(cfg Config, seed uint64) (*Field, error) {
 		c := f.tiles[f.owner[j]].bounds.Center()
 		f.lastEst[j] = smc.Estimate{Mean: c, Best: c}
 	}
-	f.met.bind(cfg.Metrics, seed)
-	if cfg.PerTileMetrics && cfg.Metrics != nil {
+	f.met.bind(tc.Metrics, seed)
+	if cfg.PerTileMetrics && tc.Metrics != nil {
 		for _, tl := range f.tiles {
-			tl.usersGauge = cfg.Metrics.Counter(fmt.Sprintf("shard.tile.%03d.users", tl.index))
-			tl.stepHist = cfg.Metrics.Histogram(fmt.Sprintf("shard.tile.%03d.step_ms", tl.index), obs.DurationBucketsMs)
+			tl.usersGauge = tc.Metrics.Counter(fmt.Sprintf("shard.tile.%03d.users", tl.index))
+			tl.stepHist = tc.Metrics.Histogram(fmt.Sprintf("shard.tile.%03d.step_ms", tl.index), obs.DurationBucketsMs)
 		}
 	}
 	return f, nil
@@ -433,7 +411,7 @@ func (f *Field) admit(want int) int {
 }
 
 // newTile carves tile i out of the field and builds its tracker.
-func (f *Field) newTile(i int, cache *fingerprint.Cache, seed uint64) (*tile, error) {
+func (f *Field) newTile(i int, seed uint64) (*tile, error) {
 	g := f.cfg.Grid
 	r, c := i/g.Cols, i%g.Cols
 	rect := geom.Rect{
@@ -450,7 +428,7 @@ func (f *Field) newTile(i int, cache *fingerprint.Cache, seed uint64) (*tile, er
 	}
 	tl := &tile{index: i, rect: rect, bounds: bounds, seed: tileSeed(seed, i, g.Tiles())}
 	var points []geom.Point
-	for si, p := range f.cfg.SamplePoints {
+	for si, p := range f.cfg.Tracker.SamplePoints {
 		if bounds.Contains(p) {
 			tl.sensors = append(tl.sensors, si)
 			points = append(points, p)
@@ -471,17 +449,8 @@ func (f *Field) newTile(i int, cache *fingerprint.Cache, seed uint64) (*tile, er
 	}
 
 	tcfg := f.cfg.Tracker
-	tcfg.Model = f.cfg.Model
 	tcfg.SamplePoints = points
-	tcfg.NumUsers = f.cfg.NumUsers
 	tcfg.Bounds = bounds
-	tcfg.DBCache = cache
-	if tcfg.Metrics == nil {
-		tcfg.Metrics = f.cfg.Metrics
-	}
-	if tcfg.Trace == nil {
-		tcfg.Trace = f.cfg.Trace
-	}
 	tr, err := smc.New(tcfg, tl.seed)
 	if err != nil {
 		return nil, fmt.Errorf("shard: tile %d tracker: %w", i, err)
@@ -551,8 +520,9 @@ func (f *Field) WorkTotals() (solves, iters uint64) {
 }
 
 // Step routes the global flux observation taken at time t (aligned with
-// Config.SamplePoints) to the tiles, steps them concurrently, and merges
-// the per-tile results; see StepMasked for the degraded-observation form.
+// Config.Tracker.SamplePoints) to the tiles, steps them concurrently, and
+// merges the per-tile results; see StepMasked for the degraded-observation
+// form.
 func (f *Field) Step(t float64, measured []float64) (smc.StepResult, error) {
 	return f.StepMasked(t, measured, nil, nil)
 }
@@ -570,7 +540,7 @@ func (f *Field) Step(t float64, measured []float64) (smc.StepResult, error) {
 // user whose new estimate left its tile's ground, in ascending (tile, user)
 // order.
 func (f *Field) StepMasked(t float64, measured []float64, present []bool, age []int) (smc.StepResult, error) {
-	n := len(f.cfg.SamplePoints)
+	n := len(f.cfg.Tracker.SamplePoints)
 	if len(measured) != n {
 		return smc.StepResult{}, fmt.Errorf("shard: observation length %d, want %d", len(measured), n)
 	}
@@ -588,7 +558,7 @@ func (f *Field) StepMasked(t float64, measured []float64, present []bool, age []
 			return smc.StepResult{}, fmt.Errorf("shard: reading %d is not finite (%v)", i, v)
 		}
 	}
-	observed := f.met.m != nil || f.cfg.Trace != nil
+	observed := f.met.m != nil || f.cfg.Tracker.Trace != nil
 	var roundStart time.Time
 	if observed {
 		roundStart = time.Now()
@@ -632,7 +602,7 @@ func (f *Field) StepMasked(t float64, measured []float64, present []bool, age []
 		solves, iters := tl.tracker.WorkTotals()
 		f.costs[i] += float64(solves - tl.prevSolves + (iters-tl.prevIters)/4)
 	}
-	f.plan = par.LPTAssign(f.costs, f.cfg.Workers, f.plan)
+	f.plan = par.LPTAssign(f.costs, f.cfg.Tracker.Workers, f.plan)
 	_ = par.ForPlan(f.plan, stepTile)
 	for _, tl := range f.tiles {
 		if tl.stepped {
@@ -667,7 +637,7 @@ func (f *Field) StepMasked(t float64, measured []float64, present []bool, age []
 	}
 
 	// Serial merge in ascending tile order.
-	out := smc.StepResult{Time: t, Estimates: make([]smc.Estimate, f.cfg.NumUsers)}
+	out := smc.StepResult{Time: t, Estimates: make([]smc.Estimate, f.cfg.Tracker.NumUsers)}
 	for _, tl := range f.tiles {
 		if !tl.stepped {
 			continue
@@ -846,12 +816,12 @@ func (f *Field) record(t float64, migrations, spills int) {
 			}
 		}
 	}
-	if f.cfg.Trace != nil {
+	if f.cfg.Tracker.Trace != nil {
 		for _, tl := range f.tiles {
 			if !tl.stepped {
 				continue
 			}
-			f.cfg.Trace.Add(obs.Span{
+			f.cfg.Tracker.Trace.Add(obs.Span{
 				Seed: tl.seed, Step: f.steps - 1, Time: t, Tile: tl.index,
 				Users:     len(tl.owned),
 				Searched:  len(tl.owned),

@@ -2,7 +2,9 @@ package shard_test
 
 import (
 	"errors"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"fluxtrack/internal/core"
@@ -24,9 +26,26 @@ func TestParseGrid(t *testing.T) {
 	if g.String() != "2x3" {
 		t.Fatalf("String() = %q", g.String())
 	}
-	for _, bad := range []string{"", "2", "2x", "x2", "0x2", "2x-1", "2y2", "axb"} {
+	for _, bad := range []string{"", "2", "2x", "x2", "0x2", "2x-1", "2y2", "axb",
+		"4294967296x4294967296", "9223372036854775807x2"} {
 		if _, err := shard.ParseGrid(bad); err == nil {
 			t.Errorf("ParseGrid(%q) accepted", bad)
+		}
+	}
+}
+
+// TestGridWithMoreTilesThanSensors: every tile needs a sensor, so New
+// rejects a grid with more tiles than sensors before it allocates any
+// per-tile state — including grids whose tile count overflows int.
+func TestGridWithMoreTilesThanSensors(t *testing.T) {
+	w := buildWorld(t, 71, 1, 1, nil) // 90 sensors
+	for _, g := range []shard.Grid{
+		{Rows: 91, Cols: 1}, {Rows: 1, Cols: 91}, {Rows: 10, Cols: 10},
+		{Rows: 30000, Cols: 30000}, {Rows: math.MaxInt, Cols: 2},
+	} {
+		_, err := shard.New(shard.Config{Grid: g, Tracker: w.tracker(1, smc.Config{N: 20, M: 5})}, 1)
+		if err == nil || !strings.Contains(err.Error(), "more tiles than") {
+			t.Errorf("grid %s: err %v, want a more-tiles-than-sensors rejection", g, err)
 		}
 	}
 }
@@ -128,6 +147,13 @@ func buildWorldSensors(t *testing.T, seed uint64, users, rounds, sensors int, tr
 	return w
 }
 
+// tracker completes tc with the world's deployment: its model, every
+// sniffed sensor, and users tracked users.
+func (w *world) tracker(users int, tc smc.Config) smc.Config {
+	tc.Model, tc.SamplePoints, tc.NumUsers = w.sc.Model(), w.points, users
+	return tc
+}
+
 // maskAlternate drops every second sensor.
 func maskAlternate(n int) []bool {
 	p := make([]bool, n)
@@ -174,11 +200,8 @@ func TestOneByOneReproducesUnsharded(t *testing.T) {
 				t.Fatal(err)
 			}
 			f, err := shard.New(shard.Config{
-				Model:        w.sc.Model(),
-				SamplePoints: w.points,
-				NumUsers:     users,
-				Grid:         shard.Grid{Rows: 1, Cols: 1},
-				Tracker:      tc.tmpl,
+				Grid:    shard.Grid{Rows: 1, Cols: 1},
+				Tracker: w.tracker(users, tc.tmpl),
 			}, 77)
 			if err != nil {
 				t.Fatal(err)
@@ -226,15 +249,11 @@ func TestOneByOneReproducesUnsharded(t *testing.T) {
 	}
 }
 
-func newTestField(t *testing.T, w *world, users, workers, trackerWorkers int, halo float64, seed uint64) *shard.Field {
+func newTestField(t *testing.T, w *world, users, workers int, halo float64, seed uint64) *shard.Field {
 	t.Helper()
 	f, err := shard.New(shard.Config{
-		Model:        w.sc.Model(),
-		SamplePoints: w.points,
-		NumUsers:     users,
-		Grid:         shard.Grid{Rows: 2, Cols: 2, Halo: halo},
-		Tracker:      smc.Config{N: 150, M: 8, Workers: trackerWorkers},
-		Workers:      workers,
+		Grid:    shard.Grid{Rows: 2, Cols: 2, Halo: halo},
+		Tracker: w.tracker(users, smc.Config{N: 150, M: 8, Workers: workers}),
 	}, seed)
 	if err != nil {
 		t.Fatal(err)
@@ -243,8 +262,8 @@ func newTestField(t *testing.T, w *world, users, workers, trackerWorkers int, ha
 }
 
 // TestWorkerInvariance pins the determinism contract: a 2×2 field produces
-// byte-identical results and handoff counts at any combination of tile-level
-// and tracker-level worker counts.
+// byte-identical results and handoff counts at any worker count, which
+// bounds both the tile fan-out and each tile's step.
 func TestWorkerInvariance(t *testing.T) {
 	const users, rounds = 4, 6
 	w := buildWorld(t, 5, users, rounds, nil)
@@ -252,8 +271,8 @@ func TestWorkerInvariance(t *testing.T) {
 		results []smc.StepResult
 		hand    int
 	}
-	run := func(workers, trackerWorkers int) outcome {
-		f := newTestField(t, w, users, workers, trackerWorkers, 1.5, 9)
+	run := func(workers int) outcome {
+		f := newTestField(t, w, users, workers, 1.5, 9)
 		var oc outcome
 		for r, o := range w.obs {
 			res, err := f.Step(float64(r+1), o)
@@ -265,14 +284,14 @@ func TestWorkerInvariance(t *testing.T) {
 		oc.hand = f.Handoffs()
 		return oc
 	}
-	ref := run(1, 1)
-	for _, combo := range [][2]int{{4, 1}, {1, 2}, {4, 2}, {0, 0}} {
-		got := run(combo[0], combo[1])
+	ref := run(1)
+	for _, workers := range []int{2, 4, 0} {
+		got := run(workers)
 		if got.hand != ref.hand {
-			t.Fatalf("workers=%v: %d handoffs, want %d", combo, got.hand, ref.hand)
+			t.Fatalf("workers=%d: %d handoffs, want %d", workers, got.hand, ref.hand)
 		}
 		if !reflect.DeepEqual(got.results, ref.results) {
-			t.Fatalf("workers=%v diverged from serial run", combo)
+			t.Fatalf("workers=%d diverged from serial run", workers)
 		}
 	}
 }
@@ -289,11 +308,8 @@ func TestSeamHandoff(t *testing.T) {
 	w := buildWorld(t, 21, 1, rounds, traj)
 	run := func() ([]geom.Point, []int, int) {
 		f, err := shard.New(shard.Config{
-			Model:            w.sc.Model(),
-			SamplePoints:     w.points,
-			NumUsers:         1,
 			Grid:             shard.Grid{Rows: 2, Cols: 2, Halo: 2},
-			Tracker:          smc.Config{N: 300, M: 10},
+			Tracker:          w.tracker(1, smc.Config{N: 300, M: 10}),
 			InitialPositions: []geom.Point{traj[0].At(1)},
 		}, 3)
 		if err != nil {
@@ -345,11 +361,8 @@ func TestCornerCrossing(t *testing.T) {
 	w := buildWorld(t, 31, 1, rounds, traj)
 	run := func() ([]int, int) {
 		f, err := shard.New(shard.Config{
-			Model:            w.sc.Model(),
-			SamplePoints:     w.points,
-			NumUsers:         1,
 			Grid:             shard.Grid{Rows: 2, Cols: 2, Halo: 2},
-			Tracker:          smc.Config{N: 300, M: 10},
+			Tracker:          w.tracker(1, smc.Config{N: 300, M: 10}),
 			InitialPositions: []geom.Point{traj[0].At(1)},
 		}, 13)
 		if err != nil {
@@ -387,11 +400,8 @@ func TestExactBoundaryAssignment(t *testing.T) {
 		mobility.Static{Pos: geom.Pt(15, 15)},
 	})
 	f, err := shard.New(shard.Config{
-		Model:        w.sc.Model(),
-		SamplePoints: w.points,
-		NumUsers:     3,
-		Grid:         shard.Grid{Rows: 2, Cols: 2},
-		Tracker:      smc.Config{N: 100, M: 5},
+		Grid:    shard.Grid{Rows: 2, Cols: 2},
+		Tracker: w.tracker(3, smc.Config{N: 100, M: 5}),
 		InitialPositions: []geom.Point{
 			geom.Pt(15, 7), geom.Pt(7, 15), geom.Pt(15, 15),
 		},
@@ -424,8 +434,8 @@ func TestMaskedRoundsDuringMigration(t *testing.T) {
 	// Sensor indices of tile 0 under halo 2 — masked entirely on round 5 to
 	// starve the owning tile mid-crossing.
 	f0, err := shard.New(shard.Config{
-		Model: w.sc.Model(), SamplePoints: w.points, NumUsers: 1,
-		Grid: shard.Grid{Rows: 2, Cols: 2, Halo: 2}, Tracker: smc.Config{N: 200, M: 8},
+		Grid:    shard.Grid{Rows: 2, Cols: 2, Halo: 2},
+		Tracker: w.tracker(1, smc.Config{N: 200, M: 8}),
 	}, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -454,9 +464,8 @@ func TestMaskedRoundsDuringMigration(t *testing.T) {
 
 	run := func() ([]smc.StepResult, []int, int) {
 		f, err := shard.New(shard.Config{
-			Model: w.sc.Model(), SamplePoints: w.points, NumUsers: 1,
 			Grid:             shard.Grid{Rows: 2, Cols: 2, Halo: 2},
-			Tracker:          smc.Config{N: 200, M: 8},
+			Tracker:          w.tracker(1, smc.Config{N: 200, M: 8}),
 			InitialPositions: []geom.Point{traj[0].At(1)},
 		}, 7)
 		if err != nil {
@@ -498,7 +507,7 @@ func TestMaskedRoundsDuringMigration(t *testing.T) {
 func TestConcurrentShardStepRace(t *testing.T) {
 	const users, rounds = 6, 5
 	w := buildWorld(t, 61, users, rounds, nil)
-	f := newTestField(t, w, users, 4, 2, 1, 17)
+	f := newTestField(t, w, users, 4, 1, 17)
 	for r, o := range w.obs {
 		var present []bool
 		if r == 2 {
@@ -521,8 +530,8 @@ func TestTemplateRejectsPresetCoarse(t *testing.T) {
 	tmpl := smc.Config{N: 50, M: 5}
 	tmpl.Search.Coarse = &fit.Coarse{DB: db}
 	_, err = shard.New(shard.Config{
-		Model: w.sc.Model(), SamplePoints: w.points, NumUsers: 1,
-		Grid: shard.Grid{Rows: 1, Cols: 1}, Tracker: tmpl,
+		Grid:    shard.Grid{Rows: 1, Cols: 1},
+		Tracker: w.tracker(1, tmpl),
 	}, 1)
 	if err == nil {
 		t.Fatal("preset Search.Coarse accepted")

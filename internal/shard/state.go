@@ -43,14 +43,14 @@ type FieldState struct {
 func (f *Field) Seed() uint64 { return f.seed }
 
 // NumUsers returns the tracked population size (K).
-func (f *Field) NumUsers() int { return f.cfg.NumUsers }
+func (f *Field) NumUsers() int { return f.cfg.Tracker.NumUsers }
 
 // ExportState deep-copies the field's complete resumable state without
 // mutating it; the exporting field may keep stepping as if nothing happened.
 func (f *Field) ExportState() FieldState {
 	st := FieldState{
 		Seed:     f.seed,
-		NumUsers: f.cfg.NumUsers,
+		NumUsers: f.cfg.Tracker.NumUsers,
 		Tiles:    len(f.tiles),
 		Steps:    f.steps,
 		Handoffs: f.handoffs,
@@ -79,15 +79,15 @@ func (f *Field) RestoreState(st FieldState) error {
 	if st.Seed != f.seed {
 		return fmt.Errorf("shard: restore seed %#x into field seeded %#x", st.Seed, f.seed)
 	}
-	if st.NumUsers != f.cfg.NumUsers {
-		return fmt.Errorf("shard: restore of %d users into field of %d", st.NumUsers, f.cfg.NumUsers)
+	if st.NumUsers != f.cfg.Tracker.NumUsers {
+		return fmt.Errorf("shard: restore of %d users into field of %d", st.NumUsers, f.cfg.Tracker.NumUsers)
 	}
 	if st.Tiles != len(f.tiles) {
 		return fmt.Errorf("shard: restore of %d tiles into %s grid (%d tiles)", st.Tiles, f.cfg.Grid, len(f.tiles))
 	}
-	if len(st.Owner) != f.cfg.NumUsers || len(st.LastEst) != f.cfg.NumUsers {
+	if len(st.Owner) != f.cfg.Tracker.NumUsers || len(st.LastEst) != f.cfg.Tracker.NumUsers {
 		return fmt.Errorf("shard: restore tables sized %d/%d, want %d",
-			len(st.Owner), len(st.LastEst), f.cfg.NumUsers)
+			len(st.Owner), len(st.LastEst), f.cfg.Tracker.NumUsers)
 	}
 	if len(st.Trackers) != len(f.tiles) {
 		return fmt.Errorf("shard: restore carries %d tracker states for %d tiles", len(st.Trackers), len(f.tiles))

@@ -57,11 +57,8 @@ func TestFieldExportRestoreResumesByteIdentically(t *testing.T) {
 
 	build := func() *shard.Field {
 		f, err := shard.New(shard.Config{
-			Model:            w.sc.Model(),
-			SamplePoints:     w.points,
-			NumUsers:         users,
 			Grid:             shard.Grid{Rows: 2, Cols: 2, Halo: 2},
-			Tracker:          smc.Config{N: 150, M: 6},
+			Tracker:          w.tracker(users, smc.Config{N: 150, M: 6}),
 			InitialPositions: w.truths[0],
 		}, seed)
 		if err != nil {
@@ -115,11 +112,8 @@ func TestRejectedRoundLeavesFieldUntouched(t *testing.T) {
 	w := buildWorld(t, 71, users, rounds, nil)
 	build := func() *shard.Field {
 		f, err := shard.New(shard.Config{
-			Model:            w.sc.Model(),
-			SamplePoints:     w.points,
-			NumUsers:         users,
 			Grid:             shard.Grid{Rows: 2, Cols: 2, Halo: 2},
-			Tracker:          smc.Config{N: 120, M: 6},
+			Tracker:          w.tracker(users, smc.Config{N: 120, M: 6}),
 			InitialPositions: w.truths[0],
 		}, seed)
 		if err != nil {
@@ -189,8 +183,8 @@ func TestFieldRestoreValidation(t *testing.T) {
 	w := buildWorld(t, 61, users, 2, nil)
 	build := func(grid shard.Grid, seed uint64) *shard.Field {
 		f, err := shard.New(shard.Config{
-			Model: w.sc.Model(), SamplePoints: w.points, NumUsers: users,
-			Grid: grid, Tracker: smc.Config{N: 60, M: 5},
+			Grid:    grid,
+			Tracker: w.tracker(users, smc.Config{N: 60, M: 5}),
 		}, seed)
 		if err != nil {
 			t.Fatal(err)

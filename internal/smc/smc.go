@@ -78,14 +78,16 @@ type Config struct {
 	// and Huber consistency checks (see fit.RobustConfig). The
 	// reweighting is a serial pure function of the first pass, so robust
 	// rounds keep the tracker's byte-identical worker-invariance contract.
+	// The tracker derives Search.Workers and Search.Metrics from Workers and
+	// Metrics, and Search.Coarse from Coarse; New rejects a preset
+	// Search.Coarse.
 	Search fit.Options
 	// Coarse enables the coarse-to-fine prestage of the inner search: New
 	// precomputes a fingerprint database over SamplePoints and every round's
 	// candidate search shortlists Coarse.TopK candidates per user by
 	// fingerprint-cell score before the exact Gram/NNLS ranking (see
 	// internal/fingerprint and fit.Coarse). TopK at or above N degrades to
-	// the exact search with byte-identical output. Ignored when
-	// Search.Coarse is already set explicitly.
+	// the exact search with byte-identical output.
 	Coarse fingerprint.CoarseConfig
 	// DBCache, when non-nil, memoizes the fingerprint database build of the
 	// coarse prestage: trackers sharing a cache and asking for the same
@@ -123,13 +125,11 @@ type Config struct {
 	// per-user update/estimate bookkeeping. Every user owns an independent
 	// RNG substream (derived from the tracker seed and the user index), so
 	// tracker output is byte-identical at any worker count. Zero means one
-	// worker per CPU (GOMAXPROCS); 1 forces the sequential path. When
-	// Search.Workers is unset it inherits this value.
+	// worker per CPU (GOMAXPROCS); 1 forces the sequential path.
 	Workers int
 	// Metrics, when non-nil, receives the tracker's per-round work counters
-	// (smc.step.*) and the smc.step.wall_ms latency histogram, and is
-	// inherited by Search.Metrics when that is unset (threading the
-	// fit.search.* and fit.nnls.* counters of the inner search too).
+	// (smc.step.*), the smc.step.wall_ms latency histogram, and the
+	// fit.search.* and fit.nnls.* counters of the inner search.
 	// Metrics are write-only: enabling them never changes tracker output,
 	// and every smc.step.* counter is worker-count-invariant. Nil disables
 	// instrumentation at the cost of one branch per Step.
@@ -161,12 +161,8 @@ func (c Config) withDefaults() Config {
 		// the localization default.
 		c.Search.MaxExhaustive = 20000
 	}
-	if c.Search.Workers == 0 {
-		c.Search.Workers = c.Workers
-	}
-	if c.Search.Metrics == nil {
-		c.Search.Metrics = c.Metrics
-	}
+	c.Search.Workers = c.Workers
+	c.Search.Metrics = c.Metrics
 	if c.Coarse.Enabled {
 		c.Coarse = c.Coarse.WithDefaults()
 	}
@@ -346,6 +342,9 @@ func New(cfg Config, seed uint64) (*Tracker, error) {
 	if cfg.M > cfg.N {
 		return nil, fmt.Errorf("smc: M (%d) must not exceed N (%d)", cfg.M, cfg.N)
 	}
+	if cfg.Search.Coarse != nil {
+		return nil, errors.New("smc: Search.Coarse must not be preset; the tracker builds it from Coarse")
+	}
 	if cfg.Bounds.Width() <= 0 || cfg.Bounds.Height() <= 0 {
 		cfg.Bounds = cfg.Model.Field()
 	}
@@ -355,7 +354,7 @@ func New(cfg Config, seed uint64) (*Tracker, error) {
 		searcher: fit.NewSearcher(),
 		seed:     seed,
 	}
-	if cfg.Coarse.Enabled && tr.cfg.Search.Coarse == nil {
+	if cfg.Coarse.Enabled {
 		// Precompute the fingerprint database once for the tracker's
 		// lifetime: the sample layout is fixed, so every round's search
 		// shares the same grid signatures. The grid covers Bounds — the

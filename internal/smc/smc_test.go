@@ -46,6 +46,8 @@ func TestNewValidation(t *testing.T) {
 		{"no points", Config{Model: m, NumUsers: 1}},
 		{"zero users", Config{Model: m, SamplePoints: pts}},
 		{"M > N", Config{Model: m, SamplePoints: pts, NumUsers: 1, N: 5, M: 10}},
+		{"preset Search.Coarse", Config{Model: m, SamplePoints: pts, NumUsers: 1,
+			Search: fit.Options{Coarse: &fit.Coarse{}}}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
