@@ -307,9 +307,9 @@ type TrackerConfig struct {
 	VMax float64
 	// Search configures the tracker's inner candidate search, including the
 	// robust-fitting defense against Byzantine sensors: setting
-	// Search.Robust.Mode to fit.RobustBoth makes every Step/StepMasked round
-	// derive per-sensor trust multipliers from the fit's own residuals and
-	// re-rank on the reweighted problem (see fit.RobustConfig). The
+	// Search.Robust.Mode to fit.RobustBoth makes every round derive
+	// per-sensor trust multipliers from the fit's own residuals and re-rank
+	// on the reweighted problem (see fit.RobustConfig). The
 	// tracker derives Search.Workers, Search.Metrics and Search.Coarse from
 	// Workers, Metrics and Coarse below; a preset Search.Coarse is an error.
 	Search            fit.Options
@@ -394,7 +394,7 @@ func (sn *Sniffer) trackerTemplate(numUsers int, cfg TrackerConfig) smc.Config {
 // never influences tracker output.
 type StepTracker interface {
 	Step(t float64, measured []float64) (smc.StepResult, error)
-	StepMasked(t float64, measured []float64, present []bool, age []int) (smc.StepResult, error)
+	StepRound(r smc.Round) (smc.StepResult, error)
 	Steps() int
 	WorkTotals() (solves, iters uint64)
 }

@@ -102,17 +102,15 @@ func trackTrial(cfg Config, sc *core.Scenario, trajectories []mobility.Trajector
 				return nil, err
 			}
 		}
-		var res smc.StepResult
-		if inj == nil {
-			res, err = tracker.Step(t, obs)
-		} else {
-			var deg fault.Observation
-			deg, err = inj.Apply(obs)
+		round := smc.Round{T: t, Measured: obs}
+		if inj != nil {
+			deg, err := inj.Apply(obs)
 			if err != nil {
 				return nil, err
 			}
-			res, err = tracker.StepMasked(t, deg.Readings, deg.Present, deg.Age)
+			round = smc.Round{T: t, Measured: deg.Readings, Present: deg.Present, Age: deg.Age}
 		}
+		res, err := tracker.StepRound(round)
 		switch {
 		case errors.Is(err, smc.ErrAllMasked):
 			// Nothing delivered this round: keep the previous estimates.

@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -335,6 +336,58 @@ func TestCheckpointGoldenCompat(t *testing.T) {
 			}
 			if !bytes.Equal(again, blob) {
 				t.Fatal("current encoder no longer reproduces the golden bytes")
+			}
+		})
+	}
+}
+
+// TestRestoreRejectsNonFiniteBlob: a well-formed blob whose state carries a
+// NaN decodes (the codec passes float bits through verbatim) but never
+// restores, for a plain tracker and for a sharded field, and the refused
+// tracker keeps stepping as if the blob had never arrived.
+func TestRestoreRejectsNonFiniteBlob(t *testing.T) {
+	w := testWorld(t)
+	for _, tc := range []struct {
+		name   string
+		cfg    core.TrackerConfig
+		poison func(c Checkpoint)
+	}{
+		{"plain", core.TrackerConfig{N: 60, M: 5}, func(c Checkpoint) {
+			c.SMC.Users[0].Snapshot.Weights[0] = math.NaN()
+		}},
+		{"sharded", core.TrackerConfig{N: 60, M: 5, Shards: shard.Grid{Rows: 2, Cols: 2, Halo: 2}}, func(c Checkpoint) {
+			c.Field.LastEst[0].Mean.Y = math.NaN()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() core.StepTracker {
+				tr, err := w.sniffer.NewStepTracker(testUsers, tc.cfg, 99)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tr
+			}
+			tr, twin := build(), build()
+			runRounds(t, tr, w, false, 0, 2)
+			runRounds(t, twin, w, false, 0, 2)
+			ck, err := Capture(tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.poison(ck)
+			blob, err := Encode(ck)
+			if err != nil {
+				t.Fatal(err)
+			}
+			decoded, err := Decode(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := decoded.RestoreInto(tr); err == nil {
+				t.Fatal("non-finite checkpoint restored")
+			}
+			if !reflect.DeepEqual(runRounds(t, tr, w, false, 2, 4), runRounds(t, twin, w, false, 2, 4)) {
+				t.Fatal("refused restore changed the tracker")
 			}
 		})
 	}

@@ -223,3 +223,56 @@ func FuzzObserve(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTenantCreate throws arbitrary bodies at the tenant-creation handler.
+// The contract: no panic and no 5xx; a 201 registers a tenant that answers
+// its estimate route and that DELETE removes; any 4xx registers nothing.
+func FuzzTenantCreate(f *testing.F) {
+	srv, err := New(Config{Scenario: core.ScenarioConfig{Nodes: 400}, Seed: 77})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(srv.Close)
+	h := srv.Handler()
+	for _, c := range []TenantConfig{
+		{},
+		{Users: 2, Samples: 20, TrackM: 5},
+		{Users: 3, Samples: 20, TrackM: 5, Shards: "2x2", Halo: 2, TileCapacity: 2},
+		{Users: 1, Samples: 20, TrackM: 5, Robust: "both", ActiveSetLimit: 1, Queue: 4},
+	} {
+		body, err := json.Marshal(c)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte(`{"users":1,"queue":1000000000000}`))
+	f.Add([]byte(`{"users":1000000000000,"shards":"1x1"}`))
+	do := func(method, path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		return rec
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := do(http.MethodPost, "/v1/tenant/fz", body)
+		registered := do(http.MethodGet, "/v1/tenant/fz/estimate", nil).Code == http.StatusOK
+		switch {
+		case rec.Code == http.StatusCreated:
+			if !registered {
+				t.Fatalf("201 for %q but the tenant does not answer", body)
+			}
+			if del := do(http.MethodDelete, "/v1/tenant/fz", nil); del.Code != http.StatusNoContent {
+				t.Fatalf("delete after 201: %d %s", del.Code, del.Body)
+			}
+			if do(http.MethodGet, "/v1/tenant/fz/estimate", nil).Code != http.StatusNotFound {
+				t.Fatal("deleted tenant still answers")
+			}
+		case rec.Code >= 400 && rec.Code < 500:
+			if registered {
+				t.Fatalf("%d for %q registered a tenant", rec.Code, body)
+			}
+		default:
+			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body)
+		}
+	})
+}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -51,7 +50,8 @@ type Config struct {
 
 // TenantConfig is the JSON body of a tenant-creation request. Zero values
 // take the tracker defaults (core.TrackerConfig); a negative count, speed
-// bound or queue depth is rejected.
+// bound or queue depth is rejected, and so are more than 2^17 users or a
+// queue deeper than 2^16.
 type TenantConfig struct {
 	Users          int     `json:"users"`
 	Seed           uint64  `json:"seed"`
@@ -111,16 +111,21 @@ type EstimateResponse struct {
 
 var tenantIDPattern = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9_.-]{0,63}$`)
 
+// maxUsers and maxQueue bound what one creation request can make the server
+// allocate up front: a sharded tenant sizes its owner and estimate tables by
+// the user count, and the ingestion queue is allocated whole.
+const (
+	maxUsers = 1 << 17
+	maxQueue = 1 << 16
+)
+
 // op is one unit of tenant-queue work: an observation round to step, or a
 // control closure (checkpoint, restore) that must serialize against
 // stepping. Observations are enqueued non-blocking — a full queue is the
 // backpressure signal (429) — while control ops wait for space.
 type op struct {
-	t        float64
-	readings []float64
-	present  []bool
-	age      []int
-	ctrl     func()
+	round smc.Round
+	ctrl  func()
 }
 
 // tenant is one resident tracked field: a tracker, its bounded ingestion
@@ -307,8 +312,11 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *tenant {
 // cache is shared across tenants: databases depend only on the (shared)
 // vantage and the coarse parameters, never on tenant state.
 func (s *Server) trackerFor(cfg TenantConfig) (core.StepTracker, error) {
-	if cfg.Users <= 0 {
-		return nil, errors.New("users must be >= 1")
+	if cfg.Users <= 0 || cfg.Users > maxUsers {
+		return nil, fmt.Errorf("users must be in [1, %d], got %d", maxUsers, cfg.Users)
+	}
+	if cfg.Queue > maxQueue {
+		return nil, fmt.Errorf("queue must not exceed %d, got %d", maxQueue, cfg.Queue)
 	}
 	for _, f := range []struct {
 		name string
@@ -429,12 +437,11 @@ func (s *Server) runTenant(tn *tenant) {
 }
 
 func (s *Server) stepOne(tn *tenant, o op) {
-	t := o.t
-	if t <= 0 {
-		t = float64(tn.tracker.Steps() + 1)
+	if o.round.T <= 0 {
+		o.round.T = float64(tn.tracker.Steps() + 1)
 	}
 	start := time.Now()
-	res, err := tn.tracker.StepMasked(t, o.readings, o.present, o.age)
+	res, err := tn.tracker.StepRound(o.round)
 	s.stepMs.Observe(0, float64(time.Since(start).Microseconds())/1000)
 	solves, iters := tn.tracker.WorkTotals()
 	tn.mu.Lock()
@@ -465,20 +472,10 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad observation: %v", err)
 		return
 	}
-	if len(o.Readings) != s.sensors {
-		httpError(w, http.StatusBadRequest, "observation has %d readings, vantage has %d sensors",
-			len(o.Readings), s.sensors)
+	round := smc.Round{T: o.T, Measured: o.Readings, Present: o.Present, Age: o.Age}
+	if err := round.Check(s.sensors); err != nil {
+		httpError(w, http.StatusBadRequest, "bad observation: %v", err)
 		return
-	}
-	if (o.Present != nil && len(o.Present) != s.sensors) || (o.Age != nil && len(o.Age) != s.sensors) {
-		httpError(w, http.StatusBadRequest, "present/age masks must match %d sensors", s.sensors)
-		return
-	}
-	for i, a := range o.Age {
-		if a < 0 {
-			httpError(w, http.StatusBadRequest, "age %d of sensor %d is negative", a, i)
-			return
-		}
 	}
 	// Non-blocking enqueue: a full queue IS the backpressure signal. The
 	// client retries after draining; nothing is silently dropped or
@@ -487,7 +484,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	tn.pending++
 	tn.mu.Unlock()
 	select {
-	case tn.queue <- op{t: o.T, readings: o.Readings, present: o.Present, age: o.Age}:
+	case tn.queue <- op{round: round}:
 		writeJSON(w, http.StatusAccepted, map[string]any{"tenant": tn.id, "queued": true})
 	default:
 		tn.mu.Lock()

@@ -222,7 +222,7 @@ func TestServeBackpressureDeterministic(t *testing.T) {
 	tn.queue <- op{ctrl: func() { close(entered); <-gate }}
 	<-entered // stepping goroutine is parked; queue is empty
 
-	o := Observation{T: 1, Readings: w.clean[0]}
+	o := Observation{T: 0, Readings: w.clean[0]} // T 0: each queued copy is the next round
 	for i := 0; i < queueDepth; i++ {
 		resp, body := doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/bp/observe", o)
 		if resp.StatusCode != http.StatusAccepted {
@@ -325,6 +325,12 @@ func TestServeAPIErrors(t *testing.T) {
 	check("invalid id", resp, http.StatusBadRequest)
 	resp, _ = doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/b", TenantConfig{Users: 0})
 	check("zero users", resp, http.StatusBadRequest)
+	// Both are allocated at creation: past the caps a request is refused
+	// rather than left to exhaust the server's memory.
+	resp, _ = doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/b", TenantConfig{Users: maxUsers + 1, Shards: "1x1"})
+	check("users over the cap", resp, http.StatusBadRequest)
+	resp, _ = doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/b", TenantConfig{Users: 1, Queue: maxQueue + 1})
+	check("queue over the cap", resp, http.StatusBadRequest)
 	// 4294967296x4294967296 overflows int and 30000x30000 outnumbers the
 	// sensors: both are rejected before any tile state is allocated.
 	for _, shards := range []string{"2by2", "2x2x9", "4294967296x4294967296", "30000x30000"} {

@@ -120,7 +120,7 @@ func runRounds(t *testing.T, tr core.StepTracker, w *testWorldT, masked bool, fr
 		var err error
 		if masked {
 			d := w.deg[r]
-			res, err = tr.StepMasked(tm, d.Readings, d.Present, d.Age)
+			res, err = tr.StepRound(smc.Round{T: tm, Measured: d.Readings, Present: d.Present, Age: d.Age})
 		} else {
 			res, err = tr.Step(tm, w.clean[r])
 		}

@@ -118,7 +118,7 @@ func TestSkewedWorkerInvariance(t *testing.T) {
 					var oc skewOutcome
 					for r := range w.obs {
 						d := deg[r]
-						res, err := f.StepMasked(float64(r+1), d.Readings, d.Present, d.Age)
+						res, err := f.StepRound(smc.Round{T: float64(r + 1), Measured: d.Readings, Present: d.Present, Age: d.Age})
 						if err != nil {
 							if errors.Is(err, smc.ErrAllMasked) {
 								oc.skippedRounds++

@@ -253,6 +253,9 @@ type Field struct {
 	handoffs int
 	spills   int
 	met      fieldMetrics
+	// lastT is the time of the last accepted round (−Inf before the first);
+	// StepRound rejects any round not strictly later before a tile sees it.
+	lastT float64
 
 	handIn  []int // per-tile migrations in, reused across rounds
 	handOut []int // per-tile migrations out
@@ -334,6 +337,7 @@ func New(cfg Config, seed uint64) (*Field, error) {
 		routeArena: make([]int, tc.NumUsers),
 		load:       make([]int, tiles),
 		costs:      make([]float64, tiles),
+		lastT:      math.Inf(-1),
 	}
 	for i := range f.tiles {
 		tl, err := f.newTile(i, seed)
@@ -521,43 +525,37 @@ func (f *Field) WorkTotals() (solves, iters uint64) {
 
 // Step routes the global flux observation taken at time t (aligned with
 // Config.Tracker.SamplePoints) to the tiles, steps them concurrently, and
-// merges the per-tile results; see StepMasked for the degraded-observation
-// form.
+// merges the per-tile results: StepRound with every sensor delivered fresh.
 func (f *Field) Step(t float64, measured []float64) (smc.StepResult, error) {
-	return f.StepMasked(t, measured, nil, nil)
+	return f.StepRound(smc.Round{T: t, Measured: measured})
 }
 
-// StepMasked is Step over a degraded observation (present/age as in
-// smc.Tracker.StepMasked, aligned with the global sample points). Each tile
-// sees only its own sensors' slice of the round: a tile whose delivered
-// sensor set is empty skips the round — its users keep their previous
-// estimates, reported with Active false — while the remaining tiles step
-// normally. Only when every owning tile skips does StepMasked return
-// ErrAllMasked (wrapped) with the Field untouched, matching the unsharded
-// contract. A malformed round — wrong lengths or a non-finite delivered
-// reading — is rejected before any tile steps, so it too leaves the Field
-// untouched. After the merge, the handoff pass migrates every initialized
-// user whose new estimate left its tile's ground, in ascending (tile, user)
-// order.
-func (f *Field) StepMasked(t float64, measured []float64, present []bool, age []int) (smc.StepResult, error) {
-	n := len(f.cfg.Tracker.SamplePoints)
-	if len(measured) != n {
-		return smc.StepResult{}, fmt.Errorf("shard: observation length %d, want %d", len(measured), n)
+// StepRound is one round over the whole field (Present/Age as in
+// smc.Round, aligned with the global sample points). The field always
+// steps every user and returns dense estimates, so a round with Users or
+// Dst set is rejected. Each tile sees only its own sensors' slice of the
+// round: a tile whose delivered sensor set is empty skips the round — its
+// users keep their previous estimates, reported with Active false — while
+// the remaining tiles step normally. Only when every owning tile skips does
+// StepRound return ErrAllMasked (wrapped) with the Field untouched,
+// matching the unsharded contract. A malformed round (smc.Round.Check) or
+// a T not later than the last accepted round returns smc.ErrBadRound
+// before any tile steps, so it too leaves the Field untouched. After the
+// merge, the handoff pass migrates every initialized user whose new
+// estimate left its tile's ground, in ascending (tile, user) order.
+func (f *Field) StepRound(r smc.Round) (smc.StepResult, error) {
+	if r.Users != nil || r.Dst != nil {
+		return smc.StepResult{}, fmt.Errorf("shard: %w: a field round steps every user, so Users and Dst must be nil",
+			smc.ErrBadRound)
 	}
-	if present != nil && len(present) != n {
-		return smc.StepResult{}, fmt.Errorf("shard: present mask length %d, want %d", len(present), n)
+	if err := r.Check(len(f.cfg.Tracker.SamplePoints)); err != nil {
+		return smc.StepResult{}, fmt.Errorf("shard: %w", err)
 	}
-	if age != nil && len(age) != n {
-		return smc.StepResult{}, fmt.Errorf("shard: age vector length %d, want %d", len(age), n)
+	if !(r.T > f.lastT) {
+		return smc.StepResult{}, fmt.Errorf("shard: %w: time %v is not after the last accepted round (%v)",
+			smc.ErrBadRound, r.T, f.lastT)
 	}
-	// Reject non-finite delivered readings here rather than in the tiles:
-	// a tile rejecting one would leave the other tiles having consumed the
-	// round. Masked sensors are skipped, as in smc.
-	for i, v := range measured {
-		if (present == nil || present[i]) && (math.IsNaN(v) || math.IsInf(v, 0)) {
-			return smc.StepResult{}, fmt.Errorf("shard: reading %d is not finite (%v)", i, v)
-		}
-	}
+	t := r.T
 	observed := f.met.m != nil || f.cfg.Tracker.Trace != nil
 	var roundStart time.Time
 	if observed {
@@ -580,8 +578,7 @@ func (f *Field) StepMasked(t float64, measured []float64, present []bool, age []
 			tl.queueNs = time.Since(roundStart).Nanoseconds()
 			t0 = time.Now()
 		}
-		m, p, a, users := tl.gather(measured, present, age)
-		res, err := tl.tracker.StepUsers(t, m, p, a, users, tl.res.Estimates)
+		res, err := tl.tracker.StepRound(tl.gather(r))
 		if observed {
 			tl.wallNs = time.Since(t0).Nanoseconds()
 		}
@@ -657,6 +654,7 @@ func (f *Field) StepMasked(t float64, measured []float64, present []bool, age []
 		out.Estimates[j] = e
 	}
 	f.steps++
+	f.lastT = t
 
 	// Handoff pass: serial, ascending (tile, user). A user migrates when
 	// initialized (its estimate is evidence-backed) and its posterior mean
@@ -755,31 +753,33 @@ func (f *Field) route() {
 	f.lastMean = float64(len(f.owner)) / float64(len(f.tiles))
 }
 
-// gather copies the tile's slice of the global observation into the tile's
-// reusable buffers, returning nil masks when the round carries none.
-func (tl *tile) gather(measured []float64, present []bool, age []int) (m []float64, p []bool, a []int, users []int) {
+// gather builds the tile's round: its slice of the global observation,
+// copied into the tile's reusable buffers (nil masks when the round carries
+// none), its owned users, and last round's estimates as the output buffer.
+func (tl *tile) gather(r smc.Round) smc.Round {
+	out := smc.Round{T: r.T, Measured: tl.readings, Users: tl.owned, Dst: tl.res.Estimates}
 	for k, si := range tl.sensors {
-		tl.readings[k] = measured[si]
+		tl.readings[k] = r.Measured[si]
 	}
-	if present != nil {
+	if r.Present != nil {
 		if tl.present == nil {
 			tl.present = make([]bool, len(tl.sensors))
 		}
 		for k, si := range tl.sensors {
-			tl.present[k] = present[si]
+			tl.present[k] = r.Present[si]
 		}
-		p = tl.present
+		out.Present = tl.present
 	}
-	if age != nil {
+	if r.Age != nil {
 		if tl.age == nil {
 			tl.age = make([]int, len(tl.sensors))
 		}
 		for k, si := range tl.sensors {
-			tl.age[k] = age[si]
+			tl.age[k] = r.Age[si]
 		}
-		a = tl.age
+		out.Age = tl.age
 	}
-	return tl.readings, p, a, tl.owned
+	return out
 }
 
 // record flushes the round's coordinator observability: shard.* counters,

@@ -221,8 +221,8 @@ func TestOneByOneReproducesUnsharded(t *testing.T) {
 				case 4:
 					present = make([]bool, len(o)) // fully masked round
 				}
-				want, wantErr := plain.StepMasked(tm, o, present, nil)
-				got, gotErr := f.StepMasked(tm, o, present, nil)
+				want, wantErr := plain.StepRound(smc.Round{T: tm, Measured: o, Present: present})
+				got, gotErr := f.StepRound(smc.Round{T: tm, Measured: o, Present: present})
 				if (wantErr == nil) != (gotErr == nil) {
 					t.Fatalf("round %d: err %v vs %v", r, wantErr, gotErr)
 				}
@@ -474,7 +474,7 @@ func TestMaskedRoundsDuringMigration(t *testing.T) {
 		var results []smc.StepResult
 		var owners []int
 		for r, o := range w.obs {
-			res, err := f.StepMasked(float64(r+1), o, present(r, len(o)), nil)
+			res, err := f.StepRound(smc.Round{T: float64(r + 1), Measured: o, Present: present(r, len(o))})
 			if err != nil {
 				// Only a fully-starved owning tile may skip, and only while
 				// the user still sits in tile 0.
@@ -513,7 +513,7 @@ func TestConcurrentShardStepRace(t *testing.T) {
 		if r == 2 {
 			present = maskAlternate(len(o))
 		}
-		if _, err := f.StepMasked(float64(r+1), o, present, nil); err != nil {
+		if _, err := f.StepRound(smc.Round{T: float64(r + 1), Measured: o, Present: present}); err != nil {
 			t.Fatalf("round %d: %v", r, err)
 		}
 	}

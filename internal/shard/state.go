@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 
 	"fluxtrack/internal/geom"
 	"fluxtrack/internal/smc"
@@ -39,12 +40,6 @@ type FieldState struct {
 	Trackers []smc.TrackerState
 }
 
-// Seed returns the field's construction seed.
-func (f *Field) Seed() uint64 { return f.seed }
-
-// NumUsers returns the tracked population size (K).
-func (f *Field) NumUsers() int { return f.cfg.Tracker.NumUsers }
-
 // ExportState deep-copies the field's complete resumable state without
 // mutating it; the exporting field may keep stepping as if nothing happened.
 func (f *Field) ExportState() FieldState {
@@ -72,9 +67,14 @@ func (f *Field) ExportState() FieldState {
 
 // RestoreState replaces the field's state with a deep copy of st. The field
 // must have been built from the same Config seed, population size, and grid
-// the state was exported under. After RestoreState the field is the
-// exporting field's process-equivalent twin: the same observation stream
-// produces byte-identical estimates, owner tables, handoff and spill counts.
+// the state was exported under, and every restored float must be finite
+// with no negative weight; the whole state, every tile's included, is
+// checked before anything changes, so a rejected state leaves the field
+// untouched. After RestoreState the field is the exporting field's
+// process-equivalent twin: the same observation stream produces
+// byte-identical estimates, owner tables, handoff and spill counts. The
+// next round must be later than the latest LastUpdate of the restored
+// initialized users.
 func (f *Field) RestoreState(st FieldState) error {
 	if st.Seed != f.seed {
 		return fmt.Errorf("shard: restore seed %#x into field seeded %#x", st.Seed, f.seed)
@@ -96,6 +96,9 @@ func (f *Field) RestoreState(st FieldState) error {
 		return fmt.Errorf("shard: restore with negative counters (steps %d, handoffs %d, spills %d)",
 			st.Steps, st.Handoffs, st.Spills)
 	}
+	if !finite(st.LastMean) {
+		return fmt.Errorf("shard: restore with non-finite mean tile load %v", st.LastMean)
+	}
 	load := make([]int, len(f.tiles))
 	for j, o := range st.Owner {
 		if o < 0 || o >= len(f.tiles) {
@@ -110,17 +113,38 @@ func (f *Field) RestoreState(st FieldState) error {
 			}
 		}
 	}
-	// Restore the tile trackers first: a seed/shape mismatch surfaces there
-	// before any coordinator state is touched. Tracker restore validates its
-	// own state, and tile seeds are pure functions of (field seed, tile), so
-	// a state exported under this exact configuration always passes.
+	for j, e := range st.LastEst {
+		ok := finite(e.Mean.X) && finite(e.Mean.Y) && finite(e.Best.X) && finite(e.Best.Y) && finite(e.Stretch)
+		for _, p := range e.Samples {
+			ok = ok && finite(p.X) && finite(p.Y)
+		}
+		for _, w := range e.Weights {
+			ok = ok && finite(w) && w >= 0
+		}
+		if !ok {
+			return fmt.Errorf("shard: restore estimate of user %d carries a non-finite value or a negative weight", j)
+		}
+	}
+	// Tile seeds are pure functions of (field seed, tile), so a state
+	// exported under this exact configuration always passes.
+	for i, tl := range f.tiles {
+		if err := st.Trackers[i].Check(tl.seed, f.cfg.Tracker.NumUsers); err != nil {
+			return fmt.Errorf("shard: tile %d: %w", i, err)
+		}
+	}
+	f.lastT = math.Inf(-1)
 	for i, tl := range f.tiles {
 		if err := tl.tracker.RestoreState(st.Trackers[i]); err != nil {
-			return fmt.Errorf("shard: tile %d: %w", i, err)
+			return fmt.Errorf("shard: tile %d: %w", i, err) // unreachable: checked above
 		}
 		// Re-baseline the LPT cost checkpoints against the restored
 		// searcher's counters (scheduling-only; see FieldState).
 		tl.prevSolves, tl.prevIters = tl.tracker.WorkTotals()
+		for _, uc := range st.Trackers[i].Users {
+			if uc.Snapshot.Initialized {
+				f.lastT = math.Max(f.lastT, uc.Snapshot.LastUpdate)
+			}
+		}
 	}
 	copy(f.owner, st.Owner)
 	copy(f.load, load)
@@ -134,6 +158,8 @@ func (f *Field) RestoreState(st FieldState) error {
 	f.lastMean = st.LastMean
 	return nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // cloneEstimate deep-copies one estimate (its sample/weight slices are the
 // only reference fields). Zero-length slices stay nil, so an export/restore

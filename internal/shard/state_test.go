@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -70,7 +71,7 @@ func TestFieldExportRestoreResumesByteIdentically(t *testing.T) {
 		var out []smc.StepResult
 		for r := from; r < to; r++ {
 			d := deg[r]
-			res, err := f.StepMasked(float64(r+1), d.Readings, d.Present, d.Age)
+			res, err := f.StepRound(smc.Round{T: float64(r + 1), Measured: d.Readings, Present: d.Present, Age: d.Age})
 			if err != nil {
 				t.Fatalf("round %d: %v", r, err)
 			}
@@ -172,7 +173,7 @@ func TestRejectedRoundLeavesFieldUntouched(t *testing.T) {
 	for i := range present {
 		present[i] = i != sensor
 	}
-	if _, err := f.StepMasked(float64(rounds+1), masked, present, nil); err != nil {
+	if _, err := f.StepRound(smc.Round{T: float64(rounds + 1), Measured: masked, Present: present}); err != nil {
 		t.Fatalf("NaN behind the mask rejected: %v", err)
 	}
 }
@@ -213,5 +214,117 @@ func TestFieldRestoreValidation(t *testing.T) {
 	bad.Spills = -1
 	if err := build(shard.Grid{Rows: 2, Cols: 2, Halo: 2}, 7).RestoreState(bad); err == nil {
 		t.Error("negative spill counter accepted")
+	}
+}
+
+// TestFieldRestoreRejectsNonFinite: a field state carrying a non-finite
+// float or a negative weight — in a tile tracker's users, in the
+// carried-forward estimates, or in the load mean — is refused as a whole,
+// before any tile is restored, and the field is left exactly as it was.
+func TestFieldRestoreRejectsNonFinite(t *testing.T) {
+	const users, rounds = 4, 3
+	w := buildWorld(t, 71, users, rounds, nil)
+	build := func() *shard.Field {
+		f, err := shard.New(shard.Config{
+			Grid:             shard.Grid{Rows: 2, Cols: 2, Halo: 2},
+			Tracker:          w.tracker(users, smc.Config{N: 60, M: 5}),
+			InitialPositions: w.truths[0],
+		}, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	f, twin := build(), build()
+	for r := 0; r < 2; r++ {
+		for _, x := range []*shard.Field{f, twin} {
+			if _, err := x.Step(float64(r+1), w.obs[r]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	good := f.ExportState()
+	// Corrupt the highest tile that holds users, so a restore that applied
+	// tiles in order before checking them all would change the lower ones.
+	last := len(good.Trackers) - 1
+	for last > 0 && len(good.Trackers[last].Users) == 0 {
+		last--
+	}
+	if last == 0 {
+		t.Fatal("world puts every user on tile 0; pick another seed")
+	}
+	nan := math.NaN()
+	for name, mutate := range map[string]func(st *shard.FieldState){
+		"NaN weight in a tile": func(st *shard.FieldState) {
+			st.Trackers[last].Users[0].Snapshot.Weights[0] = nan
+		},
+		"+Inf LastUpdate in a tile": func(st *shard.FieldState) {
+			st.Trackers[last].Users[0].Snapshot.LastUpdate = math.Inf(1)
+		},
+		"NaN estimate mean": func(st *shard.FieldState) { st.LastEst[1].Mean.X = nan },
+		"negative estimate weight": func(st *shard.FieldState) {
+			st.LastEst[0].Weights = []float64{-1}
+			st.LastEst[0].Samples = []geom.Point{{}}
+		},
+		"NaN stretch":   func(st *shard.FieldState) { st.LastEst[2].Stretch = nan },
+		"NaN load mean": func(st *shard.FieldState) { st.LastMean = nan },
+	} {
+		bad := f.ExportState()
+		mutate(&bad)
+		if err := f.RestoreState(bad); err == nil {
+			t.Errorf("%s: restore accepted", name)
+		}
+		if !reflect.DeepEqual(f.ExportState(), good) {
+			t.Fatalf("%s: refused restore changed the field", name)
+		}
+	}
+	want, err1 := twin.Step(3, w.obs[2])
+	got, err2 := f.Step(3, w.obs[2])
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("field diverged from its twin after refused restores")
+	}
+}
+
+// TestFieldRoundTimeOrder: the field refuses a round whose time is not
+// finite or not later than its last accepted round before any tile sees
+// it, and after RestoreState the bound is the restored users' latest
+// update.
+func TestFieldRoundTimeOrder(t *testing.T) {
+	const users, rounds = 4, 3
+	w := buildWorld(t, 71, users, rounds, nil)
+	f, err := shard.New(shard.Config{
+		Grid:             shard.Grid{Rows: 2, Cols: 2, Halo: 2},
+		Tracker:          w.tracker(users, smc.Config{N: 60, M: 5}),
+		InitialPositions: w.truths[0],
+	}, 19)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Step(2, w.obs[0]); err != nil {
+		t.Fatal(err)
+	}
+	st := f.ExportState()
+	for _, bad := range []float64{2, 1, math.Inf(1), math.NaN()} {
+		if _, err := f.Step(bad, w.obs[1]); !errors.Is(err, smc.ErrBadRound) {
+			t.Errorf("T=%v after T=2: err %v, want ErrBadRound", bad, err)
+		}
+		if !reflect.DeepEqual(f.ExportState(), st) {
+			t.Fatalf("refused T=%v changed the field", bad)
+		}
+	}
+	if _, err := f.Step(3, w.obs[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Step(2, w.obs[1]); !errors.Is(err, smc.ErrBadRound) {
+		t.Errorf("T=2 after restoring a T=2 state: err %v, want ErrBadRound", err)
+	}
+	if _, err := f.Step(3, w.obs[1]); err != nil {
+		t.Fatalf("T=3 after restoring a T=2 state: %v", err)
 	}
 }

@@ -17,7 +17,7 @@ import (
 
 // coarseScenario runs a three-user tracking scenario with the given worker
 // count and coarse config, returning every StepResult. Rounds 3 and 4 run
-// through StepMasked with a deterministic partial mask and one stale
+// through StepRound with a deterministic partial mask and one stale
 // sensor, so the compacted (origIdx) alignment of the prestage is exercised
 // alongside the clean path.
 func coarseScenario(t testing.TB, workers, rounds int, coarse fingerprint.CoarseConfig) []StepResult {
@@ -58,7 +58,7 @@ func coarseScenario(t testing.TB, workers, rounds int, coarse fingerprint.Coarse
 				present[0] = true
 			}
 			age[0] = 1 // one stale sensor: the deflated-weight path
-			res, err = tr.StepMasked(float64(step), obs, present, age)
+			res, err = tr.StepRound(Round{T: float64(step), Measured: obs, Present: present, Age: age})
 		} else {
 			res, err = tr.Step(float64(step), obs)
 		}
@@ -156,10 +156,10 @@ func TestSelectActiveTieBreaks(t *testing.T) {
 	// ties, so every ordering decision rides on the index tie-breaks.
 	for j := 0; j < users; j++ {
 		u := tr.ensure(j)
-		u.initialized = true
-		u.samples = []geom.Point{geom.Pt(28, 28)}
-		u.weights = []float64{1}
-		u.lastUpdate = 1
+		u.Initialized = true
+		u.Samples = []geom.Point{geom.Pt(28, 28)}
+		u.Weights = []float64{1}
+		u.LastUpdate = 1
 	}
 	// True flux comes from the opposite corner, so the incumbent fit is
 	// poor and the stale fill path runs too.
@@ -168,7 +168,7 @@ func TestSelectActiveTieBreaks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := tr.selectActive(prob, 2, nil)
+	base, err := tr.selectActive(prob, tr.identitySubset())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestSelectActiveTieBreaks(t *testing.T) {
 		t.Fatalf("symmetric tie selection = %v, want [0 1 2]", base)
 	}
 	for trial := 0; trial < 10; trial++ {
-		got, err := tr.selectActive(prob, 2, nil)
+		got, err := tr.selectActive(prob, tr.identitySubset())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestSelectActiveTieBreaks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := tr.selectActive(zero, 3, nil)
+	sub, err := tr.selectActive(zero, tr.identitySubset())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,11 +23,11 @@ func maskedTracker(t *testing.T, seed uint64) (*Tracker, []geom.Point, []float64
 	return tr, pts, obs
 }
 
-// TestStepMaskedAllMasked is the regression test for the typed-error
+// TestMaskedRoundAllMasked is the regression test for the typed-error
 // contract: a round whose observation vector is entirely masked must return
 // ErrAllMasked (not panic, not NaN estimates) and leave the tracker state
 // untouched so tracking resumes on the next delivered round.
-func TestStepMaskedAllMasked(t *testing.T) {
+func TestMaskedRoundAllMasked(t *testing.T) {
 	tr, pts, obs := maskedTracker(t, 9)
 
 	// Warm the tracker with one clean round.
@@ -40,7 +40,7 @@ func TestStepMaskedAllMasked(t *testing.T) {
 	}
 
 	allMasked := make([]bool, len(pts))
-	_, err = tr.StepMasked(3, obs, allMasked, nil)
+	_, err = tr.StepRound(Round{T: 3, Measured: obs, Present: allMasked})
 	if !errors.Is(err, ErrAllMasked) {
 		t.Fatalf("fully masked round returned %v, want ErrAllMasked", err)
 	}
@@ -64,10 +64,10 @@ func TestStepMaskedAllMasked(t *testing.T) {
 	}
 }
 
-// TestStepMaskedEquivalentWhenAllPresent: an all-true mask with zero ages
+// TestMaskedRoundEquivalentWhenAllPresent: an all-true mask with zero ages
 // must be byte-identical to the unmasked Step on a twin tracker with the
 // same seed.
-func TestStepMaskedEquivalentWhenAllPresent(t *testing.T) {
+func TestMaskedRoundEquivalentWhenAllPresent(t *testing.T) {
 	trA, pts, obs := maskedTracker(t, 17)
 	trB, _, _ := maskedTracker(t, 17)
 
@@ -81,7 +81,7 @@ func TestStepMaskedEquivalentWhenAllPresent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rb, err := trB.StepMasked(float64(step), obs, present, ages)
+		rb, err := trB.StepRound(Round{T: float64(step), Measured: obs, Present: present, Age: ages})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,10 +95,10 @@ func TestStepMaskedEquivalentWhenAllPresent(t *testing.T) {
 	}
 }
 
-// TestStepMaskedDegradesGracefully: with 40% of the sensors masked every
+// TestMaskedRoundDegradesGracefully: with 40% of the sensors masked every
 // round the tracker must keep producing finite, in-field estimates and
 // still roughly find a stationary user.
-func TestStepMaskedDegradesGracefully(t *testing.T) {
+func TestMaskedRoundDegradesGracefully(t *testing.T) {
 	tr, pts, obs := maskedTracker(t, 23)
 	present := make([]bool, len(pts))
 	for i := range present {
@@ -106,7 +106,7 @@ func TestStepMaskedDegradesGracefully(t *testing.T) {
 	}
 	var last Estimate
 	for step := 1; step <= 5; step++ {
-		res, err := tr.StepMasked(float64(step), obs, present, nil)
+		res, err := tr.StepRound(Round{T: float64(step), Measured: obs, Present: present})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,10 +121,10 @@ func TestStepMaskedDegradesGracefully(t *testing.T) {
 	}
 }
 
-// TestStepMaskedStaleWeightsMatter: deflating stale reports must actually
+// TestMaskedRoundStaleWeightsMatter: deflating stale reports must actually
 // change the fit — a round where half the reports are 3 rounds old produces
 // a different estimate than the same round treated as all-fresh.
-func TestStepMaskedStaleWeightsMatter(t *testing.T) {
+func TestMaskedRoundStaleWeightsMatter(t *testing.T) {
 	m, pts := testModel(t, 41)
 	mkTracker := func() *Tracker {
 		tr, err := New(Config{
@@ -155,7 +155,7 @@ func TestStepMaskedStaleWeightsMatter(t *testing.T) {
 		if !useAges {
 			a = nil
 		}
-		res, err := tr.StepMasked(1, mixed, nil, a)
+		res, err := tr.StepRound(Round{T: 1, Measured: mixed, Age: a})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,34 +165,5 @@ func TestStepMaskedStaleWeightsMatter(t *testing.T) {
 	fresh := run(mkTracker(), false)
 	if deflated.Mean == fresh.Mean {
 		t.Error("stale-age deflation had no effect on the estimate")
-	}
-}
-
-// TestStepMaskedValidation: malformed masks, age vectors, and non-finite
-// delivered readings are rejected with errors, not panics.
-func TestStepMaskedValidation(t *testing.T) {
-	tr, pts, obs := maskedTracker(t, 31)
-	if _, err := tr.StepMasked(1, obs, make([]bool, 3), nil); err == nil {
-		t.Error("short mask accepted")
-	}
-	if _, err := tr.StepMasked(1, obs, nil, make([]int, 3)); err == nil {
-		t.Error("short age vector accepted")
-	}
-	bad := append([]float64(nil), obs...)
-	bad[7] = math.NaN()
-	if _, err := tr.StepMasked(1, bad, nil, nil); err == nil {
-		t.Error("NaN reading accepted")
-	}
-	bad[7] = math.Inf(1)
-	if _, err := tr.StepMasked(1, bad, nil, nil); err == nil {
-		t.Error("Inf reading accepted")
-	}
-	// A NaN hidden behind the mask is fine: the sensor never delivered.
-	present := make([]bool, len(pts))
-	for i := range present {
-		present[i] = i != 7
-	}
-	if _, err := tr.StepMasked(1, bad, present, nil); err != nil {
-		t.Errorf("masked NaN rejected: %v", err)
 	}
 }

@@ -31,8 +31,8 @@ const (
 	// (no data collection this window) and is not updated (§4.E).
 	idleStretchFrac = 0.05
 	// staleAttenuation sets how much a delayed report's influence decays in
-	// the masked fit of StepMasked: a report that is a rounds old gets its
-	// objective weight divided by 1 + staleAttenuation·a, so stale flux
+	// the fit of a round carrying Age: a report that is a rounds old gets
+	// its objective weight divided by 1 + staleAttenuation·a, so stale flux
 	// constrains the fit more loosely than fresh flux instead of being
 	// trusted verbatim (the §4.E asynchronous regime under the
 	// delayed-delivery fault of internal/fault).
@@ -73,11 +73,11 @@ type Config struct {
 	VMax float64
 	// Search tunes the inner candidate-ranking search. Setting
 	// Search.Robust.Mode arms the robust-fitting defense against Byzantine
-	// sensors in every Step/StepMasked round: the round's search runs twice,
-	// down-weighting sensors whose residuals fail the leave-one-sensor-out
-	// and Huber consistency checks (see fit.RobustConfig). The
-	// reweighting is a serial pure function of the first pass, so robust
-	// rounds keep the tracker's byte-identical worker-invariance contract.
+	// sensors in every round: the round's search runs twice, down-weighting
+	// sensors whose residuals fail the leave-one-sensor-out and Huber
+	// consistency checks (see fit.RobustConfig). The reweighting is a serial
+	// pure function of the first pass, so robust rounds keep the tracker's
+	// byte-identical worker-invariance contract.
 	// The tracker derives Search.Workers and Search.Metrics from Workers and
 	// Metrics, and Search.Coarse from Coarse; New rejects a preset
 	// Search.Coarse.
@@ -108,7 +108,7 @@ type Config struct {
 	// searches only the users that appear active (stretch above the idle
 	// threshold), filling spare slots with uninitialized users and, when
 	// the incumbent fit explains the observation poorly, the stalest users.
-	// The cap also applies inside an explicit StepUsers subset larger than
+	// The cap also applies inside an explicit Round.Users subset larger than
 	// the limit — a sharded tile owning thousands of users selects its
 	// active set among the owned users the same way.
 	ActiveSetLimit int
@@ -169,27 +169,21 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// userState is the weighted sample set <P(i), w(i)> of one user.
+// userState is one user's slot: the persistent weighted sample set and
+// asynchronous-update bookkeeping (the embedded UserSnapshot, which is what
+// checkpoints and seam migration carry), plus slot-local resources that stay
+// with the (tracker, user) pair.
 type userState struct {
-	samples     []geom.Point
-	weights     []float64
-	lastUpdate  float64
-	initialized bool
+	UserSnapshot
 	// src is this user's private RNG substream: all of the user's Monte
 	// Carlo draws come from it, so prediction for different users can run
 	// on different workers without perturbing each other's streams.
 	src *rng.Source
-	// velocity is the estimated displacement per unit time between the two
-	// most recent updates; used only when HeadingPrediction is on.
-	velocity    geom.Vec
-	hasVelocity bool
-	prevMean    geom.Point
-	hasPrevMean bool
 	// spareSamples/spareWeights are the update double-buffer: each update
 	// writes the next kept set into the spares and swaps, so the
 	// steady-state filtering step recycles two fixed M-slot buffers per
 	// user instead of allocating fresh ones every round. They never leak:
-	// estimate and ExportUser copy, so no caller holds either buffer.
+	// estimate and ExportState copy, so no caller holds either buffer.
 	spareSamples []geom.Point
 	spareWeights []float64
 }
@@ -204,10 +198,10 @@ type userState struct {
 type Tracker struct {
 	cfg Config
 	// users holds per-user SMC state sparsely: a slot materializes (with
-	// its lazily created RNG substream) the first time the user is stepped
-	// or imported, so a tracker responsible for a slice of a much larger
-	// user population — one tile of a sharded field over 10⁵–10⁶ users —
-	// pays memory only for the users it has actually seen. Lazy substream
+	// its lazily created RNG substream) the first time the user is stepped,
+	// moved in or restored, so a tracker responsible for a slice of a much
+	// larger user population — one tile of a sharded field over 10⁵–10⁶
+	// users — pays memory only for the users it has actually seen. Lazy substream
 	// creation is invisible to determinism: a stream is a pure function of
 	// (seed, user index) and its draw count, regardless of when the Source
 	// object was built. Entries are created only between rounds or in the
@@ -217,6 +211,9 @@ type Tracker struct {
 	steps    int
 	searcher *fit.Searcher
 	seed     uint64
+	// lastT is the time of the last accepted round (−Inf before the first);
+	// StepRound rejects any round not strictly later.
+	lastT float64
 
 	// met holds the bound observability counter handles; the zero value is
 	// the disabled instrument set (every call one nil branch).
@@ -353,6 +350,7 @@ func New(cfg Config, seed uint64) (*Tracker, error) {
 		users:    make(map[int]*userState),
 		searcher: fit.NewSearcher(),
 		seed:     seed,
+		lastT:    math.Inf(-1),
 	}
 	if cfg.Coarse.Enabled {
 		// Precompute the fingerprint database once for the tracker's
@@ -390,56 +388,100 @@ func (tr *Tracker) ensure(j int) *userState {
 // Steps returns how many observation rounds the tracker has consumed.
 func (tr *Tracker) Steps() int { return tr.steps }
 
-// ErrAllMasked is returned by Step and StepMasked when a round's
-// observation vector is entirely masked — every sensor failed, lost its
-// report, or has nothing delivered — so there is no flux to fit against.
-// The tracker's state is left untouched: the round is skipped, the per-user
-// Δt keeps growing (the §4.E asynchronous regime), and the next delivered
-// observation resumes tracking. Test with errors.Is.
+// ErrAllMasked is returned by StepRound when a round's observation vector
+// is entirely masked — every sensor failed, lost its report, or has nothing
+// delivered — so there is no flux to fit against. The tracker's state is
+// left untouched: the round is skipped, the per-user Δt keeps growing (the
+// §4.E asynchronous regime), and the next delivered observation resumes
+// tracking. Test with errors.Is.
 var ErrAllMasked = errors.New("smc: observation entirely masked")
 
+// ErrBadRound is returned, wrapped, for a malformed round: see Round.Check,
+// plus a time not later than the last accepted round and an invalid user
+// subset. A rejected round leaves the tracker untouched. Test with
+// errors.Is.
+var ErrBadRound = errors.New("smc: malformed observation round")
+
+// Round is one observation round of Algorithm 4.1.
+type Round struct {
+	// T is the observation time. It must be finite and later than every
+	// round the tracker accepted before; the prediction disc of a user last
+	// updated at t' has radius VMax·(T − t') (Eq 4.2).
+	T float64
+	// Measured holds the flux readings, aligned with the sample points.
+	Measured []float64
+	// Present marks which sensors delivered a report (nil means all).
+	// Masked sensors drop out of the NLS fit entirely, so their readings
+	// may be anything, NaN included.
+	Present []bool
+	// Age gives each report's staleness in rounds (nil means all fresh).
+	// Stale reports keep their column with deflated weight (see
+	// staleAttenuation), so the tracker degrades gracefully under delayed
+	// delivery (internal/fault) instead of trusting old flux verbatim.
+	Age []int
+	// Users, when non-nil, restricts the round to a strictly ascending
+	// subset of users: only they join the candidate search and are updated,
+	// everyone else keeps their state, exactly as an active-set round
+	// treats unselected users. A subset larger than ActiveSetLimit runs the
+	// active-set selection among its own users. Estimates[i] then belongs
+	// to Users[i], so a caller responsible for a small slice of a huge
+	// population (one tile of a sharded field) pays O(len(Users)) per
+	// round. nil means every user, with Estimates[j] belonging to user j.
+	Users []int
+	// Dst, when it has the capacity, is reused as the estimate buffer (its
+	// backing array is overwritten and returned inside the result); pass
+	// the previous round's Estimates back to keep steady-state stepping
+	// allocation-flat. The estimates still carry freshly copied
+	// Samples/Weights, so retaining an Estimate across rounds stays safe.
+	Dst []Estimate
+}
+
+// Check reports whether r is a well-formed round for a tracker over the
+// given number of sample points: a finite T, Measured of that length,
+// Present and Age nil or of that length, no negative age, and a finite
+// reading on every delivered sensor. Every error wraps ErrBadRound. It is
+// the one shape check of a round; StepRound, the sharded field and the
+// serving layer all call it.
+func (r Round) Check(sensors int) error {
+	if math.IsNaN(r.T) || math.IsInf(r.T, 0) {
+		return fmt.Errorf("%w: time %v is not finite", ErrBadRound, r.T)
+	}
+	if len(r.Measured) != sensors {
+		return fmt.Errorf("%w: %d readings, want %d", ErrBadRound, len(r.Measured), sensors)
+	}
+	if r.Present != nil && len(r.Present) != sensors {
+		return fmt.Errorf("%w: present mask length %d, want %d", ErrBadRound, len(r.Present), sensors)
+	}
+	if r.Age != nil && len(r.Age) != sensors {
+		return fmt.Errorf("%w: age vector length %d, want %d", ErrBadRound, len(r.Age), sensors)
+	}
+	for i, a := range r.Age {
+		if a < 0 {
+			return fmt.Errorf("%w: age %d of sensor %d is negative", ErrBadRound, a, i)
+		}
+	}
+	for i, v := range r.Measured {
+		if (r.Present == nil || r.Present[i]) && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			return fmt.Errorf("%w: reading %d is not finite (%v)", ErrBadRound, i, v)
+		}
+	}
+	return nil
+}
+
 // Step consumes the flux observation taken at time t (readings aligned with
-// cfg.SamplePoints) and returns the per-user estimates. Observation times
-// must be strictly increasing.
+// cfg.SamplePoints) and returns the per-user estimates: StepRound with
+// every sensor delivered fresh and every user stepped.
 func (tr *Tracker) Step(t float64, measured []float64) (StepResult, error) {
-	return tr.StepUsers(t, measured, nil, nil, nil, nil)
+	return tr.StepRound(Round{T: t, Measured: measured})
 }
 
-// StepMasked is Step over a degraded observation: present marks which
-// sensors delivered a report this round (nil means all), and age gives each
-// delivered report's staleness in rounds (nil means all fresh; aligned with
-// measured where non-nil). Masked sensors drop out of the NLS fit entirely
-// — their columns never enter the objective — and stale reports keep their
-// column but with deflated weight (see staleAttenuation), so the
-// tracker degrades gracefully under sensor failure, report loss, and
-// delayed delivery (internal/fault) instead of fitting garbage. A round
-// with no delivered reports returns ErrAllMasked and leaves the tracker
-// untouched; a delivered non-finite reading is rejected the same way a
-// malformed observation length is.
-func (tr *Tracker) StepMasked(t float64, measured []float64, present []bool, age []int) (StepResult, error) {
-	return tr.StepUsers(t, measured, present, age, nil, nil)
-}
-
-// StepUsers is StepMasked restricted to an explicit user subset: only the
-// listed users join the candidate search and are updated; everyone else
-// keeps their state, exactly as an active-set round treats unselected
-// users. The subset must be strictly ascending and within range. A subset
-// naming every user runs the full round — including the ActiveSetLimit
-// selection, which a subset larger than the limit applies among its own
-// users and only a smaller one bypasses (the caller has already decided
-// who is searched). A sharded field uses this to step one tile's owned
-// users against the tile's observation.
-//
-// Estimates[i] belongs to users[i], so a caller responsible for a small
-// slice of a huge user population pays O(len(users)) per round instead of
-// O(NumUsers). dst, when non-nil, is reused as the estimate buffer (its
-// backing array is overwritten and returned inside the result); pass the
-// previous round's buffer back to keep steady-state stepping
-// allocation-flat. The estimates themselves still carry freshly copied
-// Samples/Weights, so retaining an Estimate across rounds stays safe. A nil
-// users runs the full round with dense output over NumUsers, as StepMasked.
-// The tracker borrows the users slice only for the duration of the call.
-func (tr *Tracker) StepUsers(t float64, measured []float64, present []bool, age []int, users []int, dst []Estimate) (StepResult, error) {
+// StepRound runs one round of Algorithm 4.1. A malformed round (see
+// Round.Check), a T not later than the last accepted round, or a Users
+// subset that is not strictly ascending within [0, NumUsers) returns an
+// error wrapping ErrBadRound; a round with no delivered reports returns
+// ErrAllMasked. Either way the tracker is left untouched. The tracker
+// borrows r's slices only for the duration of the call.
+func (tr *Tracker) StepRound(r Round) (StepResult, error) {
 	// Observation is write-only: the span and counters below never feed
 	// back into the round, so enabling them cannot perturb tracker output.
 	observed := tr.met.m != nil || tr.cfg.Trace != nil
@@ -447,37 +489,28 @@ func (tr *Tracker) StepUsers(t float64, measured []float64, present []bool, age 
 	if observed {
 		t0 = time.Now()
 	}
-	report := users // output alignment; nil = dense over NumUsers
-	if users != nil {
+	n := len(tr.cfg.SamplePoints)
+	if err := r.Check(n); err != nil {
+		return StepResult{}, err
+	}
+	if !(r.T > tr.lastT) {
+		return StepResult{}, fmt.Errorf("%w: time %v is not after the last accepted round (%v)",
+			ErrBadRound, r.T, tr.lastT)
+	}
+	if r.Users != nil {
 		prev := -1
-		for _, j := range users {
+		for _, j := range r.Users {
 			if j <= prev || j >= tr.cfg.NumUsers {
-				return StepResult{}, fmt.Errorf("smc: user subset %v is not strictly ascending within [0,%d)",
-					users, tr.cfg.NumUsers)
+				return StepResult{}, fmt.Errorf("%w: user subset %v is not strictly ascending within [0,%d)",
+					ErrBadRound, r.Users, tr.cfg.NumUsers)
 			}
 			prev = j
 		}
-		if len(users) == 0 {
-			return StepResult{}, errors.New("smc: empty user subset")
-		}
-		if len(users) == tr.cfg.NumUsers {
-			// Strictly ascending and in range with NumUsers entries is the
-			// identity: take the full-round path, active-set selection
-			// included, so a total subset is byte-identical to Step (the
-			// output alignment is the identity too).
-			users = nil
+		if len(r.Users) == 0 {
+			return StepResult{}, fmt.Errorf("%w: empty user subset", ErrBadRound)
 		}
 	}
-	n := len(tr.cfg.SamplePoints)
-	if len(measured) != n {
-		return StepResult{}, fmt.Errorf("smc: observation length %d, want %d", len(measured), n)
-	}
-	if present != nil && len(present) != n {
-		return StepResult{}, fmt.Errorf("smc: present mask length %d, want %d", len(present), n)
-	}
-	if age != nil && len(age) != n {
-		return StepResult{}, fmt.Errorf("smc: age vector length %d, want %d", len(age), n)
-	}
+	t, present, age := r.T, r.Present, r.Age
 	delivered := n
 	if present != nil {
 		delivered = 0
@@ -495,35 +528,23 @@ func (tr *Tracker) StepUsers(t float64, measured []float64, present []bool, age 
 		}
 	}
 	staleCount := 0
-	if age != nil {
-		for i, a := range age {
-			if a > 0 && (present == nil || present[i]) {
-				staleCount++
-			}
-		}
-		if staleCount == 0 {
-			age = nil
+	for i, a := range age {
+		if a > 0 && (present == nil || present[i]) {
+			staleCount++
 		}
 	}
-	for i, v := range measured {
-		if present != nil && !present[i] {
-			continue
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return StepResult{}, fmt.Errorf("smc: reading %d is not finite (%v)", i, v)
-		}
+	// report is the output alignment: the caller's subset, else everyone.
+	report := r.Users
+	if report == nil {
+		report = tr.identitySubset()
 	}
 	var span obs.Span
 	var spanPtr *obs.Span
 	var solves0, iters0 uint64
 	if observed {
-		spanUsers := tr.cfg.NumUsers
-		if report != nil {
-			spanUsers = len(report)
-		}
 		span = obs.Span{
 			Seed: tr.seed, Step: tr.steps, Time: t, Tile: -1,
-			Users:         spanUsers,
+			Users:         len(report),
 			MaskedSensors: n - delivered,
 			StaleSensors:  staleCount,
 		}
@@ -546,27 +567,21 @@ func (tr *Tracker) StepUsers(t float64, measured []float64, present []bool, age 
 			}
 		}
 	}
-	prob, err := fit.NewProblemMasked(tr.cfg.Model, tr.cfg.SamplePoints, measured, weights, present)
+	prob, err := fit.NewProblemMasked(tr.cfg.Model, tr.cfg.SamplePoints, r.Measured, weights, present)
 	if err != nil {
 		return StepResult{}, err
 	}
 
-	subset := users
-	switch {
-	case subset == nil && tr.cfg.ActiveSetLimit > 0 && tr.cfg.NumUsers > tr.cfg.ActiveSetLimit:
-		subset, err = tr.selectActive(prob, t, nil)
-	case subset == nil:
-		subset = tr.identitySubset()
-	case tr.cfg.ActiveSetLimit > 0 && len(subset) > tr.cfg.ActiveSetLimit:
-		// An explicit subset beyond the cap runs the same selection,
-		// restricted to the subset's users: a sharded tile owning thousands
-		// of users searches only the ones that look active this round.
-		subset, err = tr.selectActive(prob, t, subset)
+	// A subset beyond the cap runs the active-set selection among its own
+	// users: a sharded tile owning thousands of users searches only the ones
+	// that look active this round.
+	subset := report
+	if limit := tr.cfg.ActiveSetLimit; limit > 0 && len(subset) > limit {
+		if subset, err = tr.selectActive(prob, subset); err != nil {
+			return StepResult{}, err
+		}
 	}
-	if err != nil {
-		return StepResult{}, err
-	}
-	out, err := tr.stepSubset(prob, t, subset, report, dst, spanPtr)
+	out, err := tr.stepSubset(prob, t, subset, report, r.Dst, spanPtr)
 	if err != nil {
 		return out, err
 	}
@@ -613,30 +628,20 @@ func (tr *Tracker) identitySubset() []int {
 // most ActiveSetLimit): users whose stretch in the incumbent-position fit is
 // above the idle threshold, then uninitialized users needing bootstrap, then
 // — when the incumbent fit explains the observation poorly — the users with
-// the largest accumulated Δt (most positional uncertainty). candidates
-// restricts the selection to an explicit user pool (strictly ascending); nil
-// means every user. The returned subset aliases tracker-owned scratch valid
-// until the next selection.
-func (tr *Tracker) selectActive(prob *fit.Problem, t float64, candidates []int) ([]int, error) {
+// the largest accumulated Δt (most positional uncertainty), all drawn from
+// the strictly ascending candidates pool. The returned subset aliases
+// tracker-owned scratch valid until the next selection.
+func (tr *Tracker) selectActive(prob *fit.Problem, candidates []int) ([]int, error) {
 	limit := tr.cfg.ActiveSetLimit
 	sc := &tr.sel
 
 	sc.initialized = sc.initialized[:0]
 	sc.uninitialized = sc.uninitialized[:0]
-	classify := func(j int) {
-		if u := tr.users[j]; u != nil && u.initialized {
+	for _, j := range candidates {
+		if u := tr.users[j]; u != nil && u.Initialized {
 			sc.initialized = append(sc.initialized, j)
 		} else {
 			sc.uninitialized = append(sc.uninitialized, j)
-		}
-	}
-	if candidates == nil {
-		for j := 0; j < tr.cfg.NumUsers; j++ {
-			classify(j)
-		}
-	} else {
-		for _, j := range candidates {
-			classify(j)
 		}
 	}
 	initialized, uninitialized := sc.initialized, sc.uninitialized
@@ -678,8 +683,8 @@ func (tr *Tracker) selectActive(prob *fit.Problem, t float64, candidates []int) 
 		stale := sc.stale
 		sort.Slice(stale, func(a, b int) bool {
 			ua, ub := stale[a], stale[b]
-			if tr.users[ua].lastUpdate != tr.users[ub].lastUpdate {
-				return tr.users[ua].lastUpdate < tr.users[ub].lastUpdate
+			if tr.users[ua].LastUpdate != tr.users[ub].LastUpdate {
+				return tr.users[ua].LastUpdate < tr.users[ub].LastUpdate
 			}
 			return ua < ub
 		})
@@ -701,7 +706,7 @@ func (tr *Tracker) selectActive(prob *fit.Problem, t float64, candidates []int) 
 	}
 	positions := sc.positions[:len(initialized)]
 	for i, j := range initialized {
-		positions[i] = tr.users[j].samples[0]
+		positions[i] = tr.users[j].Samples[0]
 	}
 	ev, err := tr.searcher.EvaluateWorkers(prob, positions, tr.cfg.Workers)
 	if err != nil {
@@ -750,8 +755,8 @@ func (tr *Tracker) selectActive(prob *fit.Problem, t float64, candidates []int) 
 			// remaining slots in ascending index order, again keeping the
 			// membership independent of sort internals.
 			ua, ub := stale[a], stale[b]
-			if tr.users[ua].lastUpdate != tr.users[ub].lastUpdate {
-				return tr.users[ua].lastUpdate < tr.users[ub].lastUpdate
+			if tr.users[ua].LastUpdate != tr.users[ub].LastUpdate {
+				return tr.users[ua].LastUpdate < tr.users[ub].LastUpdate
 			}
 			return ua < ub
 		})
@@ -796,14 +801,10 @@ func (tr *Tracker) predictBuffers(k int) ([][]geom.Point, [][]int) {
 
 // stepSubset runs one Algorithm 4.1 round with only the subset users in the
 // candidate search; the remaining users are treated as idle this round.
-// report selects the output shape: nil fills a dense NumUsers estimate
-// array; otherwise Estimates[i] belongs to report[i], written into dst
-// when it has capacity. A non-nil span receives the round's phase timings
-// and work counts; it never influences the round itself.
+// Estimates[i] belongs to report[i], written into dst when it has capacity.
+// A non-nil span receives the round's phase timings and work counts; it
+// never influences the round itself.
 func (tr *Tracker) stepSubset(prob *fit.Problem, t float64, subset []int, report []int, dst []Estimate, span *obs.Span) (StepResult, error) {
-	if len(subset) == 0 {
-		return StepResult{}, errors.New("smc: empty user subset")
-	}
 	// Materialize every searched user's state serially before fanning out:
 	// the parallel phases below only read the user map (and mutate distinct
 	// *userState values), so lazy slot creation never races.
@@ -855,31 +856,19 @@ func (tr *Tracker) stepSubset(prob *fit.Problem, t float64, subset []int, report
 		maxStretch = math.Max(maxStretch, c)
 	}
 
-	var ests []Estimate
-	if report == nil {
-		ests = make([]Estimate, tr.cfg.NumUsers)
-	} else {
-		// Sparse output: reuse the caller's buffer when it is big enough so
-		// steady-state sparse stepping allocates no estimate array.
-		if cap(dst) < len(report) {
-			dst = make([]Estimate, len(report))
-		}
-		ests = dst[:len(report)]
+	// Reuse the caller's buffer when it is big enough, so steady-state
+	// stepping allocates no estimate array.
+	if cap(dst) < len(report) {
+		dst = make([]Estimate, len(report))
 	}
+	ests := dst[:len(report)]
 	out := StepResult{Time: t, Objective: best.Objective, Estimates: ests}
-	num := tr.cfg.NumUsers
-	if report != nil {
-		num = len(report)
-	}
 	// Update and estimate bookkeeping: independent per user (user j's state
 	// and estimate slot are touched by exactly one worker). Subset
 	// membership resolves by binary search — subset is strictly ascending —
 	// so no per-round membership map is built.
-	_ = par.For(num, tr.cfg.Workers, func(_, idx int) error {
-		j := idx
-		if report != nil {
-			j = report[idx]
-		}
+	_ = par.For(len(report), tr.cfg.Workers, func(_, idx int) error {
+		j := report[idx]
 		i := sort.SearchInts(subset, j)
 		if i >= len(subset) || subset[i] != j {
 			ests[idx] = tr.estimate(j, false, 0)
@@ -894,6 +883,7 @@ func (tr *Tracker) stepSubset(prob *fit.Problem, t float64, subset []int, report
 		return nil
 	})
 	tr.steps++
+	tr.lastT = t
 	if span != nil {
 		span.UpdateNs = time.Since(mark).Nanoseconds()
 		for j := range out.Estimates {
@@ -913,20 +903,20 @@ func (tr *Tracker) stepSubset(prob *fit.Problem, t float64, subset []int, report
 func (tr *Tracker) predictInto(j int, t float64, cands []geom.Point, origins []int) {
 	u := tr.users[j] // ensured by stepSubset's serial prologue
 	field := tr.cfg.Bounds
-	if !u.initialized {
+	if !u.Initialized {
 		for i := range cands {
 			cands[i] = u.src.InRect(field)
 			origins[i] = -1
 		}
 		return
 	}
-	dt := math.Max(t-u.lastUpdate, 0)
+	dt := math.Max(t-u.LastUpdate, 0)
 	radius := tr.cfg.VMax * dt
 	var drift geom.Vec
-	if tr.cfg.HeadingPrediction && u.hasVelocity {
+	if tr.cfg.HeadingPrediction && u.HasVelocity {
 		// Dead-reckon by the estimated velocity and shrink the disc: the
 		// heading supplies the direction the blind model had to cover.
-		drift = u.velocity.Scale(dt)
+		drift = u.Velocity.Scale(dt)
 		// Never reckon further than the speed bound allows.
 		if n := drift.Norm(); n > radius {
 			drift = drift.Scale(radius / math.Max(n, 1e-12))
@@ -934,11 +924,11 @@ func (tr *Tracker) predictInto(j int, t float64, cands []geom.Point, origins []i
 		radius /= 2
 	}
 	for i := range cands {
-		o := u.src.Weighted(u.weights)
+		o := u.src.Weighted(u.Weights)
 		if o < 0 {
-			o = u.src.IntN(len(u.samples))
+			o = u.src.IntN(len(u.Samples))
 		}
-		center := u.samples[o].Add(drift)
+		center := u.Samples[o].Add(drift)
 		cands[i] = u.src.InDiscClamped(field.Clamp(center), radius, field)
 		origins[i] = o
 	}
@@ -969,8 +959,8 @@ func (tr *Tracker) update(j int, t float64, ranked []fit.RankedPosition, origins
 		w := 1.0
 		if !tr.cfg.UniformWeights {
 			prior := 1.0
-			if u.initialized && origins[r.Index] >= 0 {
-				prior = u.weights[origins[r.Index]]
+			if u.Initialized && origins[r.Index] >= 0 {
+				prior = u.Weights[origins[r.Index]]
 			}
 			w = prior / math.Max(r.Objective, 1e-12)
 		}
@@ -986,13 +976,13 @@ func (tr *Tracker) update(j int, t float64, ranked []fit.RankedPosition, origins
 			newWeights[i] /= total
 		}
 	}
-	dt := t - u.lastUpdate
-	u.spareSamples = u.samples[:0:cap(u.samples)]
-	u.spareWeights = u.weights[:0:cap(u.weights)]
-	u.samples = newSamples
-	u.weights = newWeights
-	u.lastUpdate = t
-	u.initialized = true
+	dt := t - u.LastUpdate
+	u.spareSamples = u.Samples[:0:cap(u.Samples)]
+	u.spareWeights = u.Weights[:0:cap(u.Weights)]
+	u.Samples = newSamples
+	u.Weights = newWeights
+	u.LastUpdate = t
+	u.Initialized = true
 
 	// Maintain the velocity estimate for heading-informed prediction.
 	var mx, my float64
@@ -1001,12 +991,12 @@ func (tr *Tracker) update(j int, t float64, ranked []fit.RankedPosition, origins
 		my += newWeights[i] * s.Y
 	}
 	mean := geom.Pt(mx, my)
-	if u.hasPrevMean && dt > 0 {
-		u.velocity = mean.Sub(u.prevMean).Scale(1 / dt)
-		u.hasVelocity = true
+	if u.HasPrevMean && dt > 0 {
+		u.Velocity = mean.Sub(u.PrevMean).Scale(1 / dt)
+		u.HasVelocity = true
 	}
-	u.prevMean = mean
-	u.hasPrevMean = true
+	u.PrevMean = mean
+	u.HasPrevMean = true
 }
 
 // estimate summarizes user j's current sample set. Reads only: a user with
@@ -1015,32 +1005,30 @@ func (tr *Tracker) update(j int, t float64, ranked []fit.RankedPosition, origins
 func (tr *Tracker) estimate(j int, active bool, stretch float64) Estimate {
 	u := tr.users[j]
 	est := Estimate{Active: active, Stretch: stretch}
-	if u == nil || !u.initialized {
+	if u == nil || !u.Initialized {
 		// Never updated: report the bounds center with zero confidence.
 		est.Mean = tr.cfg.Bounds.Center()
 		est.Best = est.Mean
 		return est
 	}
-	est.Samples = append([]geom.Point(nil), u.samples...)
-	est.Weights = append([]float64(nil), u.weights...)
+	est.Samples = append([]geom.Point(nil), u.Samples...)
+	est.Weights = append([]float64(nil), u.Weights...)
 	var x, y float64
-	for i, s := range u.samples {
-		x += u.weights[i] * s.X
-		y += u.weights[i] * s.Y
+	for i, s := range u.Samples {
+		x += u.Weights[i] * s.X
+		y += u.Weights[i] * s.Y
 	}
 	est.Mean = geom.Pt(x, y)
-	est.Best = u.samples[0] // ranked ascending by objective at update time
+	est.Best = u.Samples[0] // ranked ascending by objective at update time
 	return est
 }
 
-// UserSnapshot is a self-contained copy of one user's SMC state — the
-// weighted sample set plus the asynchronous-update bookkeeping — portable
-// between trackers. A sharded field (internal/shard) moves a user between
-// neighboring tiles by exporting the snapshot from one tracker and
-// importing it into another; the RNG substream is deliberately NOT part of
-// the snapshot (it belongs to the (tracker, slot) pair, so each tile keeps
-// drawing from its own deterministic stream regardless of migration
-// history).
+// UserSnapshot is one user's persistent SMC state — the weighted sample set
+// plus the asynchronous-update bookkeeping. It is what a checkpoint carries
+// per user (see TrackerState) and what MoveUserTo hands between trackers;
+// the RNG substream is deliberately NOT part of it (it belongs to the
+// (tracker, slot) pair, so each tile of a sharded field keeps drawing from
+// its own deterministic stream regardless of migration history).
 type UserSnapshot struct {
 	Samples     []geom.Point
 	Weights     []float64
@@ -1052,86 +1040,13 @@ type UserSnapshot struct {
 	HasPrevMean bool
 }
 
-// ExportUser returns a deep copy of user j's current state. Exporting an
-// uninitialized user yields a snapshot with Initialized false.
-func (tr *Tracker) ExportUser(j int) (UserSnapshot, error) {
-	if j < 0 || j >= tr.cfg.NumUsers {
-		return UserSnapshot{}, fmt.Errorf("smc: export user %d outside [0,%d)", j, tr.cfg.NumUsers)
-	}
-	u := tr.users[j]
-	if u == nil {
-		return UserSnapshot{}, nil // never touched: uninitialized
-	}
-	return UserSnapshot{
-		Samples:     append([]geom.Point(nil), u.samples...),
-		Weights:     append([]float64(nil), u.weights...),
-		LastUpdate:  u.lastUpdate,
-		Initialized: u.initialized,
-		Velocity:    u.velocity,
-		HasVelocity: u.hasVelocity,
-		PrevMean:    u.prevMean,
-		HasPrevMean: u.hasPrevMean,
-	}, nil
-}
-
-// ImportUser replaces user j's state with a deep copy of the snapshot. An
-// initialized snapshot must carry a non-empty sample set with aligned
-// weights; samples are taken verbatim (the next prediction phase clamps its
-// draws to the tracker bounds, so samples just outside a tile's ground —
-// the normal case right after a seam crossing — resolve naturally).
-func (tr *Tracker) ImportUser(j int, s UserSnapshot) error {
-	if j < 0 || j >= tr.cfg.NumUsers {
-		return fmt.Errorf("smc: import user %d outside [0,%d)", j, tr.cfg.NumUsers)
-	}
-	if s.Initialized {
-		if len(s.Samples) == 0 {
-			return errors.New("smc: initialized snapshot with no samples")
-		}
-		if len(s.Samples) != len(s.Weights) {
-			return fmt.Errorf("smc: snapshot has %d samples but %d weights", len(s.Samples), len(s.Weights))
-		}
-	}
-	u := tr.ensure(j)
-	u.samples = append(u.samples[:0], s.Samples...)
-	u.weights = append(u.weights[:0], s.Weights...)
-	u.lastUpdate = s.LastUpdate
-	u.initialized = s.Initialized
-	u.velocity = s.Velocity
-	u.hasVelocity = s.HasVelocity
-	u.prevMean = s.PrevMean
-	u.hasPrevMean = s.HasPrevMean
-	return nil
-}
-
-// ResetUser clears user j back to the uninitialized bootstrap state (the
-// source side of a migration). The slot keeps its RNG substream: a user
-// migrating back later resumes the same deterministic stream, advanced by
-// exactly the draws the slot has made. The slot's sample buffers are kept
-// (emptied) for reuse, so a reset/re-import cycle allocates nothing.
-func (tr *Tracker) ResetUser(j int) error {
-	if j < 0 || j >= tr.cfg.NumUsers {
-		return fmt.Errorf("smc: reset user %d outside [0,%d)", j, tr.cfg.NumUsers)
-	}
-	u := tr.users[j]
-	if u == nil {
-		return nil // never touched: already the bootstrap state
-	}
-	*u = userState{
-		src:          u.src,
-		samples:      u.samples[:0],
-		weights:      u.weights[:0],
-		spareSamples: u.spareSamples,
-		spareWeights: u.spareWeights,
-	}
-	return nil
-}
-
-// MoveUserTo transfers user j's state from tr to dst — semantically
-// ExportUser + ImportUser + ResetUser, but by handing the sample buffers
-// over instead of deep-copying them, and recycling dst's previous buffers
-// into the vacated source slot. Steady-state seam migration in a sharded
-// field therefore allocates nothing. Both trackers keep their own RNG
-// substreams for the slot, exactly as the snapshot path does.
+// MoveUserTo transfers user j's state from tr to dst by handing the sample
+// buffers over instead of deep-copying them, and recycles dst's previous
+// buffers into the vacated source slot, which reverts to the uninitialized
+// bootstrap state. Steady-state seam migration in a sharded field therefore
+// allocates nothing. Both trackers keep their own RNG substreams for the
+// slot: a user migrating back later resumes the source slot's stream,
+// advanced by exactly the draws the slot has made.
 func (tr *Tracker) MoveUserTo(dst *Tracker, j int) error {
 	if j < 0 || j >= tr.cfg.NumUsers {
 		return fmt.Errorf("smc: move user %d outside [0,%d)", j, tr.cfg.NumUsers)
@@ -1139,33 +1054,16 @@ func (tr *Tracker) MoveUserTo(dst *Tracker, j int) error {
 	if j >= dst.cfg.NumUsers {
 		return fmt.Errorf("smc: move user %d outside destination [0,%d)", j, dst.cfg.NumUsers)
 	}
-	su := tr.users[j]
-	if su == nil {
-		// Nothing to move: the destination must still end up uninitialized,
-		// matching import-of-empty-snapshot + reset semantics.
-		return dst.ResetUser(j)
-	}
-	du := dst.ensure(j)
-	oldSamples, oldWeights := du.samples, du.weights
-	*du = userState{
-		samples:      su.samples,
-		weights:      su.weights,
-		lastUpdate:   su.lastUpdate,
-		initialized:  su.initialized,
-		src:          du.src,
-		velocity:     su.velocity,
-		hasVelocity:  su.hasVelocity,
-		prevMean:     su.prevMean,
-		hasPrevMean:  su.hasPrevMean,
-		spareSamples: du.spareSamples,
-		spareWeights: du.spareWeights,
-	}
-	*su = userState{
-		src:          su.src,
-		samples:      oldSamples[:0],
-		weights:      oldWeights[:0],
-		spareSamples: su.spareSamples,
-		spareWeights: su.spareWeights,
+	su, du := tr.users[j], dst.users[j]
+	switch {
+	case su != nil:
+		du = dst.ensure(j)
+		old := du.UserSnapshot
+		du.UserSnapshot = su.UserSnapshot
+		su.UserSnapshot = UserSnapshot{Samples: old.Samples[:0], Weights: old.Weights[:0]}
+	case du != nil:
+		// Nothing to move: the destination still ends up uninitialized.
+		du.UserSnapshot = UserSnapshot{Samples: du.Samples[:0], Weights: du.Weights[:0]}
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package smc
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"fluxtrack/internal/geom"
@@ -42,12 +43,6 @@ type TrackerState struct {
 	Users    []UserCheckpoint
 }
 
-// Seed returns the tracker's construction seed.
-func (tr *Tracker) Seed() uint64 { return tr.seed }
-
-// NumUsers returns the tracked population size (K).
-func (tr *Tracker) NumUsers() int { return tr.cfg.NumUsers }
-
 // ExportState deep-copies the tracker's complete resumable state. Exporting
 // never mutates the tracker: a checkpointed tracker and its restored twin
 // produce identical estimates from the next Step on, and the original may
@@ -60,69 +55,91 @@ func (tr *Tracker) ExportState() TrackerState {
 		Users:    make([]UserCheckpoint, 0, len(tr.users)),
 	}
 	for j, u := range tr.users {
-		st.Users = append(st.Users, UserCheckpoint{
-			User: j,
-			Snapshot: UserSnapshot{
-				Samples:     append([]geom.Point(nil), u.samples...),
-				Weights:     append([]float64(nil), u.weights...),
-				LastUpdate:  u.lastUpdate,
-				Initialized: u.initialized,
-				Velocity:    u.velocity,
-				HasVelocity: u.hasVelocity,
-				PrevMean:    u.prevMean,
-				HasPrevMean: u.hasPrevMean,
-			},
-			RNG: u.src.State(),
-		})
+		snap := u.UserSnapshot
+		snap.Samples = append([]geom.Point(nil), u.Samples...)
+		snap.Weights = append([]float64(nil), u.Weights...)
+		st.Users = append(st.Users, UserCheckpoint{User: j, Snapshot: snap, RNG: u.src.State()})
 	}
 	sort.Slice(st.Users, func(a, b int) bool { return st.Users[a].User < st.Users[b].User })
 	return st
 }
 
-// RestoreState replaces the tracker's state with a deep copy of st. The
-// tracker must have been built from the same Config seed and population size
-// the state was exported under; every other slot reverts to the untouched
-// bootstrap state, exactly as in a fresh tracker. After RestoreState the
-// tracker is the exporting tracker's process-equivalent twin: the same
-// observation stream produces byte-identical estimates (the searcher's work
-// counters restart at zero, but they only ever feed scheduling and
-// observability, never output).
-func (tr *Tracker) RestoreState(st TrackerState) error {
-	if st.Seed != tr.seed {
-		return fmt.Errorf("smc: restore seed %#x into tracker seeded %#x", st.Seed, tr.seed)
+// Check reports whether st can be restored into a tracker built with the
+// given seed and population size: matching seed and size, a non-negative
+// step count, users strictly ascending within range, every initialized
+// user with a non-empty sample set and aligned weights, and every restored
+// float finite, with no negative weight. RestoreState runs it before it
+// touches anything; a sharded field runs it on every tile's state first.
+func (st TrackerState) Check(seed uint64, numUsers int) error {
+	if st.Seed != seed {
+		return fmt.Errorf("smc: restore seed %#x into tracker seeded %#x", st.Seed, seed)
 	}
-	if st.NumUsers != tr.cfg.NumUsers {
-		return fmt.Errorf("smc: restore of %d users into tracker of %d", st.NumUsers, tr.cfg.NumUsers)
+	if st.NumUsers != numUsers {
+		return fmt.Errorf("smc: restore of %d users into tracker of %d", st.NumUsers, numUsers)
 	}
 	if st.Steps < 0 {
 		return fmt.Errorf("smc: restore with negative step count %d", st.Steps)
 	}
 	prev := -1
 	for _, uc := range st.Users {
-		if uc.User <= prev || uc.User >= tr.cfg.NumUsers {
-			return fmt.Errorf("smc: restore user list not strictly ascending within [0,%d)", tr.cfg.NumUsers)
+		if uc.User <= prev || uc.User >= numUsers {
+			return fmt.Errorf("smc: restore user list not strictly ascending within [0,%d)", numUsers)
 		}
 		prev = uc.User
-		if uc.Snapshot.Initialized {
-			if len(uc.Snapshot.Samples) == 0 {
+		s := uc.Snapshot
+		if s.Initialized {
+			if len(s.Samples) == 0 {
 				return fmt.Errorf("smc: restore user %d initialized with no samples", uc.User)
 			}
-			if len(uc.Snapshot.Samples) != len(uc.Snapshot.Weights) {
+			if len(s.Samples) != len(s.Weights) {
 				return fmt.Errorf("smc: restore user %d has %d samples but %d weights",
-					uc.User, len(uc.Snapshot.Samples), len(uc.Snapshot.Weights))
+					uc.User, len(s.Samples), len(s.Weights))
 			}
 		}
+		finite := isFinite(s.LastUpdate) && isFinite(s.Velocity.DX) && isFinite(s.Velocity.DY) &&
+			isFinite(s.PrevMean.X) && isFinite(s.PrevMean.Y) && (!uc.RNG.HasSpare || isFinite(uc.RNG.Spare))
+		for _, p := range s.Samples {
+			finite = finite && isFinite(p.X) && isFinite(p.Y)
+		}
+		for _, w := range s.Weights {
+			finite = finite && isFinite(w) && w >= 0
+		}
+		if !finite {
+			return fmt.Errorf("smc: restore user %d carries a non-finite value or a negative weight", uc.User)
+		}
 	}
-	// Validation passed: rebuild the user map wholesale. Dropping untouched
-	// slots (rather than resetting them) matches a fresh process exactly —
-	// their substreams re-derive from (seed, index) on first touch.
+	return nil
+}
+
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// RestoreState replaces the tracker's state with a deep copy of st, after
+// st.Check against the tracker's seed and population size; a rejected state
+// leaves the tracker untouched. Every slot st does not carry reverts to the
+// untouched bootstrap state, exactly as in a fresh tracker. After
+// RestoreState the tracker is the exporting tracker's process-equivalent
+// twin: the same observation stream produces byte-identical estimates (the
+// searcher's work counters restart at zero, but they only ever feed
+// scheduling and observability, never output). The next round must be
+// later than the latest LastUpdate of the restored initialized users.
+func (tr *Tracker) RestoreState(st TrackerState) error {
+	if err := st.Check(tr.seed, tr.cfg.NumUsers); err != nil {
+		return err
+	}
+	// Rebuild the user map wholesale. Dropping untouched slots (rather than
+	// resetting them) matches a fresh process exactly — their substreams
+	// re-derive from (seed, index) on first touch.
 	clear(tr.users)
+	tr.lastT = math.Inf(-1)
 	for _, uc := range st.Users {
 		u := tr.ensure(uc.User)
-		if err := tr.ImportUser(uc.User, uc.Snapshot); err != nil {
-			return err
-		}
+		u.UserSnapshot = uc.Snapshot
+		u.Samples = append([]geom.Point(nil), uc.Snapshot.Samples...)
+		u.Weights = append([]float64(nil), uc.Snapshot.Weights...)
 		u.src.Restore(uc.RNG)
+		if u.Initialized {
+			tr.lastT = math.Max(tr.lastT, u.LastUpdate)
+		}
 	}
 	tr.steps = st.Steps
 	return nil

@@ -1,6 +1,8 @@
 package smc
 
 import (
+	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -154,11 +156,113 @@ func TestExportAscendingAndSparse(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Step only users {1, 3}: slots 0, 2, 4 must stay unmaterialized.
-	if _, err := tr.StepUsers(1, obs[0], nil, nil, []int{1, 3}, nil); err != nil {
+	if _, err := tr.StepRound(Round{T: 1, Measured: obs[0], Users: []int{1, 3}}); err != nil {
 		t.Fatal(err)
 	}
 	st := tr.ExportState()
 	if len(st.Users) != 2 || st.Users[0].User != 1 || st.Users[1].User != 3 {
 		t.Fatalf("export carries users %+v, want exactly slots 1 and 3", st.Users)
+	}
+}
+
+// TestRestoreRejectsNonFinite: a state carrying a non-finite float or a
+// negative weight anywhere a tracker restores one is refused, and the
+// refused restore leaves the tracker exactly as it was.
+func TestRestoreRejectsNonFinite(t *testing.T) {
+	cfg, obs := stateWorld(t, 3)
+	tr, err := New(cfg, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := New(cfg, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run1toK(t, tr, obs, 2)
+	run1toK(t, twin, obs, 2)
+	good := tr.ExportState()
+	if !good.Users[0].Snapshot.HasVelocity {
+		t.Fatal("test world lost its velocity estimate")
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, mutate := range map[string]func(s *UserCheckpoint){
+		"NaN weight":      func(s *UserCheckpoint) { s.Snapshot.Weights[0] = nan },
+		"negative weight": func(s *UserCheckpoint) { s.Snapshot.Weights[1] = -0.5 },
+		"NaN sample":      func(s *UserCheckpoint) { s.Snapshot.Samples[2].Y = nan },
+		"NaN LastUpdate":  func(s *UserCheckpoint) { s.Snapshot.LastUpdate = nan },
+		"+Inf velocity":   func(s *UserCheckpoint) { s.Snapshot.Velocity.DX = inf },
+		"-Inf prev mean":  func(s *UserCheckpoint) { s.Snapshot.PrevMean.X = -inf },
+		"NaN RNG spare":   func(s *UserCheckpoint) { s.RNG.Spare, s.RNG.HasSpare = nan, true },
+	} {
+		bad := tr.ExportState()
+		mutate(&bad.Users[0])
+		if err := tr.RestoreState(bad); err == nil {
+			t.Errorf("%s: restore accepted", name)
+		}
+		if !reflect.DeepEqual(tr.ExportState(), good) {
+			t.Fatalf("%s: refused restore changed the tracker", name)
+		}
+	}
+	want, err1 := twin.Step(3, obs[2])
+	got, err2 := tr.Step(3, obs[2])
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("tracker diverged from its twin after refused restores")
+	}
+}
+
+// TestRoundTimeOrder: a round whose time is not finite or not later than
+// the last accepted round is refused with ErrBadRound and consumes nothing;
+// after RestoreState the bound is the restored users' latest update.
+func TestRoundTimeOrder(t *testing.T) {
+	cfg, obs := stateWorld(t, 4)
+	tr, err := New(cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := New(cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range []*Tracker{tr, twin} {
+		if _, err := tr.Step(1, obs[0]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tr.Step(3, obs[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := tr.ExportState()
+	for _, bad := range []float64{3, 2, -1, math.Inf(1), math.Inf(-1), math.NaN()} {
+		if _, err := tr.Step(bad, obs[2]); !errors.Is(err, ErrBadRound) {
+			t.Errorf("T=%v after T=3: err %v, want ErrBadRound", bad, err)
+		}
+	}
+	if tr.Steps() != 2 {
+		t.Fatalf("refused rounds advanced Steps to %d", tr.Steps())
+	}
+	want, err1 := twin.Step(4, obs[2])
+	got, err2 := tr.Step(4, obs[2])
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("refused rounds changed the next accepted round")
+	}
+	// Restoring the T=3 state moves the bound back to 3, not forward.
+	if err := tr.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.Step(3, obs[2]); !errors.Is(err, ErrBadRound) {
+		t.Errorf("T=3 after restoring a T=3 state: err %v, want ErrBadRound", err)
+	}
+	again, err := tr.Step(4, obs[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, want) {
+		t.Fatal("restored tracker diverged on the replayed round")
 	}
 }

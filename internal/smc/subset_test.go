@@ -1,10 +1,12 @@
 package smc
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
 	"fluxtrack/internal/geom"
+	"fluxtrack/internal/rng"
 )
 
 // subsetWorld builds a 3-user tracker pair plus a model-exact observation
@@ -34,9 +36,20 @@ func subsetWorld(t *testing.T, cfg Config) (*Tracker, *Tracker, [][]float64) {
 	return a, b, stream
 }
 
-// TestStepUsersFullSubsetIsStep: a subset naming every user must take the
+// userOf returns user j's snapshot as ExportState carries it (the zero
+// snapshot for a slot the tracker never materialized).
+func userOf(tr *Tracker, j int) UserSnapshot {
+	for _, uc := range tr.ExportState().Users {
+		if uc.User == j {
+			return uc.Snapshot
+		}
+	}
+	return UserSnapshot{}
+}
+
+// TestSubsetRoundFullIsStep: a subset naming every user must take the
 // full-round path, byte for byte — with and without the active-set cap.
-func TestStepUsersFullSubsetIsStep(t *testing.T) {
+func TestSubsetRoundFullIsStep(t *testing.T) {
 	for _, cfg := range []Config{
 		{N: 100, M: 5},
 		{N: 100, M: 5, ActiveSetLimit: 1},
@@ -45,7 +58,7 @@ func TestStepUsersFullSubsetIsStep(t *testing.T) {
 		for r, o := range stream {
 			tm := float64(r + 1)
 			want, err1 := a.Step(tm, o)
-			got, err2 := b.StepUsers(tm, o, nil, nil, []int{0, 1, 2}, nil)
+			got, err2 := b.StepRound(Round{T: tm, Measured: o, Users: []int{0, 1, 2}})
 			if err1 != nil || err2 != nil {
 				t.Fatal(err1, err2)
 			}
@@ -56,11 +69,11 @@ func TestStepUsersFullSubsetIsStep(t *testing.T) {
 	}
 }
 
-// TestStepUsersSparseFullSubsetIsStep: a subset step over every user that
+// TestSubsetRoundReusedBufferIsStep: a subset step over every user that
 // reuses the caller's estimate buffer across rounds still runs the
 // full-round semantics (active-set selection included) and aligns estimates
 // identically with Step — the reused contents must be rewritten.
-func TestStepUsersSparseFullSubsetIsStep(t *testing.T) {
+func TestSubsetRoundReusedBufferIsStep(t *testing.T) {
 	for _, cfg := range []Config{
 		{N: 100, M: 5},
 		{N: 100, M: 5, ActiveSetLimit: 1},
@@ -70,7 +83,7 @@ func TestStepUsersSparseFullSubsetIsStep(t *testing.T) {
 		for r, o := range stream {
 			tm := float64(r + 1)
 			want, err1 := a.Step(tm, o)
-			got, err2 := b.StepUsers(tm, o, nil, nil, []int{0, 1, 2}, buf)
+			got, err2 := b.StepRound(Round{T: tm, Measured: o, Users: []int{0, 1, 2}, Dst: buf})
 			if err1 != nil || err2 != nil {
 				t.Fatal(err1, err2)
 			}
@@ -84,37 +97,34 @@ func TestStepUsersSparseFullSubsetIsStep(t *testing.T) {
 	}
 }
 
-// TestStepUsersPartialSubset: only the listed users are searched/updated
-// and reported, aligned with the subset; the rest keep their state, exactly
+// TestSubsetRoundPartial: only the listed users are searched/updated and
+// reported, aligned with the subset; the rest keep their state, exactly
 // like an active-set round treats unselected users.
-func TestStepUsersPartialSubset(t *testing.T) {
+func TestSubsetRoundPartial(t *testing.T) {
 	a, _, stream := subsetWorld(t, Config{N: 100, M: 5})
 	if _, err := a.Step(1, stream[0]); err != nil {
 		t.Fatal(err)
 	}
-	before2, err := a.ExportUser(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := a.StepUsers(2, stream[1], nil, nil, []int{0, 1}, nil)
+	before2 := userOf(a, 2)
+	res, err := a.StepRound(Round{T: 2, Measured: stream[1], Users: []int{0, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Estimates) != 2 {
 		t.Fatalf("%d estimates for a 2-user subset", len(res.Estimates))
 	}
-	after2, err := a.ExportUser(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(before2, after2) {
+	if !reflect.DeepEqual(before2, userOf(a, 2)) {
 		t.Fatal("unlisted user's state changed")
 	}
 	// Subset contract violations.
 	for _, bad := range [][]int{{}, {1, 0}, {0, 0}, {-1}, {0, 7}} {
-		if _, err := a.StepUsers(3, stream[2], nil, nil, bad, nil); err == nil {
-			t.Errorf("subset %v accepted", bad)
+		_, err := a.StepRound(Round{T: 3, Measured: stream[2], Users: bad})
+		if !errors.Is(err, ErrBadRound) {
+			t.Errorf("subset %v: err %v, want ErrBadRound", bad, err)
 		}
+	}
+	if a.Steps() != 2 {
+		t.Fatalf("rejected subsets advanced Steps to %d", a.Steps())
 	}
 }
 
@@ -124,17 +134,15 @@ func TestStepUsersPartialSubset(t *testing.T) {
 func TestActiveSetWithinExplicitSubset(t *testing.T) {
 	a, _, stream := subsetWorld(t, Config{N: 100, M: 5, ActiveSetLimit: 2})
 	subset := []int{0, 1, 2}
-	res, err := a.StepUsers(1, stream[0], nil, nil, subset, nil)
+	res, err := a.StepRound(Round{T: 1, Measured: stream[0], Users: subset})
 	if err != nil {
 		t.Fatal(err)
 	}
 	searched := 0
-	for j, est := range res.Estimates {
-		snap, _ := a.ExportUser(j)
-		if snap.Initialized {
+	for j := range res.Estimates {
+		if userOf(a, j).Initialized {
 			searched++
 		}
-		_ = est
 	}
 	if searched == 0 || searched > 2 {
 		t.Fatalf("%d users searched, want 1..2 (ActiveSetLimit)", searched)
@@ -142,7 +150,9 @@ func TestActiveSetWithinExplicitSubset(t *testing.T) {
 }
 
 // TestMoveUserToMatchesSnapshotPath: the pooled migration must leave both
-// trackers in exactly the state the export/import/reset path produces, and
+// trackers in exactly the state a checkpoint edit produces — the user's
+// snapshot restored into the destination over the destination's own slot
+// stream, and the source slot cleared to bootstrap over its stream — and
 // the subsequent rounds must be byte-identical.
 func TestMoveUserToMatchesSnapshotPath(t *testing.T) {
 	mkPair := func() (*Tracker, *Tracker, [][]float64) {
@@ -159,15 +169,17 @@ func TestMoveUserToMatchesSnapshotPath(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Snapshot path on pair 1.
-	snap, err := a1.ExportUser(1)
-	if err != nil {
+	// Snapshot path on pair 1, through the checkpoint surface.
+	src := a1.ExportState()
+	moved := src.Users[1]
+	src.Users[1].Snapshot = UserSnapshot{}
+	if err := a1.RestoreState(src); err != nil {
 		t.Fatal(err)
 	}
-	if err := b1.ImportUser(1, snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := a1.ResetUser(1); err != nil {
+	dst := b1.ExportState()
+	dst.Users = []UserCheckpoint{{User: 1, Snapshot: moved.Snapshot,
+		RNG: rng.New(userStreamSeed(42, 1)).State()}}
+	if err := b1.RestoreState(dst); err != nil {
 		t.Fatal(err)
 	}
 	// Pooled path on pair 2.
@@ -175,33 +187,28 @@ func TestMoveUserToMatchesSnapshotPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := 0; j < 3; j++ {
-		s1, _ := a1.ExportUser(j)
-		s2, _ := a2.ExportUser(j)
-		if !reflect.DeepEqual(s1, s2) {
+		if !reflect.DeepEqual(userOf(a1, j), userOf(a2, j)) {
 			t.Fatalf("source user %d diverged after move", j)
 		}
-		d1, _ := b1.ExportUser(j)
-		d2, _ := b2.ExportUser(j)
-		if !reflect.DeepEqual(d1, d2) {
+		if !reflect.DeepEqual(userOf(b1, j), userOf(b2, j)) {
 			t.Fatalf("destination user %d diverged after move", j)
 		}
 	}
 	// The moved trackers must keep producing identical rounds.
-	r1, err1 := b1.StepUsers(3, stream[2], nil, nil, []int{1}, nil)
-	r2, err2 := b2.StepUsers(3, stream[2], nil, nil, []int{1}, nil)
+	r1, err1 := b1.StepRound(Round{T: 3, Measured: stream[2], Users: []int{1}})
+	r2, err2 := b2.StepRound(Round{T: 3, Measured: stream[2], Users: []int{1}})
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
 	if !reflect.DeepEqual(r1, r2) {
 		t.Fatal("post-move rounds diverged")
 	}
-	// Moving a never-touched user clears the destination slot, matching
-	// export-of-uninitialized + import + reset.
+	// Moving a never-touched user clears the destination slot.
 	fresh, _, _ := mkPair()
 	if err := fresh.MoveUserTo(b1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if cleared, _ := b1.ExportUser(1); cleared.Initialized || len(cleared.Samples) != 0 {
+	if cleared := userOf(b1, 1); cleared.Initialized || len(cleared.Samples) != 0 {
 		t.Fatalf("move of untouched user left state behind: %+v", cleared)
 	}
 	// Validation.
@@ -210,9 +217,9 @@ func TestMoveUserToMatchesSnapshotPath(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTrip: export → import moves a user's full state between
-// trackers, deep-copied, and the two trackers then predict from identical
-// sample sets.
+// TestSnapshotRoundTrip: export → restore carries every user's full state
+// between trackers deep-copied both ways, so the two trackers then predict
+// from identical sample sets and neither aliases the other's buffers.
 func TestSnapshotRoundTrip(t *testing.T) {
 	a, b, stream := subsetWorld(t, Config{N: 100, M: 5})
 	for r, o := range stream[:2] {
@@ -220,49 +227,32 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap, err := a.ExportUser(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := a.ExportState()
+	snap := st.Users[1].Snapshot
 	if !snap.Initialized || len(snap.Samples) == 0 {
 		t.Fatalf("tracked user exported as %+v", snap)
 	}
-	if err := b.ImportUser(1, snap); err != nil {
+	if err := b.RestoreState(st); err != nil {
 		t.Fatal(err)
 	}
-	back, err := b.ExportUser(1)
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(b.ExportState(), st) {
+		t.Fatal("restore/export round trip changed the state")
 	}
-	if !reflect.DeepEqual(snap, back) {
-		t.Fatal("import/export round trip changed the snapshot")
-	}
-	// Deep copy: mutating the snapshot must not touch the tracker.
+	// Deep copy: mutating the exported state must not touch either tracker.
 	snap.Samples[0] = geom.Pt(-99, -99)
-	back2, _ := b.ExportUser(1)
-	if back2.Samples[0] == snap.Samples[0] {
-		t.Fatal("ImportUser aliased the snapshot slices")
+	if userOf(a, 1).Samples[0] == snap.Samples[0] {
+		t.Fatal("ExportState aliased the tracker's samples")
 	}
-
-	// Reset clears back to bootstrap.
-	if err := a.ResetUser(1); err != nil {
-		t.Fatal(err)
+	if userOf(b, 1).Samples[0] == snap.Samples[0] {
+		t.Fatal("RestoreState aliased the state's samples")
 	}
-	cleared, _ := a.ExportUser(1)
-	if cleared.Initialized || len(cleared.Samples) != 0 {
-		t.Fatalf("reset user still carries state: %+v", cleared)
+	ra, err1 := a.Step(3, stream[2])
+	rb, err2 := b.Step(3, stream[2])
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
 	}
-
-	// Validation.
-	if _, err := a.ExportUser(9); err == nil {
-		t.Error("out-of-range export accepted")
-	}
-	if err := a.ImportUser(0, UserSnapshot{Initialized: true}); err == nil {
-		t.Error("initialized snapshot without samples accepted")
-	}
-	if err := a.ImportUser(0, UserSnapshot{Initialized: true,
-		Samples: []geom.Point{{}}, Weights: []float64{1, 2}}); err == nil {
-		t.Error("misaligned snapshot accepted")
+	if !reflect.DeepEqual(ra, rb) {
+		t.Fatal("restored twin diverged on the next round")
 	}
 }
 
