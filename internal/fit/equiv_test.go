@@ -395,50 +395,271 @@ func TestConditionalMemoExact(t *testing.T) {
 	}
 }
 
-// TestEvaluateScratchZeroAllocs is the tentpole's allocation guard: once a
+// TestEvaluateScratchZeroAllocs is the evaluator's allocation guard: once a
 // scratch is warm, the full evaluation path — slot updates with Gram row
 // recomputation, the k×k NNLS, and the residual-based objective — performs
-// zero heap allocations. The test alternates between two compositions so
-// setCol really rewrites Gram rows instead of short-circuiting.
+// zero heap allocations, at the track-exact shape (k = 3) and the
+// field-hotspot active-set cap (k = 8). The test alternates between two
+// compositions so setCol really rewrites Gram rows instead of
+// short-circuiting.
 func TestEvaluateScratchZeroAllocs(t *testing.T) {
 	src := rng.New(31)
 	p, field := randomEquivProblem(t, src, true)
 	n := len(p.points)
-	const k = 3
-	comps := make([][]candCol, 2)
-	for c := range comps {
-		comps[c] = make([]candCol, k)
-		for j := range comps[c] {
-			comps[c][j].wcol = make([]float64, n)
-			p.fillCandCol(src.InRect(field), &comps[c][j])
+	for _, k := range []int{3, 8} {
+		comps := make([][]candCol, 2)
+		for c := range comps {
+			comps[c] = make([]candCol, k)
+			for j := range comps[c] {
+				comps[c][j].wcol = make([]float64, n)
+				p.fillCandCol(src.InRect(field), &comps[c][j])
+			}
+		}
+		sc := &evalScratch{}
+		sc.ensure(n, k)
+		sc.setK(k)
+		flip := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			cc := comps[flip]
+			flip = 1 - flip
+			for j := range cc {
+				sc.setCol(j, &cc[j])
+			}
+			if obj := sc.solve(p); math.IsNaN(obj) {
+				t.Fatal("NaN objective")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("k=%d: steady-state evaluation allocates %.1f times per composition, want 0", k, allocs)
 		}
 	}
+}
+
+// refSetCol is the evaluator's Gram row update before the fused sweep,
+// kept verbatim as the bit-identity reference: one mat.Dot per occupied
+// slot.
+func refSetCol(gram, d []float64, cur []*candCol, k, j int, c *candCol) {
+	if cur[j] == c {
+		return
+	}
+	cur[j] = c
+	d[j] = c.proj
+	gram[j*k+j] = c.norm2
+	for o := 0; o < k; o++ {
+		oc := cur[o]
+		if o == j || oc == nil {
+			continue
+		}
+		v := mat.Dot(c.wcol, oc.wcol)
+		gram[j*k+o] = v
+		gram[o*k+j] = v
+	}
+}
+
+// refSolveTail is the evaluator's objective before the fused pass, kept
+// verbatim: copy the weighted measurement, subtract each slot's scaled
+// column in slot order, and take mat.Norm2 of the stored residual.
+func refSolveTail(wb []float64, cur []*candCol, x, resid []float64) float64 {
+	copy(resid, wb)
+	for j := range cur {
+		xj := x[j]
+		if xj == 0 {
+			continue
+		}
+		for i, v := range cur[j].wcol {
+			resid[i] -= xj * v
+		}
+	}
+	return mat.Norm2(resid)
+}
+
+// sameFloat reports bit equality, with any two NaNs equal: which operand's
+// NaN payload an instruction propagates depends on the operand order the
+// compiler picks, and a NaN objective ranks last whatever its payload.
+func sameFloat(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// checkFusedEval drives a production evalScratch and the verbatim
+// reference (refSetCol, mat.NNLSGramInto, refSolveTail) through the same
+// slot updates: the first k fill every slot, each later one puts a random
+// candidate of pool in a random slot. After each update with every slot
+// filled it requires the same bits for every Gram entry, the stretches and
+// the objective, and then, for random stretches of which about a third are
+// zero, the same objective from mat.ResidualNorm2 as from the reference
+// tail. It returns how many of the reference residuals it measured had a
+// sum of squares outside Norm2's unscaled range.
+func checkFusedEval(t *testing.T, label string, p *Problem, pool []candCol, k, updates int, src *rng.Source) (scaled int) {
+	t.Helper()
+	n := len(p.wb)
 	sc := &evalScratch{}
 	sc.ensure(n, k)
 	sc.setK(k)
-	flip := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		cc := comps[flip]
-		flip = 1 - flip
-		for j := range cc {
-			sc.setCol(j, &cc[j])
+	cur := make([]*candCol, k)
+	gram := make([]float64, k*k)
+	d := make([]float64, k)
+	x := make([]float64, k)
+	xz := make([]float64, k) // random stretches, some zero
+	resid := make([]float64, n)
+	var ws mat.NNLSWorkspace
+	check := func(what string, got, want float64) {
+		t.Helper()
+		if !sameFloat(got, want) {
+			t.Fatalf("%s (n=%d k=%d): %s = %v (%#x), reference %v (%#x)",
+				label, n, k, what, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
-		if obj := sc.solve(p); math.IsNaN(obj) {
-			t.Fatal("NaN objective")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state evaluation allocates %.1f times per composition, want 0", allocs)
 	}
+	refObjective := func(x []float64) float64 {
+		obj := refSolveTail(p.wb, cur, x, resid)
+		if ssq := mat.Dot(resid, resid); !(ssq > 1e-280 && ssq < 1e280) {
+			scaled++
+		}
+		return obj
+	}
+	for u := 0; u < k+updates; u++ {
+		j := u
+		if u >= k {
+			j = src.IntN(k)
+		}
+		c := &pool[src.IntN(len(pool))]
+		sc.setCol(j, c)
+		refSetCol(gram, d, cur, k, j, c)
+		if u < k-1 {
+			continue
+		}
+		for e, v := range gram {
+			check(fmt.Sprintf("gram[%d][%d]", e/k, e%k), sc.gram[e], v)
+		}
+		obj := sc.solve(p)
+		mat.NNLSGramInto(gram, d, x, &ws)
+		for s := range x {
+			check(fmt.Sprintf("stretch[%d]", s), sc.x[s], x[s])
+		}
+		check("objective", obj, refObjective(x))
+
+		for s := range xz {
+			xz[s] = 0
+			if src.IntN(3) != 0 {
+				xz[s] = src.Uniform(0, 2)
+			}
+		}
+		got := mat.ResidualNorm2(p.wb, xz, sc.cols[:k], sc.resid)
+		check("objective at random stretches", got, refObjective(xz))
+	}
+	return scaled
+}
+
+// rawFusedProblem builds an n-sample problem and a pool of candidate
+// columns straight from random values, so entries can leave the model's
+// range. mode 0 draws plain values in [0, 1); 1 scales them by 1e-150,
+// whose squares sum below Norm2's unscaled range, and 2 by 1e145, above
+// it; 3 replaces about one entry in eight with ±Inf, NaN, 0, 1e-170 or
+// 1e160; 4 makes the measurement and every column zero; 5 draws plain
+// values and puts one Inf or NaN in the first column, so a zero stretch
+// on that column must skip it.
+func rawFusedProblem(src *rng.Source, n, mode int) (*Problem, []candCol) {
+	scale := [...]float64{1, 1e-150, 1e145, 1, 0, 1}[mode]
+	special := [...]float64{math.Inf(1), math.Inf(-1), math.NaN(), 0, 1e-170, 1e160}
+	draw := func(lo float64) float64 {
+		if mode == 3 && src.IntN(8) == 0 {
+			return special[src.IntN(len(special))]
+		}
+		return scale * src.Uniform(lo, 1)
+	}
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = draw(-0.2)
+	}
+	p := &Problem{wb: b}
+	pool := make([]candCol, 6)
+	for c := range pool {
+		pool[c].wcol = make([]float64, n)
+		for i := range pool[c].wcol {
+			pool[c].wcol[i] = draw(0)
+		}
+		if mode == 5 && c == 0 {
+			pool[c].wcol[src.IntN(n)] = special[src.IntN(3)]
+		}
+		p.finishCandCol(&pool[c])
+	}
+	return p, pool
+}
+
+// TestFusedEvaluatorBitIdentical: on model problems, weighted and
+// unweighted, at k = 1..8 (the track-exact shape is 3 and the
+// field-hotspot active-set cap 8) and sample counts 8..32, the fused
+// evaluator gives the verbatim reference's bits for every Gram entry,
+// stretch and objective, with and without zero stretches.
+func TestFusedEvaluatorBitIdentical(t *testing.T) {
+	src := rng.New(23)
+	for trial := 0; trial < 160; trial++ {
+		weighted := trial%2 == 0
+		k := 1 + (trial/2)%8
+		p, field := randomEquivProblem(t, src, weighted)
+		pool := make([]candCol, k+4)
+		for c := range pool {
+			pool[c].wcol = make([]float64, len(p.points))
+			p.fillCandCol(src.InRect(field), &pool[c])
+		}
+		if trial%5 == 0 {
+			// Two candidates at one position: a singular Gram matrix.
+			copy(pool[1].wcol, pool[0].wcol)
+			p.finishCandCol(&pool[1])
+		}
+		checkFusedEval(t, fmt.Sprintf("trial %d weighted=%v", trial, weighted), p, pool, k, 12, src)
+	}
+}
+
+// TestFusedEvaluatorScaledFallback: with tiny, huge, infinite, NaN and
+// all-zero entries, and every sample count 1..13, the fused evaluator still
+// gives the reference's bits, and the modes meant to leave Norm2's
+// unscaled range really do.
+func TestFusedEvaluatorScaledFallback(t *testing.T) {
+	src := rng.New(29)
+	for mode := 0; mode < 6; mode++ {
+		scaled := 0
+		for n := 1; n <= 13; n++ {
+			for k := 1; k <= 8; k++ {
+				p, pool := rawFusedProblem(src, n, mode)
+				scaled += checkFusedEval(t, fmt.Sprintf("mode %d", mode), p, pool, k, 6, src)
+			}
+		}
+		if mode >= 1 && mode <= 4 && scaled == 0 {
+			t.Errorf("mode %d: no residual took Norm2's scaled path", mode)
+		}
+	}
+}
+
+// FuzzCompositionEval checks the fused evaluator's bits against the
+// verbatim reference on fuzzer-chosen sample counts, composition sizes and
+// value modes (rawFusedProblem).
+func FuzzCompositionEval(f *testing.F) {
+	f.Add(uint64(1), uint8(89), uint8(2), uint8(0)) // the track-exact shape
+	f.Add(uint64(2), uint8(29), uint8(7), uint8(0)) // the field-hotspot cap
+	f.Add(uint64(3), uint8(5), uint8(3), uint8(1))  // tiny entries
+	f.Add(uint64(4), uint8(17), uint8(4), uint8(2)) // huge entries
+	f.Add(uint64(5), uint8(11), uint8(5), uint8(3)) // Inf, NaN and zeros
+	f.Add(uint64(6), uint8(6), uint8(1), uint8(4))  // all zero
+	f.Add(uint64(7), uint8(0), uint8(0), uint8(0))  // one sample, one user
+	f.Add(uint64(8), uint8(13), uint8(7), uint8(5)) // one Inf or NaN column entry
+	f.Fuzz(func(t *testing.T, seed uint64, nRaw, kRaw, modeRaw uint8) {
+		n := 1 + int(nRaw)%128
+		k := 1 + int(kRaw)%8
+		mode := int(modeRaw) % 6
+		src := rng.New(seed)
+		p, pool := rawFusedProblem(src, n, mode)
+		checkFusedEval(t, fmt.Sprintf("seed %d mode %d", seed, mode), p, pool, k, 8, src)
+	})
 }
 
 // BenchmarkCompositionEval measures the steady-state cost of one
 // composition evaluation (k users, alternating compositions so one Gram
 // row is recomputed per eval, like the exhaustive scan's innermost loop).
-// -benchmem must report 0 allocs/op.
+// k = 3 is the track-exact shape and k = 8 the field-hotspot active-set
+// cap. -benchmem must report 0 allocs/op.
 func BenchmarkCompositionEval(b *testing.B) {
-	for _, k := range []int{1, 2, 3} {
-		b.Run(map[int]string{1: "k=1", 2: "k=2", 3: "k=3"}[k], func(b *testing.B) {
+	for _, k := range []int{1, 2, 3, 8} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			src := rng.New(77)
 			field := geom.Square(30)
 			model, err := fluxmodel.New(field, 0.7)

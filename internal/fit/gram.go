@@ -16,14 +16,15 @@
 // fitted objective is then recovered from the explicit weighted residual —
 // not from the normal-equation identity ‖r‖² = ‖b‖² − 2xᵀd + xᵀGx, which
 // cancels catastrophically for good fits — so objectives keep full relative
-// precision.
+// precision. The residual and its sum of squares are formed in one fused
+// pass (mat.ResidualNorm2), and a new slot's Gram row two entries per pass
+// over its column (mat.Dot2); both return the bits of the separate loops.
 //
 // Every Gram entry is a pure function of its candidate pair (mat.Dot's
 // summation order depends only on the column length, not on which slot
-// changed),
-// so evaluations are bit-identical no matter how compositions are sharded
-// across workers or in which order slots were filled: the determinism
-// contract of internal/exp survives unchanged.
+// changed), so evaluations are bit-identical no matter how compositions
+// are sharded across workers or in which order slots were filled: the
+// determinism contract of internal/exp survives unchanged.
 package fit
 
 import (
@@ -69,8 +70,9 @@ func (p *Problem) finishCandCol(c *candCol) {
 
 // evalScratch is one worker's reusable state for evaluating compositions:
 // the current composition's Gram matrix and projections, the NNLS solution
-// and workspace, and a residual buffer. After ensure has sized it, the
-// evaluate path (setK/setCol/solve) performs zero heap allocations.
+// and workspace, and a residual buffer for the scaled norm. After ensure
+// has sized it, the evaluate path (setK/setCol/solve) performs zero heap
+// allocations.
 //
 // The scratch caches the composition incrementally: setCol is a no-op when
 // the slot already holds the same candidate, so enumeration orders that
@@ -79,11 +81,12 @@ func (p *Problem) finishCandCol(c *candCol) {
 // actually changed — a rank-1 row update instead of a full k×k recompute.
 type evalScratch struct {
 	n, k  int
-	cur   []*candCol // current composition, slot-indexed; nil = unset
-	gram  []float64  // k×k row-major Gram matrix of the current composition
-	d     []float64  // per-slot projections ⟨wcol, wb⟩
-	x     []float64  // NNLS solution (fitted stretches), valid after solve
-	resid []float64  // length-n weighted residual buffer
+	cur   []*candCol  // current composition, slot-indexed; nil = unset
+	cols  [][]float64 // cur[j].wcol, slot-indexed, for the residual kernel
+	gram  []float64   // k×k row-major Gram matrix of the current composition
+	d     []float64   // per-slot projections ⟨wcol, wb⟩
+	x     []float64   // NNLS solution (fitted stretches), valid after solve
+	resid []float64   // length-n residual buffer of mat.ResidualNorm2
 	ws    mat.NNLSWorkspace
 }
 
@@ -93,6 +96,7 @@ type evalScratch struct {
 func (sc *evalScratch) ensure(n, kMax int) {
 	if cap(sc.cur) < kMax {
 		sc.cur = make([]*candCol, kMax)
+		sc.cols = make([][]float64, kMax)
 		sc.gram = make([]float64, kMax*kMax)
 		sc.d = make([]float64, kMax)
 		sc.x = make([]float64, kMax)
@@ -119,25 +123,41 @@ func (sc *evalScratch) setK(k int) {
 }
 
 // setCol installs candidate c in slot j, refreshing row and column j of the
-// Gram matrix against the other occupied slots. Unchanged slots (pointer
-// equality) cost nothing.
+// Gram matrix against the other occupied slots, two slots per pass over
+// c's column. Unchanged slots (pointer equality) cost nothing.
 func (sc *evalScratch) setCol(j int, c *candCol) {
 	if sc.cur[j] == c {
 		return
 	}
 	sc.cur[j] = c
+	sc.cols[j] = c.wcol
 	k := sc.k
 	sc.d[j] = c.proj
 	sc.gram[j*k+j] = c.norm2
+	pending := -1 // an occupied slot whose entry waits for a partner
 	for o := 0; o < k; o++ {
-		oc := sc.cur[o]
-		if o == j || oc == nil {
+		if o == j || sc.cur[o] == nil {
 			continue
 		}
-		v := mat.Dot(c.wcol, oc.wcol)
-		sc.gram[j*k+o] = v
-		sc.gram[o*k+j] = v
+		if pending < 0 {
+			pending = o
+			continue
+		}
+		v, w := mat.Dot2(c.wcol, sc.cols[pending], sc.cols[o])
+		sc.setGram(j, pending, v)
+		sc.setGram(j, o, w)
+		pending = -1
 	}
+	if pending >= 0 {
+		sc.setGram(j, pending, mat.Dot(c.wcol, sc.cols[pending]))
+	}
+}
+
+// setGram stores the symmetric Gram entry of slots j and o.
+func (sc *evalScratch) setGram(j, o int, v float64) {
+	k := sc.k
+	sc.gram[j*k+o] = v
+	sc.gram[o*k+j] = v
 }
 
 // solve fits the stretch factors of the current composition and returns the
@@ -146,18 +166,7 @@ func (sc *evalScratch) setCol(j int, c *candCol) {
 func (sc *evalScratch) solve(p *Problem) float64 {
 	k := sc.k
 	mat.NNLSGramInto(sc.gram[:k*k], sc.d[:k], sc.x[:k], &sc.ws)
-	resid := sc.resid
-	copy(resid, p.wb)
-	for j := 0; j < k; j++ {
-		xj := sc.x[j]
-		if xj == 0 {
-			continue
-		}
-		for i, v := range sc.cur[j].wcol {
-			resid[i] -= xj * v
-		}
-	}
-	return mat.Norm2(resid)
+	return mat.ResidualNorm2(p.wb, sc.x[:k], sc.cols[:k], sc.resid)
 }
 
 // makeEval materializes an Eval from slot-aligned positions and stretches.

@@ -185,11 +185,15 @@ func Dot(a, b []float64) float64 {
 // vector, an infinite or NaN entry — it falls back to the LAPACK-style
 // scaled accumulation and returns that result unchanged.
 func Norm2(v []float64) float64 {
-	if ssq := Dot(v, v); ssq > 1e-280 && ssq < 1e280 {
+	if ssq := Dot(v, v); unscaledSumSq(ssq) {
 		return math.Sqrt(ssq)
 	}
 	return norm2Scaled(v)
 }
+
+// unscaledSumSq reports whether Norm2 answers a sum of squares with its
+// plain square root.
+func unscaledSumSq(ssq float64) bool { return ssq > 1e-280 && ssq < 1e280 }
 
 // norm2Scaled is the overflow- and underflow-resistant scaled form of
 // Norm2: one division per non-zero entry.

@@ -50,8 +50,9 @@ type Config struct {
 
 // TenantConfig is the JSON body of a tenant-creation request. Zero values
 // take the tracker defaults (core.TrackerConfig); a negative count, speed
-// bound or queue depth is rejected, and so are more than 2^17 users or a
-// queue deeper than 2^16.
+// bound or queue depth is rejected, and so are more than 2^17 users, more
+// than 2^16 samples, more than 2^22 users × samples or a queue deeper than
+// 2^16.
 type TenantConfig struct {
 	Users          int     `json:"users"`
 	Seed           uint64  `json:"seed"`
@@ -111,12 +112,16 @@ type EstimateResponse struct {
 
 var tenantIDPattern = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9_.-]{0,63}$`)
 
-// maxUsers and maxQueue bound what one creation request can make the server
-// allocate up front: a sharded tenant sizes its owner and estimate tables by
-// the user count, and the ingestion queue is allocated whole.
+// maxUsers, maxQueue, maxSamples and maxUserSamples bound what one creation
+// request can make the server allocate: a sharded tenant sizes its owner and
+// estimate tables by the user count, the ingestion queue is allocated whole,
+// and the first observation sizes users × samples sample and candidate
+// slots (times the sniffed sensor count in candidate columns).
 const (
-	maxUsers = 1 << 17
-	maxQueue = 1 << 16
+	maxUsers       = 1 << 17
+	maxQueue       = 1 << 16
+	maxSamples     = 1 << 16
+	maxUserSamples = 1 << 22
 )
 
 // op is one unit of tenant-queue work: an observation round to step, or a
@@ -329,6 +334,16 @@ func (s *Server) trackerFor(cfg TenantConfig) (core.StepTracker, error) {
 		if f.v < 0 {
 			return nil, fmt.Errorf("%s must not be negative, got %v", f.name, f.v)
 		}
+	}
+	if cfg.Samples > maxSamples {
+		return nil, fmt.Errorf("samples must not exceed %d, got %d", maxSamples, cfg.Samples)
+	}
+	samples := cfg.Samples
+	if samples == 0 {
+		samples = smc.DefaultN
+	}
+	if cfg.Users > maxUserSamples/samples {
+		return nil, fmt.Errorf("users × samples must not exceed %d, got %d × %d", maxUserSamples, cfg.Users, samples)
 	}
 	robustMode, err := fit.ParseRobustMode(cfg.Robust)
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"fluxtrack/internal/core"
+	"fluxtrack/internal/smc"
 )
 
 // startServer builds a serving core over a modest world plus an httptest
@@ -331,6 +332,19 @@ func TestServeAPIErrors(t *testing.T) {
 	check("users over the cap", resp, http.StatusBadRequest)
 	resp, _ = doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/b", TenantConfig{Users: 1, Queue: maxQueue + 1})
 	check("queue over the cap", resp, http.StatusBadRequest)
+	// Samples are allocated on the first observation, users × samples
+	// slots of them: past either cap the creation is refused, so no
+	// observation ever sizes them.
+	resp, _ = doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/b", TenantConfig{Users: 1, Samples: 2000000000, TrackM: 5})
+	check("samples over the cap", resp, http.StatusBadRequest)
+	resp, _ = doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/b", TenantConfig{Users: maxUserSamples/maxSamples + 1, Samples: maxSamples})
+	check("users × samples over the cap", resp, http.StatusBadRequest)
+	resp, _ = doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/b", TenantConfig{Users: maxUserSamples/smc.DefaultN + 1})
+	check("users × default samples over the cap", resp, http.StatusBadRequest)
+	// A tile capacity whose product with the tile count overflows int
+	// still has room for every user.
+	resp, _ = doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/p", TenantConfig{Users: 3, Shards: "2x2", TileCapacity: 1 << 62})
+	check("tile capacity 2^62", resp, http.StatusCreated)
 	// 4294967296x4294967296 overflows int and 30000x30000 outnumbers the
 	// sensors: both are rejected before any tile state is allocated.
 	for _, shards := range []string{"2by2", "2x2x9", "4294967296x4294967296", "30000x30000"} {

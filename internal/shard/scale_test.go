@@ -276,6 +276,20 @@ func TestTileCapacityValidation(t *testing.T) {
 	}
 }
 
+// TestTileCapacityNoOverflow: a capacity whose product with the tile count
+// overflows int (2^62 × 4 tiles) has room for every user and is accepted.
+func TestTileCapacityNoOverflow(t *testing.T) {
+	w := buildWorld(t, 91, 1, 1, nil)
+	cfg := shard.Config{
+		Grid:         shard.Grid{Rows: 2, Cols: 2, Halo: 2},
+		Tracker:      w.tracker(3, smc.Config{N: 50, M: 5}),
+		TileCapacity: 1 << 62,
+	}
+	if _, err := shard.New(cfg, 1); err != nil {
+		t.Fatalf("TileCapacity 2^62 on 4 tiles rejected: %v", err)
+	}
+}
+
 // scaleSmokeUsers is the population of the scale smoke: 2000 by default so
 // plain `go test ./...` stays quick, overridden by FLUXTRACK_SCALE_USERS in
 // the CI scale job (10⁵ on an 8×8 grid under -race).

@@ -315,7 +315,8 @@ func New(cfg Config, seed uint64) (*Field, error) {
 	if cfg.TileCapacity < 0 {
 		return nil, fmt.Errorf("shard: TileCapacity %d must be non-negative", cfg.TileCapacity)
 	}
-	if cfg.TileCapacity > 0 && tc.NumUsers > cfg.TileCapacity*tiles {
+	// Compare per tile: TileCapacity×tiles can overflow int.
+	if cfg.TileCapacity > 0 && cfg.TileCapacity < (tc.NumUsers+tiles-1)/tiles {
 		return nil, fmt.Errorf("shard: %d users exceed TileCapacity %d × %d tiles",
 			tc.NumUsers, cfg.TileCapacity, tiles)
 	}

@@ -25,6 +25,10 @@ import (
 	"fluxtrack/internal/rng"
 )
 
+// DefaultN is the per-user sample count N a zero Config.N takes (the
+// paper's).
+const DefaultN = 1000
+
 const (
 	// idleStretchFrac: a user whose fitted stretch factor falls below this
 	// fraction of the round's largest fitted stretch is considered idle
@@ -143,7 +147,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.N <= 0 {
-		c.N = 1000
+		c.N = DefaultN
 	}
 	if c.M <= 0 {
 		c.M = 10
