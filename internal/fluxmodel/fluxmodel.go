@@ -148,8 +148,12 @@ func (m *Model) KernelVector(sink geom.Point, pts []geom.Point) []float64 {
 // and returns it. It is the allocation-free hook the candidate search uses
 // to build its per-candidate column caches, so it runs the fused column
 // kernel: the sink containment check and the boundary slab offsets are
-// hoisted out of the loop (both are sink-invariant), and each point costs
-// one sqrt plus the closed-form slab parameter — no RayExit call.
+// hoisted out of the loop (both are sink-invariant), and the loop runs
+// kernelFused's fast path inline — the containment check, the slab
+// parameter τ (ExitSlabs.Scale, inlined), one sqrt for d and d(τ²−1)/2.
+// A point off that path (outside the field, on the sink, within MinDist
+// of it, or with τ < 1) takes kernelFused itself, whose fast path computes
+// the same expressions, so every entry has the bits of kernelFused.
 func (m *Model) KernelVectorInto(sink geom.Point, pts []geom.Point, dst []float64) []float64 {
 	if len(dst) != len(pts) {
 		panic(fmt.Sprintf("fluxmodel: KernelVectorInto destination length %d, want %d", len(dst), len(pts)))
@@ -160,8 +164,17 @@ func (m *Model) KernelVectorInto(sink geom.Point, pts []geom.Point, dst []float6
 		}
 		return dst
 	}
-	slabs := m.field.SlabsAt(sink)
+	field, slabs, minDist := m.field, m.field.SlabsAt(sink), m.minDist
 	for i, p := range pts {
+		if field.Contains(p) {
+			dx, dy := p.X-sink.X, p.Y-sink.Y
+			tau := slabs.Scale(dx, dy)
+			d := math.Sqrt(dx*dx + dy*dy)
+			if d >= minDist && tau >= 1 && tau <= math.MaxFloat64 {
+				dst[i] = d * (tau*tau - 1) / 2
+				continue
+			}
+		}
 		dst[i] = m.kernelFused(slabs, sink, p)
 	}
 	return dst
@@ -196,13 +209,13 @@ func (m *Model) PredictFlux(sinks []geom.Point, cs []float64, pts []geom.Point) 
 		return nil, fmt.Errorf("fluxmodel: %d sinks but %d stretch factors", len(sinks), len(cs))
 	}
 	out := make([]float64, len(pts))
+	col := make([]float64, len(pts))
 	for j, sink := range sinks {
 		if cs[j] == 0 || !m.field.Contains(sink) {
 			continue
 		}
-		slabs := m.field.SlabsAt(sink)
-		for i, p := range pts {
-			out[i] += cs[j] * m.kernelFused(slabs, sink, p)
+		for i, g := range m.KernelVectorInto(sink, pts, col) {
+			out[i] += cs[j] * g
 		}
 	}
 	return out, nil

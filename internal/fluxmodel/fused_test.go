@@ -122,6 +122,62 @@ func TestFusedPredictFluxMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestKernelVectorIntoMatchesKernelFused pins the column loop, which runs
+// kernelFused's fast path inline, to per-point kernelFused bit for bit, on
+// sinks at corners, on edges and inside, and on points of every branch:
+// anywhere in the field, on the sink, within and just beyond MinDist, on
+// the boundary, outside the field and with NaN or infinite coordinates,
+// for odd and even column lengths.
+func TestKernelVectorIntoMatchesKernelFused(t *testing.T) {
+	m, err := New(geom.NewRect(geom.Pt(0, 0), geom.Pt(30, 20)), 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := m.Field()
+	src := rng.New(74)
+	nan, inf := math.NaN(), math.Inf(1)
+	odd := []geom.Point{
+		geom.Pt(nan, 5), geom.Pt(5, nan), geom.Pt(inf, 5), geom.Pt(-inf, 5),
+		geom.Pt(5, inf), geom.Pt(5, -inf), geom.Pt(nan, nan), geom.Pt(-3, 10), geom.Pt(10, 20.5),
+	}
+	sinks := []geom.Point{
+		f.Min, f.Max, geom.Pt(0, 20), geom.Pt(30, 0), // corners
+		geom.Pt(30, 7), geom.Pt(0, 13), geom.Pt(12, 0), geom.Pt(5, 20), // edges
+		geom.Pt(11.3, 8.8), src.InRect(f), src.InRect(f),
+	}
+	for _, sink := range sinks {
+		slabs := f.SlabsAt(sink)
+		for _, n := range []int{0, 1, 7, 90, 91} {
+			pts := make([]geom.Point, n)
+			for i := range pts {
+				switch i % 8 {
+				case 0:
+					pts[i] = src.InRect(f)
+				case 1:
+					pts[i] = sink
+				case 2:
+					pts[i] = f.Clamp(src.InDisc(sink, m.MinDist()))
+				case 3:
+					pts[i] = f.Clamp(src.InDisc(sink, 3*m.MinDist()))
+				case 4:
+					pts[i] = geom.Pt(src.Uniform(0, 30), 20) // on the top edge
+				case 5:
+					pts[i] = []geom.Point{f.Min, f.Max, geom.Pt(0, 20), geom.Pt(30, 0)}[i%4]
+				default:
+					pts[i] = odd[i%len(odd)]
+				}
+			}
+			got := m.KernelVectorInto(sink, pts, make([]float64, n))
+			for i, p := range pts {
+				if want := m.kernelFused(slabs, sink, p); math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("sink %v point %v (n = %d): column %v (%#x), kernelFused %v (%#x)",
+						sink, p, n, got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkKernelVectorFused measures the fused column kernel on the
 // tracking-shaped workload: one sink, 90 sample points, reused destination.
 func BenchmarkKernelVectorFused(b *testing.B) {

@@ -53,11 +53,15 @@ func lerpRect(r geom.Rect, u, v float64) geom.Point {
 
 // checkFusedAgainstGeneric compares the fused and generic kernels for one
 // (field, sink, point) triple and asserts the shared invariants: agreement
-// within tol, non-negativity, finiteness.
+// within tol, non-negativity, finiteness. The column loop must also return
+// per-point kernelFused's bits.
 func checkFusedAgainstGeneric(t *testing.T, m *Model, sink, p geom.Point) {
 	t.Helper()
 	generic := m.Kernel(sink, p)
 	fused := m.KernelVector(sink, []geom.Point{p})[0]
+	if perPoint := m.kernelFused(m.Field().SlabsAt(sink), sink, p); math.Float64bits(fused) != math.Float64bits(perPoint) {
+		t.Fatalf("field %v sink %v point %v: column %v, per-point kernelFused %v", m.Field(), sink, p, fused, perPoint)
+	}
 	if math.IsNaN(fused) || math.IsInf(fused, 0) || math.IsNaN(generic) || math.IsInf(generic, 0) {
 		t.Fatalf("field %v sink %v point %v: non-finite kernel (fused %v, generic %v)",
 			m.Field(), sink, p, fused, generic)

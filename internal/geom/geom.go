@@ -196,9 +196,12 @@ func (r Rect) SlabsAt(origin Point) ExitSlabs {
 // a sample point at distance d, the boundary distance is simply l = τ·d, so
 // the kernel g = (l² − d²)/(2d) collapses to d(τ²−1)/2 with no unit vector
 // and no second square root. A zero direction returns +Inf; callers treat
-// that as "sample point coincides with the origin" and fall back.
+// that as "sample point coincides with the origin" and fall back. Scale is
+// kept under the compiler's inlining budget, so the flux model's column
+// loop runs it inline: +Inf comes from its bits, because a math.Inf call
+// would put Scale over that budget.
 func (s ExitSlabs) Scale(dx, dy float64) float64 {
-	t := math.Inf(1)
+	t := math.Float64frombits(0x7ff0000000000000) // +Inf
 	if dx > 0 {
 		t = s.xhi / dx
 	} else if dx < 0 {

@@ -15,24 +15,18 @@ func Dot2(a, b0, b1 []float64) (float64, float64) {
 	if len(b0) != n || len(b1) != n {
 		panic("mat: Dot2 length mismatch")
 	}
-	var s0, s1, s2, s3, t0, t1, t2, t3 float64
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		a4, p, q := a[i:i+4:i+4], b0[i:i+4:i+4], b1[i:i+4:i+4]
-		s0 += a4[0] * p[0]
-		t0 += a4[0] * q[0]
-		s1 += a4[1] * p[1]
-		t1 += a4[1] * q[1]
-		s2 += a4[2] * p[2]
-		t2 += a4[2] * q[2]
-		s3 += a4[3] * p[3]
-		t3 += a4[3] * q[3]
+	n4 := n &^ 3
+	var s, t [4]float64
+	if useAVX {
+		s, t = dot2LanesAVX(a[:n4], b0[:n4], b1[:n4])
+	} else {
+		s, t = dot2LanesGo(a[:n4], b0[:n4], b1[:n4])
 	}
-	for ; i < n; i++ {
-		s0 += a[i] * b0[i]
-		t0 += a[i] * b1[i]
+	for i := n4; i < n; i++ {
+		s[0] += a[i] * b0[i]
+		t[0] += a[i] * b1[i]
 	}
-	return (s0 + s1) + (s2 + s3), (t0 + t1) + (t2 + t3)
+	return (s[0] + s[1]) + (s[2] + s[3]), (t[0] + t[1]) + (t[2] + t[3])
 }
 
 // ResidualNorm2 returns Norm2(r) for the residual r = b − Σⱼ x[j]·cols[j],
@@ -92,124 +86,75 @@ func ResidualNorm2(b, x []float64, cols [][]float64, buf []float64) float64 {
 // residSumSq1 is ResidualNorm2's sum of squares for one non-zero stretch.
 func residSumSq1(b []float64, x0 float64, c0 []float64) float64 {
 	n := len(b)
+	n4 := n &^ 3
 	c0 = c0[:n]
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		b4, p := b[i:i+4:i+4], c0[i:i+4:i+4]
-		r0 := b4[0] - x0*p[0]
-		r1 := b4[1] - x0*p[1]
-		r2 := b4[2] - x0*p[2]
-		r3 := b4[3] - x0*p[3]
-		s0 += r0 * r0
-		s1 += r1 * r1
-		s2 += r2 * r2
-		s3 += r3 * r3
+	var s [4]float64
+	if useAVX {
+		s = residLanes1AVX(b[:n4], x0, c0)
+	} else {
+		s = residLanes1Go(b[:n4], x0, c0)
 	}
-	for ; i < n; i++ {
+	for i := n4; i < n; i++ {
 		r := b[i] - x0*c0[i]
-		s0 += r * r
+		s[0] += r * r
 	}
-	return (s0 + s1) + (s2 + s3)
+	return (s[0] + s[1]) + (s[2] + s[3])
 }
 
 // residSumSq2 is ResidualNorm2's sum of squares for two non-zero stretches.
 func residSumSq2(b []float64, x0, x1 float64, c0, c1 []float64) float64 {
 	n := len(b)
+	n4 := n &^ 3
 	c0, c1 = c0[:n], c1[:n]
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		b4, p, q := b[i:i+4:i+4], c0[i:i+4:i+4], c1[i:i+4:i+4]
-		r0 := b4[0] - x0*p[0]
-		r1 := b4[1] - x0*p[1]
-		r2 := b4[2] - x0*p[2]
-		r3 := b4[3] - x0*p[3]
-		r0 -= x1 * q[0]
-		r1 -= x1 * q[1]
-		r2 -= x1 * q[2]
-		r3 -= x1 * q[3]
-		s0 += r0 * r0
-		s1 += r1 * r1
-		s2 += r2 * r2
-		s3 += r3 * r3
+	var s [4]float64
+	if useAVX {
+		s = residLanes2AVX(b[:n4], x0, x1, c0, c1)
+	} else {
+		s = residLanes2Go(b[:n4], x0, x1, c0, c1)
 	}
-	for ; i < n; i++ {
+	for i := n4; i < n; i++ {
 		r := b[i] - x0*c0[i]
 		r -= x1 * c1[i]
-		s0 += r * r
+		s[0] += r * r
 	}
-	return (s0 + s1) + (s2 + s3)
+	return (s[0] + s[1]) + (s[2] + s[3])
 }
 
 // residSumSq3 is ResidualNorm2's sum of squares for three non-zero
 // stretches.
 func residSumSq3(b []float64, x0, x1, x2 float64, c0, c1, c2 []float64) float64 {
 	n := len(b)
+	n4 := n &^ 3
 	c0, c1, c2 = c0[:n], c1[:n], c2[:n]
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		b4, p, q, w := b[i:i+4:i+4], c0[i:i+4:i+4], c1[i:i+4:i+4], c2[i:i+4:i+4]
-		r0 := b4[0] - x0*p[0]
-		r1 := b4[1] - x0*p[1]
-		r2 := b4[2] - x0*p[2]
-		r3 := b4[3] - x0*p[3]
-		r0 -= x1 * q[0]
-		r1 -= x1 * q[1]
-		r2 -= x1 * q[2]
-		r3 -= x1 * q[3]
-		r0 -= x2 * w[0]
-		r1 -= x2 * w[1]
-		r2 -= x2 * w[2]
-		r3 -= x2 * w[3]
-		s0 += r0 * r0
-		s1 += r1 * r1
-		s2 += r2 * r2
-		s3 += r3 * r3
+	var s [4]float64
+	if useAVX {
+		s = residLanes3AVX(b[:n4], x0, x1, x2, c0, c1, c2)
+	} else {
+		s = residLanes3Go(b[:n4], x0, x1, x2, c0, c1, c2)
 	}
-	for ; i < n; i++ {
+	for i := n4; i < n; i++ {
 		r := b[i] - x0*c0[i]
 		r -= x1 * c1[i]
 		r -= x2 * c2[i]
-		s0 += r * r
+		s[0] += r * r
 	}
-	return (s0 + s1) + (s2 + s3)
+	return (s[0] + s[1]) + (s[2] + s[3])
 }
 
 // residSumSqN is ResidualNorm2's sum of squares for any number of
-// stretches: per block of four samples, the four residuals stay in
-// registers while every column with a non-zero stretch is subtracted.
+// stretches.
 func residSumSqN(b, x []float64, cols [][]float64) float64 {
 	n := len(b)
-	var s0, s1, s2, s3 float64
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		b4 := b[i : i+4 : i+4]
-		r0, r1, r2, r3 := b4[0], b4[1], b4[2], b4[3]
-		for j, xj := range x {
-			if xj == 0 {
-				continue
-			}
-			p := cols[j][i : i+4 : i+4]
-			r0 -= xj * p[0]
-			r1 -= xj * p[1]
-			r2 -= xj * p[2]
-			r3 -= xj * p[3]
-		}
-		s0 += r0 * r0
-		s1 += r1 * r1
-		s2 += r2 * r2
-		s3 += r3 * r3
-	}
-	for ; i < n; i++ {
+	n4 := n &^ 3
+	s := residLanesN(b[:n4], x, cols)
+	for i := n4; i < n; i++ {
 		r := b[i]
 		for j, xj := range x {
 			if xj != 0 {
 				r -= xj * cols[j][i]
 			}
 		}
-		s0 += r * r
+		s[0] += r * r
 	}
-	return (s0 + s1) + (s2 + s3)
+	return (s[0] + s[1]) + (s[2] + s[3])
 }

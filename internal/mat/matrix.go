@@ -160,19 +160,18 @@ func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic("mat: Dot length mismatch")
 	}
+	n4 := len(a) &^ 3
 	b = b[:len(a)]
-	var s0, s1, s2, s3 float64
-	for len(a) >= 4 && len(b) >= 4 {
-		s0 += a[0] * b[0]
-		s1 += a[1] * b[1]
-		s2 += a[2] * b[2]
-		s3 += a[3] * b[3]
-		a, b = a[4:], b[4:]
+	var s [4]float64
+	if useAVX {
+		s = dotLanesAVX(a[:n4], b[:n4])
+	} else {
+		s = dotLanesGo(a[:n4], b[:n4])
 	}
-	for i, v := range a {
-		s0 += v * b[i]
+	for i := n4; i < len(a); i++ {
+		s[0] += a[i] * b[i]
 	}
-	return (s0 + s1) + (s2 + s3)
+	return (s[0] + s[1]) + (s[2] + s[3])
 }
 
 // Norm2 returns the Euclidean norm of v.

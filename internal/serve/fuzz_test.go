@@ -249,6 +249,7 @@ func FuzzTenantCreate(f *testing.F) {
 	f.Add([]byte(`{"users":1,"queue":1000000000000}`))
 	f.Add([]byte(`{"users":1000000000000,"shards":"1x1"}`))
 	f.Add([]byte(`{"users":1,"samples":2000000000,"track_m":5}`))
+	f.Add([]byte(`{"users":64,"samples":65536}`)) // at the users × samples cap, over the column cap
 	do := func(method, path string, body []byte) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))

@@ -112,16 +112,19 @@ type EstimateResponse struct {
 
 var tenantIDPattern = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9_.-]{0,63}$`)
 
-// maxUsers, maxQueue, maxSamples and maxUserSamples bound what one creation
-// request can make the server allocate: a sharded tenant sizes its owner and
-// estimate tables by the user count, the ingestion queue is allocated whole,
-// and the first observation sizes users × samples sample and candidate
-// slots (times the sniffed sensor count in candidate columns).
+// maxUsers, maxQueue, maxSamples, maxUserSamples and maxColumnFloats bound
+// what one creation request can make the server allocate: a sharded tenant
+// sizes its owner and estimate tables by the user count, the ingestion queue
+// is allocated whole, and the first observation sizes users × samples sample
+// and candidate slots, and users × samples × sniffed sensors float64s of
+// candidate kernel columns (256 MiB at the cap), which the searcher keeps
+// between rounds.
 const (
-	maxUsers       = 1 << 17
-	maxQueue       = 1 << 16
-	maxSamples     = 1 << 16
-	maxUserSamples = 1 << 22
+	maxUsers        = 1 << 17
+	maxQueue        = 1 << 16
+	maxSamples      = 1 << 16
+	maxUserSamples  = 1 << 22
+	maxColumnFloats = 1 << 25
 )
 
 // op is one unit of tenant-queue work: an observation round to step, or a
@@ -344,6 +347,12 @@ func (s *Server) trackerFor(cfg TenantConfig) (core.StepTracker, error) {
 	}
 	if cfg.Users > maxUserSamples/samples {
 		return nil, fmt.Errorf("users × samples must not exceed %d, got %d × %d", maxUserSamples, cfg.Users, samples)
+	}
+	// users × samples is at most maxUserSamples here, so the product
+	// cannot overflow; the sensor count divides the cap instead.
+	if cfg.Users*samples > maxColumnFloats/s.sensors {
+		return nil, fmt.Errorf("users × samples × sensors must not exceed %d, got %d × %d × %d",
+			maxColumnFloats, cfg.Users, samples, s.sensors)
 	}
 	robustMode, err := fit.ParseRobustMode(cfg.Robust)
 	if err != nil {

@@ -341,6 +341,15 @@ func TestServeAPIErrors(t *testing.T) {
 	check("users × samples over the cap", resp, http.StatusBadRequest)
 	resp, _ = doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/b", TenantConfig{Users: maxUserSamples/smc.DefaultN + 1})
 	check("users × default samples over the cap", resp, http.StatusBadRequest)
+	// The candidate kernel columns hold users × samples × sensors floats:
+	// under the users × samples cap, a request can still be refused for
+	// the server's sensor count.
+	colUsers := maxColumnFloats/(srv.Sensors()*maxSamples) + 1
+	if colUsers > maxUserSamples/maxSamples {
+		t.Fatalf("%d sensors leave no users × samples under the cap to refuse", srv.Sensors())
+	}
+	resp, _ = doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/b", TenantConfig{Users: colUsers, Samples: maxSamples})
+	check("users × samples × sensors over the cap", resp, http.StatusBadRequest)
 	// A tile capacity whose product with the tile count overflows int
 	// still has room for every user.
 	resp, _ = doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/p", TenantConfig{Users: 3, Shards: "2x2", TileCapacity: 1 << 62})
