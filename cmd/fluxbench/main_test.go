@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -27,7 +26,7 @@ func TestRunBadFlag(t *testing.T) {
 	if err := run([]string{"-definitely-not-a-flag"}); err == nil {
 		t.Error("bad flag must error")
 	}
-	for _, sub := range []string{"latency", "serve", "nope"} {
+	for _, sub := range []string{"latency", "serve", "compare", "nope"} {
 		if err := run([]string{"-quick", sub}); err == nil {
 			t.Errorf("unknown subcommand %q must error", sub)
 		}
@@ -73,169 +72,6 @@ func TestRunSingleQuickExperiment(t *testing.T) {
 	}
 	if err := run([]string{"-quick", "-trials", "1", "-exp", "ablation-search"}); err != nil {
 		t.Fatalf("quick single experiment failed: %v", err)
-	}
-}
-
-func TestRunJSONReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("end-to-end experiment skipped in -short mode")
-	}
-	out := filepath.Join(t.TempDir(), "bench.json")
-	if err := run([]string{
-		"-quick", "-trials", "1", "-workers", "2",
-		"-exp", "ablation-smoothing", "-json", out,
-	}); err != nil {
-		t.Fatalf("json report run failed: %v", err)
-	}
-	buf, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report benchReport
-	if err := json.Unmarshal(buf, &report); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	if report.Config != "quick" || report.Trials != 1 || report.Workers != 2 {
-		t.Errorf("report config fields wrong: %+v", report)
-	}
-	if len(report.Experiments) != 1 || report.Experiments[0].ID != "ablation-smoothing" {
-		t.Fatalf("report experiments wrong: %+v", report.Experiments)
-	}
-	e := report.Experiments[0]
-	if len(e.Rows) == 0 || len(e.Columns) == 0 || e.Seconds < 0 {
-		t.Errorf("experiment entry incomplete: %+v", e)
-	}
-	if report.TotalSeconds < e.Seconds {
-		t.Errorf("total %v < experiment time %v", report.TotalSeconds, e.Seconds)
-	}
-}
-
-func writeReport(t *testing.T, path string, r benchReport) {
-	t.Helper()
-	buf, err := json.Marshal(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCompareReports(t *testing.T) {
-	oldRep := benchReport{
-		Config: "quick", Trials: 1, Workers: 1,
-		Experiments: []benchExperiment{
-			{ID: "fig5", Seconds: 10},
-			{ID: "fig7", Seconds: 20},
-			{ID: "gone", Seconds: 5},
-		},
-	}
-	newRep := benchReport{
-		Config: "quick", Trials: 1, Workers: 1,
-		Experiments: []benchExperiment{
-			{ID: "fig5", Seconds: 2},
-			{ID: "fig7", Seconds: 4},
-			{ID: "fresh", Seconds: 1},
-		},
-	}
-	cmp := compareReports(oldRep, newRep, "a.json", "b.json")
-	out := cmp.text
-	for _, want := range []string{
-		"fig5", "5.00x", "fig7", "total (matched)",
-		"gone", "(old only)", "fresh", "(new only)",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("compare output missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "warning") {
-		t.Errorf("matching configs must not warn:\n%s", out)
-	}
-	// Matched totals exclude the one-sided experiments.
-	if cmp.oldTotal != 30 || cmp.newTotal != 6 || cmp.matched != 2 {
-		t.Errorf("matched totals = %v, %v over %d, want 30, 6 over 2", cmp.oldTotal, cmp.newTotal, cmp.matched)
-	}
-	// Mismatched configurations must warn and name each differing setting;
-	// host facts are not settings.
-	newRep.Trials = 9
-	newRep.Robust = "both"
-	newRep.GOMAXPROCS, newRep.GoVersion = 64, "go9"
-	cmp = compareReports(oldRep, newRep, "a", "b")
-	if !strings.Contains(cmp.text, "warning") {
-		t.Errorf("mismatched configs must warn:\n%s", cmp.text)
-	}
-	if want := []string{"trials 1 vs 9", `robust "" vs "both"`}; !reflect.DeepEqual(cmp.settingsDiff, want) {
-		t.Errorf("settings diff = %q, want %q", cmp.settingsDiff, want)
-	}
-}
-
-func TestRunCompareSubcommand(t *testing.T) {
-	dir := t.TempDir()
-	oldPath := filepath.Join(dir, "old.json")
-	newPath := filepath.Join(dir, "new.json")
-	rep := benchReport{Config: "quick", Experiments: []benchExperiment{{ID: "fig5", Seconds: 3}}}
-	writeReport(t, oldPath, rep)
-	rep.Experiments[0].Seconds = 1
-	writeReport(t, newPath, rep)
-	if err := run([]string{"compare", oldPath, newPath}); err != nil {
-		t.Fatalf("compare subcommand failed: %v", err)
-	}
-	if err := run([]string{"compare", oldPath}); err == nil {
-		t.Error("compare with one report must error")
-	}
-	if err := run([]string{"compare", oldPath, filepath.Join(dir, "missing.json")}); err == nil {
-		t.Error("compare with a missing report must error")
-	}
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte("{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"compare", oldPath, bad}); err == nil {
-		t.Error("compare with malformed JSON must error")
-	}
-	// -maxregress: the new run (1s vs 3s old) is a speedup, so generous and
-	// tight limits both pass; swapping the operands makes a 3x slowdown that
-	// must fail a 2x limit but pass a 4x one.
-	if err := run([]string{"compare", "-maxregress", "1.5", oldPath, newPath}); err != nil {
-		t.Errorf("faster run must pass -maxregress: %v", err)
-	}
-	if err := run([]string{"compare", "-maxregress", "2", newPath, oldPath}); err == nil {
-		t.Error("3x slowdown must fail -maxregress 2")
-	}
-	if err := run([]string{"compare", "-maxregress", "4", newPath, oldPath}); err != nil {
-		t.Errorf("3x slowdown must pass -maxregress 4: %v", err)
-	}
-	for _, bad := range []string{"-1", "NaN", "+Inf"} {
-		if err := run([]string{"compare", "-maxregress", bad, oldPath, newPath}); err == nil {
-			t.Errorf("-maxregress %s must error", bad)
-		}
-	}
-
-	// The gate cannot pass vacuously: a run sharing no experiment id with
-	// the baseline, or one with different run settings, is an error under
-	// -maxregress and only a report without it.
-	disjoint := filepath.Join(dir, "disjoint.json")
-	writeReport(t, disjoint, benchReport{Config: "quick", Experiments: []benchExperiment{{ID: "fig7", Seconds: 1}}})
-	if err := run([]string{"compare", "-maxregress", "1.5", oldPath, disjoint}); err == nil {
-		t.Error("a run matching no baseline experiment must fail -maxregress")
-	}
-	oneWorker := filepath.Join(dir, "workers1.json")
-	writeReport(t, oneWorker, benchReport{Config: "quick", Workers: 1, Experiments: []benchExperiment{{ID: "fig5", Seconds: 3}}})
-	fourWorkers := filepath.Join(dir, "workers4.json")
-	writeReport(t, fourWorkers, benchReport{Config: "quick", Workers: 4, Experiments: []benchExperiment{{ID: "fig5", Seconds: 1}}})
-	if err := run([]string{"compare", "-maxregress", "1.5", oneWorker, fourWorkers}); err == nil {
-		t.Error("workers 1 vs 4 must fail -maxregress")
-	}
-	hostOnly := filepath.Join(dir, "host.json")
-	writeReport(t, hostOnly, benchReport{Config: "quick", GOMAXPROCS: 8, GoVersion: "go1.99",
-		Experiments: []benchExperiment{{ID: "fig5", Seconds: 1}}})
-	if err := run([]string{"compare", "-maxregress", "1.5", oldPath, hostOnly}); err != nil {
-		t.Errorf("host facts must not fail -maxregress: %v", err)
-	}
-	for _, p := range []string{disjoint, fourWorkers} {
-		if err := run([]string{"compare", oneWorker, p}); err != nil {
-			t.Errorf("compare without -maxregress must only report: %v", err)
-		}
 	}
 }
 
@@ -348,10 +184,12 @@ func runShardBenchReport(t *testing.T, args ...string) (shardThroughputReport, [
 	return report, buf
 }
 
-// TestRunRejectsBadTrackerFlags pins that out-of-range search and fault
-// flags fail the run instead of silently falling back to defaults (a
+// TestRunRejectsBadTrackerFlags pins that out-of-range search, fault and
+// effort flags fail the run instead of silently falling back to defaults (a
 // negative -liars used to run honest, a negative -coarsek the default
-// shortlist), and that -robust takes only off and both.
+// shortlist, a negative -trials the default trial count), that -robust
+// takes only off and both, and that shardbench refuses a sweep that would
+// time no step.
 func TestRunRejectsBadTrackerFlags(t *testing.T) {
 	search := [][]string{
 		{"-liars", "-0.5"},
@@ -372,6 +210,28 @@ func TestRunRejectsBadTrackerFlags(t *testing.T) {
 	for _, bad := range search {
 		if err := run(append([]string{"shardbench", "-trackn", "60", "-rounds", "1", "-repeats", "1"}, bad...)); err == nil {
 			t.Errorf("fluxbench shardbench %v must error", bad)
+		}
+	}
+
+	// Effort flags: the error names the flag.
+	effort := [][]string{
+		{"-trials", "-3"}, {"-samples", "-5"}, {"-trackn", "-50"},
+		{"-rounds", "-1"}, {"-workers", "-2"}, {"-tracecap", "-1"},
+	}
+	for _, bad := range effort {
+		err := run(append([]string{"-quick", "-exp", "fig4"}, bad...))
+		if err == nil || !strings.Contains(err.Error(), bad[0]) {
+			t.Errorf("fluxbench %v: got %v, want an error naming %s", bad, err, bad[0])
+		}
+	}
+	sweep := [][]string{
+		{"-rounds", "0"}, {"-repeats", "0"}, {"-trackn", "0"}, {"-trackn", "-50"},
+		{"-samples", "0"}, {"-activeset", "-1"},
+	}
+	for _, bad := range sweep {
+		err := run(append([]string{"shardbench", "-trackn", "60", "-rounds", "1", "-repeats", "1"}, bad...))
+		if err == nil || !strings.Contains(err.Error(), bad[0]) {
+			t.Errorf("fluxbench shardbench %v: got %v, want an error naming %s", bad, err, bad[0])
 		}
 	}
 }

@@ -118,6 +118,15 @@ func runShardBench(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Zero rounds or repeats would time nothing and compare empty estimate
+	// lists, so the worker-invariance check would pass vacuously.
+	if err := checkMin(1, intFlag{"trackn", *trackN}, intFlag{"samples", *samples},
+		intFlag{"rounds", *rounds}, intFlag{"repeats", *repeats}); err != nil {
+		return fmt.Errorf("shardbench: %w", err)
+	}
+	if err := checkMin(0, intFlag{"activeset", *activeSet}); err != nil {
+		return fmt.Errorf("shardbench: %w", err)
+	}
 	var search exp.Config
 	if err := applySearch(&search); err != nil {
 		return err

@@ -146,7 +146,7 @@ func NewDBOver(model *fluxmodel.Model, bounds geom.Rect, points []geom.Point, cf
 	// index-disjoint arena slots.
 	const chunk = 32
 	chunks := (cells + chunk - 1) / chunk
-	if err := par.For(chunks, workers, func(_, ci int) error {
+	par.For(chunks, workers, func(_, ci int) {
 		lo := ci * chunk
 		hi := min(lo+chunk, cells)
 		model.KernelMatrixInto(db.centers[lo:hi], points, db.cols[lo*n:hi*n])
@@ -157,10 +157,7 @@ func NewDBOver(model *fluxmodel.Model, bounds geom.Rect, points []geom.Point, cf
 			}
 			db.norms[c] = norm2
 		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	})
 	if m != nil {
 		m.Counter("fingerprint.db.builds").Inc(0)
 		m.Counter("fingerprint.db.cells").Add(0, uint64(cells))

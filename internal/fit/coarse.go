@@ -37,6 +37,7 @@ import (
 	"fluxtrack/internal/fingerprint"
 	"fluxtrack/internal/geom"
 	"fluxtrack/internal/mat"
+	"fluxtrack/internal/par"
 )
 
 // Coarse configures the coarse-to-fine prestage of a search: candidates are
@@ -149,7 +150,7 @@ func (p *Problem) subtractSignature(col []float64, x float64, rhs []float64) {
 // top of the ranking. Every pass is deterministic: per-cell scores are pure
 // functions written into index-disjoint slots, and the peeled cell is the
 // serial argmax with equal scores resolving to the lowest cell index.
-func (s *Searcher) scoreCells(p *Problem, db *fingerprint.DB, users, workers int, scores []float64) error {
+func (s *Searcher) scoreCells(p *Problem, db *fingerprint.DB, users, workers int, scores []float64) {
 	cells := db.Cells()
 	passes := min(users, coarseMaxPasses)
 	rhs := growFloats(&s.coarseRHS, len(p.wb))
@@ -169,13 +170,9 @@ func (s *Searcher) scoreCells(p *Problem, db *fingerprint.DB, users, workers int
 		return p.scoreSignatureRHS(db.Column(c), rhs)
 	}
 	for pi := 0; pi < passes; pi++ {
-		if err := parallelFor(cells, workers, func(_, c int) error {
-			sc, _ := score(c)
-			pass[c] = sc
-			return nil
-		}); err != nil {
-			return err
-		}
+		par.For(cells, workers, func(_, c int) {
+			pass[c], _ = score(c)
+		})
 		bestCell, bestScore := -1, 0.0
 		for c, sc := range pass {
 			if sc > bestScore {
@@ -196,7 +193,6 @@ func (s *Searcher) scoreCells(p *Problem, db *fingerprint.DB, users, workers int
 		_, x := score(bestCell)
 		p.subtractSignature(db.Column(bestCell), x, rhs)
 	}
-	return nil
 }
 
 // searchCoarse runs the coarse-to-fine pipeline: score cells, shortlist
@@ -221,9 +217,7 @@ func (s *Searcher) searchCoarse(p *Problem, candidates [][]geom.Point, opts Opti
 	// is shared by all users and worker-count-invariant.
 	cells := db.Cells()
 	scores := growFloats(&s.cellScores, cells)
-	if err := s.scoreCells(p, db, len(candidates), opts.Workers, scores); err != nil {
-		return Result{}, err
-	}
+	s.scoreCells(p, db, len(candidates), opts.Workers, scores)
 
 	// Phase 2: shortlist per user. Selection orders candidates by
 	// (cell score descending, index ascending) — the index tie-break makes
@@ -253,12 +247,9 @@ func (s *Searcher) searchCoarse(p *Problem, candidates [][]geom.Point, opts Opti
 		// Candidate → containing cell → score. The cell lookup is a pure
 		// function of the candidate position.
 		candScores := growFloats(&s.candScores, nc)
-		if err := parallelFor(nc, opts.Workers, func(_, i int) error {
+		par.For(nc, opts.Workers, func(_, i int) {
 			candScores[i] = scores[db.CellOf(cs[i])]
-			return nil
-		}); err != nil {
-			return Result{}, err
-		}
+		})
 		if cap(s.coarseOrder) < nc {
 			s.coarseOrder = make([]int, nc)
 		}
@@ -293,13 +284,8 @@ func (s *Searcher) searchCoarse(p *Problem, candidates [][]geom.Point, opts Opti
 	// Phase 3: exact search over the shortlists, then remap the per-user
 	// ranking indices back into the caller's candidate lists (the SMC
 	// update phase indexes prediction origins by them).
-	if err := s.prepare(p, s.coarseCands, opts.Workers); err != nil {
-		return Result{}, err
-	}
-	res, err := s.searchBody(p, s.coarseCands, opts)
-	if err != nil {
-		return Result{}, err
-	}
+	s.prepare(p, s.coarseCands, opts.Workers)
+	res := s.searchBody(p, s.coarseCands, opts)
 	for j := range res.PerUser {
 		idx := s.coarseIdx[j]
 		for t := range res.PerUser[j] {

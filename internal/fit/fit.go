@@ -22,7 +22,6 @@ import (
 	"fluxtrack/internal/fluxmodel"
 	"fluxtrack/internal/geom"
 	"fluxtrack/internal/obs"
-	"fluxtrack/internal/par"
 	"fluxtrack/internal/rng"
 )
 
@@ -100,10 +99,13 @@ func NewProblemWeighted(model *fluxmodel.Model, points []geom.Point, measured, w
 	return p, nil
 }
 
-// RelativeWeights returns the weighting scheme used throughout the
-// evaluation: w_i = 1/(F′_i + q) with q = 0.2·mean(F′) + 1, which turns the
-// objective into (approximately) a relative-error fit and keeps near-sink
-// readings from dominating. Use with NewProblemWeighted.
+// RelativeWeights returns relative-error weights for NewProblemWeighted:
+// w_i = 1/(F′_i + q) with q = 0.2·mean(F′) + 1, which turns the objective
+// into (approximately) a relative-error fit and keeps near-sink readings
+// from dominating. No experiment or tracker uses them: the evaluation fits
+// unweighted, apart from the tracker's deflation of stale readings and the
+// robust defense's reweighting. The tests use them as a realistic
+// non-uniform weighting.
 func RelativeWeights(measured []float64) []float64 {
 	var mean float64
 	for _, f := range measured {
@@ -261,14 +263,6 @@ func Localize(p *Problem, numUsers int, opts Options, src *rng.Source) (Result, 
 // long-lived Searcher so the arenas survive across rounds.
 func SearchCandidates(p *Problem, candidates [][]geom.Point, opts Options) (Result, error) {
 	return NewSearcher().Search(p, candidates, opts)
-}
-
-// resolveWorkers and parallelFor delegate to the shared fork-join helper in
-// internal/par; the SMC tracker's per-user phases run on the same machinery.
-func resolveWorkers(n, workers int) int { return par.Resolve(n, workers) }
-
-func parallelFor(n, workers int, fn func(w, i int) error) error {
-	return par.For(n, workers, fn)
 }
 
 // insertTopM inserts ev into the ascending-by-objective slice best, keeping

@@ -103,28 +103,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelForErrors propagates worker errors.
-func TestParallelForErrors(t *testing.T) {
-	err := parallelFor(100, 4, func(_, i int) error {
-		if i == 57 {
-			return errSentinel
-		}
-		return nil
-	})
-	if err == nil {
-		t.Error("parallelFor swallowed the error")
-	}
-	if err := parallelFor(0, 4, func(int, int) error { return errSentinel }); err != nil {
-		t.Errorf("empty parallelFor returned %v", err)
-	}
-}
-
-var errSentinel = errorString("sentinel")
-
-type errorString string
-
-func (e errorString) Error() string { return string(e) }
-
 // TestObjectiveZeroAtTruthProperty: for measurements generated by the model
 // itself, the true composition always achieves (near-)zero objective,
 // whatever the sink placement.

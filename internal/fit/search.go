@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"fluxtrack/internal/geom"
 	"fluxtrack/internal/obs"
+	"fluxtrack/internal/par"
 	"fluxtrack/internal/rng"
 )
 
@@ -174,13 +174,10 @@ func (s *Searcher) EvaluateWorkers(p *Problem, positions []geom.Point, workers i
 		s.oneShot = make([]candCol, k)
 	}
 	cc := s.oneShot[:k]
-	if err := parallelFor(k, workers, func(_, j int) error {
+	par.For(k, workers, func(_, j int) {
 		cc[j].wcol = s.oneArena[j*n : (j+1)*n : (j+1)*n]
 		p.fillCandCol(positions[j], &cc[j])
-		return nil
-	}); err != nil {
-		return Eval{}, err
-	}
+	})
 	sc := s.scratchSet(1, n, k)[0]
 	sc.setK(k)
 	for j := range cc {
@@ -219,17 +216,15 @@ func (s *Searcher) Search(p *Problem, candidates [][]geom.Point, opts Options) (
 	if opts.Coarse != nil {
 		return s.searchCoarse(p, candidates, opts)
 	}
-	if err := s.prepare(p, candidates, opts.Workers); err != nil {
-		return Result{}, err
-	}
-	return s.searchBody(p, candidates, opts)
+	s.prepare(p, candidates, opts.Workers)
+	return s.searchBody(p, candidates, opts), nil
 }
 
 // searchBody picks and runs the exact search strategy over prepared
 // candidate lists: exhaustive enumeration when the composition count fits
 // under MaxExhaustive, the iterated conditional approximation otherwise.
 // The caller must have run prepare on exactly these candidate lists.
-func (s *Searcher) searchBody(p *Problem, candidates [][]geom.Point, opts Options) (Result, error) {
+func (s *Searcher) searchBody(p *Problem, candidates [][]geom.Point, opts Options) Result {
 	total := 1
 	overflow := false
 	for _, cs := range candidates {
@@ -252,7 +247,7 @@ func (s *Searcher) searchBody(p *Problem, candidates [][]geom.Point, opts Option
 // candidate chunks go through the batched fluxmodel.KernelMatrixInto and a
 // finishing pass applies the weights and Gram scalars. All weighted columns
 // live in one arena that survives across searches.
-func (s *Searcher) prepare(p *Problem, candidates [][]geom.Point, workers int) error {
+func (s *Searcher) prepare(p *Problem, candidates [][]geom.Point, workers int) {
 	n := len(p.points)
 	total := 0
 	for _, cs := range candidates {
@@ -286,19 +281,15 @@ func (s *Searcher) prepare(p *Problem, candidates [][]geom.Point, workers int) e
 			off += n
 		}
 		chunks := (len(cs) + prepChunk - 1) / prepChunk
-		if err := parallelFor(chunks, workers, func(_, ci int) error {
+		par.For(chunks, workers, func(_, ci int) {
 			lo := ci * prepChunk
 			hi := min(lo+prepChunk, len(cs))
 			p.model.KernelMatrixInto(cs[lo:hi], p.points, arena[base+lo*n:base+hi*n])
 			for i := lo; i < hi; i++ {
 				p.finishCandCol(&colj[i])
 			}
-			return nil
-		}); err != nil {
-			return err
-		}
+		})
 	}
-	return nil
 }
 
 // scratchSet returns nw worker scratches sized for (n, kMax), growing the
@@ -331,9 +322,9 @@ func (s *Searcher) scratchSet(nw, n, kMax int) []*evalScratch {
 // allocate O(total candidates) per call. Now only compositions entering the
 // global top-M materialize, which is what keeps a steady-state tracker Step
 // allocation-flat in N.
-func (s *Searcher) searchExhaustive(p *Problem, candidates [][]geom.Point, total int, opts Options) (Result, error) {
+func (s *Searcher) searchExhaustive(p *Problem, candidates [][]geom.Point, total int, opts Options) Result {
 	k := len(candidates)
-	workers := resolveWorkers(total, opts.Workers)
+	workers := par.Resolve(total, opts.Workers)
 	scratches := s.scratchSet(workers, len(p.points), k)
 
 	nCands := 0
@@ -359,57 +350,51 @@ func (s *Searcher) searchExhaustive(p *Problem, candidates [][]geom.Point, total
 		best []Eval
 	}
 	partials := make([]partial, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			pt := &partials[w]
-			objsByUser := make([][]float64, k)
-			strsByUser := make([][]float64, k)
-			for j := range objsByUser {
-				objs, strs := workerObjs(w, j)
-				for i := range objs {
-					objs[i] = math.Inf(1)
-				}
-				objsByUser[j], strsByUser[j] = objs, strs
+	par.For(workers, workers, func(w, _ int) {
+		pt := &partials[w]
+		objsByUser := make([][]float64, k)
+		strsByUser := make([][]float64, k)
+		for j := range objsByUser {
+			objs, strs := workerObjs(w, j)
+			for i := range objs {
+				objs[i] = math.Inf(1)
 			}
-			sc := scratches[w]
-			sc.setK(k)
-			idx := make([]int, k)
-			positions := make([]geom.Point, k)
-			lo := total * w / workers
-			hi := total * (w + 1) / workers
-			for lin := lo; lin < hi; lin++ {
-				// Decode the linear index into per-user candidate indices.
-				rem := lin
-				for j := k - 1; j >= 0; j-- {
-					idx[j] = rem % len(candidates[j])
-					rem /= len(candidates[j])
-				}
-				for j, i := range idx {
-					sc.setCol(j, &s.cands[j][i])
-				}
-				obj := sc.solve(p)
+			objsByUser[j], strsByUser[j] = objs, strs
+		}
+		sc := scratches[w]
+		sc.setK(k)
+		idx := make([]int, k)
+		positions := make([]geom.Point, k)
+		lo := total * w / workers
+		hi := total * (w + 1) / workers
+		for lin := lo; lin < hi; lin++ {
+			// Decode the linear index into per-user candidate indices.
+			rem := lin
+			for j := k - 1; j >= 0; j-- {
+				idx[j] = rem % len(candidates[j])
+				rem /= len(candidates[j])
+			}
+			for j, i := range idx {
+				sc.setCol(j, &s.cands[j][i])
+			}
+			obj := sc.solve(p)
 
-				// Materialize an Eval only when this composition enters the
-				// top-M: the steady-state path allocates nothing.
-				if len(pt.best) < opts.TopM || obj < pt.best[len(pt.best)-1].Objective {
-					for j, i := range idx {
-						positions[j] = candidates[j][i]
-					}
-					pt.best = insertTopM(pt.best, makeEval(positions, sc.x[:k], obj), opts.TopM)
-				}
+			// Materialize an Eval only when this composition enters the
+			// top-M: the steady-state path allocates nothing.
+			if len(pt.best) < opts.TopM || obj < pt.best[len(pt.best)-1].Objective {
 				for j, i := range idx {
-					if obj < objsByUser[j][i] {
-						objsByUser[j][i] = obj
-						strsByUser[j][i] = sc.x[j]
-					}
+					positions[j] = candidates[j][i]
+				}
+				pt.best = insertTopM(pt.best, makeEval(positions, sc.x[:k], obj), opts.TopM)
+			}
+			for j, i := range idx {
+				if obj < objsByUser[j][i] {
+					objsByUser[j][i] = obj
+					strsByUser[j][i] = sc.x[j]
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
+		}
+	})
 
 	var best []Eval
 	for w := range partials {
@@ -439,7 +424,7 @@ func (s *Searcher) searchExhaustive(p *Problem, candidates [][]geom.Point, total
 		ranked := make([]RankedPosition, 0, min(opts.TopM, len(objs)))
 		res.PerUser[j] = appendTopM(ranked, candidates[j], objs, strs, opts.TopM)
 	}
-	return res, nil
+	return res
 }
 
 // rankBefore reports whether a candidate with objective oa and index ia
@@ -505,7 +490,7 @@ func appendTopM(dst []RankedPosition, cands []geom.Point, objs, strs []float64, 
 // keeps no state between calls, so a rescan would recompute the same bits.
 // The memo lives for this call only: a later search, or the second pass of
 // a robust search over a reweighted problem, starts with an empty one.
-func (s *Searcher) searchConditional(p *Problem, candidates [][]geom.Point, opts Options) (Result, error) {
+func (s *Searcher) searchConditional(p *Problem, candidates [][]geom.Point, opts Options) Result {
 	k := len(candidates)
 	restarts := conditionalRestarts
 	if k == 1 {
@@ -518,21 +503,18 @@ func (s *Searcher) searchConditional(p *Problem, candidates [][]geom.Point, opts
 	bestObj := math.Inf(1)
 	for attempt := 0; attempt < restarts; attempt++ {
 		order := src.Perm(k)
-		res, err := s.runConditional(p, candidates, order, opts, memo)
-		if err != nil {
-			return Result{}, err
-		}
+		res := s.runConditional(p, candidates, order, opts, memo)
 		if len(res.Best) > 0 && res.Best[0].Objective < bestObj {
 			best, bestObj = res, res.Best[0].Objective
 		}
 	}
-	return best, nil
+	return best
 }
 
 // runConditional performs one greedy initialization (in the given user
 // order) followed by refinement sweeps. Rankings are materialized only on
 // the final sweep; earlier passes just move the incumbents.
-func (s *Searcher) runConditional(p *Problem, candidates [][]geom.Point, order []int, opts Options, memo *scanMemo) (Result, error) {
+func (s *Searcher) runConditional(p *Problem, candidates [][]geom.Point, order []int, opts Options, memo *scanMemo) Result {
 	k := len(candidates)
 	bestIdx := make([]int, k)
 	assigned := make([]bool, k)
@@ -540,9 +522,7 @@ func (s *Searcher) runConditional(p *Problem, candidates [][]geom.Point, order [
 	// Greedy initialization: place users one at a time, each minimizing the
 	// joint objective with the already-placed ones.
 	for _, j := range order {
-		if _, err := s.scanUser(p, candidates, bestIdx, assigned, j, opts, memo); err != nil {
-			return Result{}, err
-		}
+		s.scanUser(p, candidates, bestIdx, assigned, j, opts, memo)
 		assigned[j] = true
 	}
 
@@ -554,17 +534,14 @@ func (s *Searcher) runConditional(p *Problem, candidates [][]geom.Point, order [
 	for sweep := 0; sweep < conditionalSweeps; sweep++ {
 		final := sweep == conditionalSweeps-1
 		for j := 0; j < k; j++ {
-			ranked, err := s.scanUser(p, candidates, bestIdx, assigned, j, opts, memo)
-			if err != nil {
-				return Result{}, err
-			}
+			ranked := s.scanUser(p, candidates, bestIdx, assigned, j, opts, memo)
 			if final {
 				res.PerUser[j] = append([]RankedPosition(nil), ranked...)
 				res.Best = insertTopM(res.Best, s.incumbentEval(p, candidates, bestIdx), opts.TopM)
 			}
 		}
 	}
-	return res, nil
+	return res
 }
 
 // scanUser ranks user j's candidates with every other assigned user fixed
@@ -575,7 +552,7 @@ func (s *Searcher) runConditional(p *Problem, candidates [][]geom.Point, order [
 // candidate the last one, so per candidate only one Gram row is
 // recomputed.
 func (s *Searcher) scanUser(p *Problem, candidates [][]geom.Point, bestIdx []int, assigned []bool,
-	j int, opts Options, memo *scanMemo) ([]RankedPosition, error) {
+	j int, opts Options, memo *scanMemo) []RankedPosition {
 	ranked, ok := memo.find(j, bestIdx, assigned)
 	if !ok {
 		k := len(candidates)
@@ -589,9 +566,9 @@ func (s *Searcher) scanUser(p *Problem, candidates [][]geom.Point, bestIdx []int
 		nc := len(candidates[j])
 		objs := growFloats(&s.objs, nc)
 		strJ := growFloats(&s.stretch, nc)
-		workers := resolveWorkers(nc, opts.Workers)
+		workers := par.Resolve(nc, opts.Workers)
 		scratches := s.scratchSet(workers, len(p.points), kk)
-		err := parallelFor(nc, opts.Workers, func(w, i int) error {
+		par.For(nc, opts.Workers, func(w, i int) {
 			sc := scratches[w]
 			sc.setK(kk)
 			slot := 0
@@ -605,17 +582,13 @@ func (s *Searcher) scanUser(p *Problem, candidates [][]geom.Point, bestIdx []int
 			sc.setCol(kk-1, &s.cands[j][i])
 			objs[i] = sc.solve(p)
 			strJ[i] = sc.x[kk-1]
-			return nil
 		})
-		if err != nil {
-			return nil, err
-		}
 		ranked = memo.store(candidates[j], objs, strJ, opts.TopM)
 	}
 	if ranked[0].Objective < math.Inf(1) {
 		bestIdx[j] = ranked[0].Index
 	}
-	return ranked, nil
+	return ranked
 }
 
 // incumbentEval evaluates the composition of every user's incumbent, in

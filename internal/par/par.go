@@ -23,7 +23,6 @@
 package par
 
 import (
-	"errors"
 	"runtime"
 	"sort"
 	"sync"
@@ -46,24 +45,21 @@ func Resolve(n, workers int) int {
 
 // For runs fn(w, i) for every i in [0, n) on up to workers goroutines
 // (GOMAXPROCS when workers <= 0). The worker index w identifies which of the
-// Resolve(n, workers) contiguous shards is running, so callers can hand each
-// worker its own scratch state. The first (lowest-shard) error wins; fn
-// invocations must be independent. With one worker the loop runs inline in
-// index order and aborts on the first error — the exact sequential path.
-func For(n, workers int, fn func(w, i int) error) error {
+// Resolve(n, workers) contiguous shards is running — shard w covers
+// [n*w/workers, n*(w+1)/workers) — so callers can hand each worker its own
+// scratch state; fn invocations must be independent. With one worker the
+// loop runs inline in index order — the exact sequential path.
+func For(n, workers int, fn func(w, i int)) {
 	if n == 0 {
-		return nil
+		return
 	}
 	workers = Resolve(n, workers)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
-			if err := fn(0, i); err != nil {
-				return err
-			}
+			fn(0, i)
 		}
-		return nil
+		return
 	}
-	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -72,15 +68,11 @@ func For(n, workers int, fn func(w, i int) error) error {
 			lo := n * w / workers
 			hi := n * (w + 1) / workers
 			for i := lo; i < hi; i++ {
-				if err := fn(w, i); err != nil {
-					errs[w] = err
-					return
-				}
+				fn(w, i)
 			}
 		}(w)
 	}
 	wg.Wait()
-	return errors.Join(errs...)
 }
 
 // LPTAssign builds a longest-processing-time schedule: unit i (cost
@@ -144,18 +136,15 @@ func LPTAssign(costs []float64, workers int, plan [][]int) [][]int {
 
 // ForPlan runs fn(w, i) for every unit i in plan[w], one goroutine per
 // non-empty worker list (inline, in index order, when the plan has a single
-// worker). Like For, the first (lowest-worker) error wins and fn must write
-// only index-disjoint outputs so results are independent of scheduling.
-func ForPlan(plan [][]int, fn func(w, i int) error) error {
+// worker). Like For, fn must write only index-disjoint outputs so results
+// are independent of scheduling.
+func ForPlan(plan [][]int, fn func(w, i int)) {
 	if len(plan) == 1 {
 		for _, i := range plan[0] {
-			if err := fn(0, i); err != nil {
-				return err
-			}
+			fn(0, i)
 		}
-		return nil
+		return
 	}
-	errs := make([]error, len(plan))
 	var wg sync.WaitGroup
 	for w := range plan {
 		if len(plan[w]) == 0 {
@@ -165,13 +154,9 @@ func ForPlan(plan [][]int, fn func(w, i int) error) error {
 		go func(w int) {
 			defer wg.Done()
 			for _, i := range plan[w] {
-				if err := fn(w, i); err != nil {
-					errs[w] = err
-					return
-				}
+				fn(w, i)
 			}
 		}(w)
 	}
 	wg.Wait()
-	return errors.Join(errs...)
 }

@@ -1,7 +1,6 @@
 package par
 
 import (
-	"errors"
 	"sync/atomic"
 	"testing"
 )
@@ -9,12 +8,9 @@ import (
 func TestForCoversEveryIndex(t *testing.T) {
 	for _, workers := range []int{1, 3, 16} {
 		var hits [100]atomic.Int32
-		if err := For(len(hits), workers, func(_, i int) error {
+		For(len(hits), workers, func(_, i int) {
 			hits[i].Add(1)
-			return nil
-		}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		})
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
 				t.Fatalf("workers=%d: index %d ran %d times", workers, i, got)
@@ -23,36 +19,14 @@ func TestForCoversEveryIndex(t *testing.T) {
 	}
 }
 
-func TestForPropagatesError(t *testing.T) {
-	sentinel := errors.New("boom")
-	for _, workers := range []int{1, 4} {
-		err := For(100, workers, func(_, i int) error {
-			if i == 57 {
-				return sentinel
-			}
-			return nil
-		})
-		if !errors.Is(err, sentinel) {
-			t.Errorf("workers=%d: got %v, want sentinel", workers, err)
-		}
-	}
-	if err := For(0, 4, func(int, int) error { return sentinel }); err != nil {
-		t.Errorf("empty For returned %v", err)
-	}
-}
-
 func TestForShardIndexInRange(t *testing.T) {
 	const n, workers = 64, 5
 	resolved := Resolve(n, workers)
-	err := For(n, workers, func(w, _ int) error {
+	For(n, workers, func(w, _ int) {
 		if w < 0 || w >= resolved {
 			t.Errorf("worker index %d outside [0, %d)", w, resolved)
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestLPTAssignDeterministic(t *testing.T) {
@@ -145,7 +119,7 @@ func TestLPTAssignReusesPlan(t *testing.T) {
 	}
 }
 
-func TestForPlanCoversAndPropagates(t *testing.T) {
+func TestForPlanCoversEveryUnit(t *testing.T) {
 	costs := make([]float64, 50)
 	for i := range costs {
 		costs[i] = float64(i % 7)
@@ -153,28 +127,14 @@ func TestForPlanCoversAndPropagates(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
 		plan := LPTAssign(costs, workers, nil)
 		var hits [50]atomic.Int32
-		if err := ForPlan(plan, func(_, i int) error {
+		ForPlan(plan, func(_, i int) {
 			hits[i].Add(1)
-			return nil
-		}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		})
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
 				t.Fatalf("workers=%d: unit %d ran %d times", workers, i, got)
 			}
 		}
-	}
-	sentinel := errors.New("boom")
-	plan := LPTAssign(costs, 4, nil)
-	err := ForPlan(plan, func(_, i int) error {
-		if i == 23 {
-			return sentinel
-		}
-		return nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Errorf("got %v, want sentinel", err)
 	}
 }
 

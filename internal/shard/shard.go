@@ -569,10 +569,10 @@ func (f *Field) StepRound(r smc.Round) (smc.StepResult, error) {
 	// tile's state, so the round is race-free by construction; determinism
 	// comes from the serial merge below, not from scheduling — the plan
 	// only decides which worker runs a tile, never what the tile computes.
-	stepTile := func(w, i int) error {
+	stepTile := func(w, i int) {
 		tl := f.tiles[i]
 		if len(tl.owned) == 0 {
-			return nil
+			return
 		}
 		var t0 time.Time
 		if observed {
@@ -585,11 +585,10 @@ func (f *Field) StepRound(r smc.Round) (smc.StepResult, error) {
 		}
 		if err != nil {
 			tl.err = err
-			return nil
+			return
 		}
 		tl.res = res
 		tl.stepped = true
-		return nil
 	}
 	// Cost-weighted LPT: weigh each tile by its owned-user count plus the
 	// NNLS work it burned last round. Every input is a deterministic work
@@ -601,7 +600,7 @@ func (f *Field) StepRound(r smc.Round) (smc.StepResult, error) {
 		f.costs[i] += float64(solves - tl.prevSolves + (iters-tl.prevIters)/4)
 	}
 	f.plan = par.LPTAssign(f.costs, f.cfg.Tracker.Workers, f.plan)
-	_ = par.ForPlan(f.plan, stepTile)
+	par.ForPlan(f.plan, stepTile)
 	for _, tl := range f.tiles {
 		if tl.stepped {
 			tl.prevSolves, tl.prevIters = tl.tracker.WorkTotals()

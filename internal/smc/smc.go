@@ -823,9 +823,8 @@ func (tr *Tracker) stepSubset(prob *fit.Problem, t float64, subset []int, report
 	// drawn concurrently — each user's draws come from its own substream,
 	// so any sharding yields the same candidates.
 	candidates, origins := tr.predictBuffers(len(subset))
-	_ = par.For(len(subset), tr.cfg.Workers, func(_, i int) error {
+	par.For(len(subset), tr.cfg.Workers, func(_, i int) {
 		tr.predictInto(subset[i], t, candidates[i], origins[i])
-		return nil
 	})
 	if span != nil {
 		now := time.Now()
@@ -871,12 +870,12 @@ func (tr *Tracker) stepSubset(prob *fit.Problem, t float64, subset []int, report
 	// and estimate slot are touched by exactly one worker). Subset
 	// membership resolves by binary search — subset is strictly ascending —
 	// so no per-round membership map is built.
-	_ = par.For(len(report), tr.cfg.Workers, func(_, idx int) error {
+	par.For(len(report), tr.cfg.Workers, func(_, idx int) {
 		j := report[idx]
 		i := sort.SearchInts(subset, j)
 		if i >= len(subset) || subset[i] != j {
 			ests[idx] = tr.estimate(j, false, 0)
-			return nil
+			return
 		}
 		stretch := best.Stretches[i]
 		active := maxStretch > 0 && stretch >= idleStretchFrac*maxStretch
@@ -884,7 +883,6 @@ func (tr *Tracker) stepSubset(prob *fit.Problem, t float64, subset []int, report
 			tr.update(j, t, res.PerUser[i], origins[i])
 		}
 		ests[idx] = tr.estimate(j, active, stretch)
-		return nil
 	})
 	tr.steps++
 	tr.lastT = t
