@@ -141,12 +141,15 @@ func loadGolden() (map[string]goldenEntry, error) {
 }
 
 // checkGolden compares one Workers=1 run against its golden entry, or
-// records it when the golden file is missing. Only amd64 compares: other
-// architectures may fuse multiply-add and round differently.
+// records it when the golden file is missing. Only amd64 and 386 compare:
+// Go never fuses multiply-add there (386 does its float64 arithmetic in
+// SSE2), and on 386 the numeric kernels run their Go loops, so the file
+// checks those end to end. Other architectures may fuse and round
+// differently.
 func checkGolden(t *testing.T, key, render string, counters []obs.CounterValue) {
 	t.Helper()
-	if runtime.GOARCH != "amd64" {
-		t.Logf("golden %s: comparison skipped on %s (digests are pinned on amd64, where Go never fuses multiply-add)", key, runtime.GOARCH)
+	if runtime.GOARCH != "amd64" && runtime.GOARCH != "386" {
+		t.Logf("golden %s: comparison skipped on %s (digests are pinned on amd64 and 386, where Go never fuses multiply-add)", key, runtime.GOARCH)
 		return
 	}
 	sum := sha256.Sum256([]byte(render))

@@ -68,6 +68,11 @@ func (p *Problem) finishCandCol(c *candCol) {
 	c.norm2, c.proj = norm2, proj
 }
 
+// reuseRows lets solve declare its unchanged slots to the NNLS workspace.
+// It is always on; the tests turn it off to check that the results keep
+// their bits without it.
+var reuseRows = true
+
 // evalScratch is one worker's reusable state for evaluating compositions:
 // the current composition's Gram matrix and projections, the NNLS solution
 // and workspace, and a residual buffer for the scaled norm. After ensure
@@ -88,6 +93,13 @@ type evalScratch struct {
 	x     []float64   // NNLS solution (fitted stretches), valid after solve
 	resid []float64   // length-n residual buffer of mat.ResidualNorm2
 	ws    mat.NNLSWorkspace
+
+	// stable is the lowest slot setCol has changed since the last solve
+	// (k when none has): the leading stable×stable Gram block and d[:stable]
+	// are the previous solve's, so the NNLS workspace reuses the Cholesky
+	// rows that depend only on them. The scans change their last slot most
+	// often, so most solves refactor one row.
+	stable int
 }
 
 // ensure sizes the scratch for problems with n samples and compositions of
@@ -107,6 +119,7 @@ func (sc *evalScratch) ensure(n, kMax int) {
 	sc.resid = sc.resid[:n]
 	sc.n = n
 	sc.k = 0 // forces the next setK to clear the slot cache
+	sc.stable = 0
 }
 
 // setK sets the active composition size. Changing the size relayouts the
@@ -115,7 +128,7 @@ func (sc *evalScratch) setK(k int) {
 	if sc.k == k {
 		return
 	}
-	sc.k = k
+	sc.k, sc.stable = k, 0
 	cur := sc.cur[:k]
 	for j := range cur {
 		cur[j] = nil
@@ -131,6 +144,7 @@ func (sc *evalScratch) setCol(j int, c *candCol) {
 	}
 	sc.cur[j] = c
 	sc.cols[j] = c.wcol
+	sc.stable = min(sc.stable, j)
 	k := sc.k
 	sc.d[j] = c.proj
 	sc.gram[j*k+j] = c.norm2
@@ -165,7 +179,12 @@ func (sc *evalScratch) setGram(j, o int, v float64) {
 // in sc.x[:sc.k], slot-aligned. Steady state performs no heap allocations.
 func (sc *evalScratch) solve(p *Problem) float64 {
 	k := sc.k
-	mat.NNLSGramInto(sc.gram[:k*k], sc.d[:k], sc.x[:k], &sc.ws)
+	stable := sc.stable
+	if !reuseRows {
+		stable = 0
+	}
+	mat.NNLSGramStableInto(sc.gram[:k*k], sc.d[:k], sc.x[:k], &sc.ws, stable)
+	sc.stable = k
 	return mat.ResidualNorm2(p.wb, sc.x[:k], sc.cols[:k], sc.resid)
 }
 

@@ -16,6 +16,7 @@ package fluxmodel
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"fluxtrack/internal/geom"
 	"fluxtrack/internal/network"
@@ -148,12 +149,9 @@ func (m *Model) KernelVector(sink geom.Point, pts []geom.Point) []float64 {
 // and returns it. It is the allocation-free hook the candidate search uses
 // to build its per-candidate column caches, so it runs the fused column
 // kernel: the sink containment check and the boundary slab offsets are
-// hoisted out of the loop (both are sink-invariant), and the loop runs
-// kernelFused's fast path inline — the containment check, the slab
-// parameter τ (ExitSlabs.Scale, inlined), one sqrt for d and d(τ²−1)/2.
-// A point off that path (outside the field, on the sink, within MinDist
-// of it, or with τ < 1) takes kernelFused itself, whose fast path computes
-// the same expressions, so every entry has the bits of kernelFused.
+// hoisted out of the loop (both are sink-invariant). On amd64 with AVX,
+// kernelLanes evaluates the points four at a time; kernelLoop takes the
+// rest. Every entry has the bits of kernelFused either way.
 func (m *Model) KernelVectorInto(sink geom.Point, pts []geom.Point, dst []float64) []float64 {
 	if len(dst) != len(pts) {
 		panic(fmt.Sprintf("fluxmodel: KernelVectorInto destination length %d, want %d", len(dst), len(pts)))
@@ -164,7 +162,24 @@ func (m *Model) KernelVectorInto(sink geom.Point, pts []geom.Point, dst []float6
 		}
 		return dst
 	}
-	field, slabs, minDist := m.field, m.field.SlabsAt(sink), m.minDist
+	slabs := m.field.SlabsAt(sink)
+	done := 0
+	if useAVX {
+		done = m.kernelLanes(slabs, sink, pts, dst)
+	}
+	m.kernelLoop(slabs, sink, pts[done:], dst[done:])
+	return dst
+}
+
+// kernelLoop is KernelVectorInto's Go loop, the non-AVX path and the
+// oracle of kernelLanes. It runs kernelFused's fast path inline — the
+// containment check, the slab parameter τ (ExitSlabs.Scale, inlined), one
+// sqrt for d and d(τ²−1)/2. A point off that path (outside the field, on
+// the sink, within MinDist of it, or with τ < 1 or not finite) takes
+// kernelFused itself, whose fast path computes the same expressions.
+func (m *Model) kernelLoop(slabs geom.ExitSlabs, sink geom.Point, pts []geom.Point, dst []float64) {
+	field, minDist := m.field, m.minDist
+	dst = dst[:len(pts)]
 	for i, p := range pts {
 		if field.Contains(p) {
 			dx, dy := p.X-sink.X, p.Y-sink.Y
@@ -177,7 +192,40 @@ func (m *Model) KernelVectorInto(sink geom.Point, pts []geom.Point, dst []float6
 		}
 		dst[i] = m.kernelFused(slabs, sink, p)
 	}
-	return dst
+}
+
+// laneBlock is the most points one kernelLanesAVX call takes: its result
+// has one bit per point.
+const laneBlock = 64
+
+// laneArgs is kernelLanesAVX's per-sink input; kernel_amd64.s reads it by
+// offset, eight bytes per field in this order.
+type laneArgs struct {
+	sinkX, sinkY           float64
+	minX, maxX, minY, maxY float64 // the field
+	xhi, xlo, yhi, ylo     float64 // the sink's slab offsets
+	minDist                float64
+}
+
+// kernelLanes fills dst for the first len(pts) &^ 3 points, four per AVX
+// instruction, and returns that count. The assembly runs kernelLoop's fast
+// path on every lane in the same IEEE operations and marks the lanes that
+// leave it; those take kernelFused, as they do in kernelLoop. Only called
+// when useAVX is set.
+func (m *Model) kernelLanes(slabs geom.ExitSlabs, sink geom.Point, pts []geom.Point, dst []float64) int {
+	f := m.field
+	a := laneArgs{sinkX: sink.X, sinkY: sink.Y,
+		minX: f.Min.X, maxX: f.Max.X, minY: f.Min.Y, maxY: f.Max.Y, minDist: m.minDist}
+	a.xhi, a.xlo, a.yhi, a.ylo = slabs.Offsets()
+	n4 := len(pts) &^ 3
+	for lo := 0; lo < n4; lo += laneBlock {
+		hi := min(lo+laneBlock, n4)
+		for slow := kernelLanesAVX(pts[lo:hi], dst[lo:hi], &a); slow != 0; slow &= slow - 1 {
+			i := lo + bits.TrailingZeros64(slow)
+			dst[i] = m.kernelFused(slabs, sink, pts[i])
+		}
+	}
+	return n4
 }
 
 // KernelMatrixInto evaluates the kernel for a whole batch of sinks in one

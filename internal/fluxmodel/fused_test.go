@@ -179,7 +179,9 @@ func TestKernelVectorIntoMatchesKernelFused(t *testing.T) {
 }
 
 // BenchmarkKernelVectorFused measures the fused column kernel on the
-// tracking-shaped workload: one sink, 90 sample points, reused destination.
+// tracking-shaped workload: one sink, 90 sample points, reused destination,
+// through the Go loop and through KernelVectorInto (the AVX lanes where
+// they run).
 func BenchmarkKernelVectorFused(b *testing.B) {
 	m, err := New(geom.Square(30), 0.8)
 	if err != nil {
@@ -192,11 +194,22 @@ func BenchmarkKernelVectorFused(b *testing.B) {
 	}
 	dst := make([]float64, len(pts))
 	sink := geom.Pt(11.3, 22.8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.KernelVectorInto(sink, pts, dst)
-	}
+	slabs := m.Field().SlabsAt(sink)
+	b.Run("go", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m.kernelLoop(slabs, sink, pts, dst)
+		}
+	})
+	b.Run("avx", func(b *testing.B) {
+		if !useAVX {
+			b.Skip("AVX kernel column not in use")
+		}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m.KernelVectorInto(sink, pts, dst)
+		}
+	})
 }
 
 // BenchmarkKernelVectorGeneric is the same workload through the scalar

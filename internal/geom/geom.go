@@ -190,6 +190,13 @@ func (r Rect) SlabsAt(origin Point) ExitSlabs {
 	}
 }
 
+// Offsets returns the slab offsets Max.X − origin.X, Min.X − origin.X,
+// Max.Y − origin.Y and Min.Y − origin.Y, for kernels that evaluate Scale
+// outside Go.
+func (s ExitSlabs) Offsets() (xhi, xlo, yhi, ylo float64) {
+	return s.xhi, s.xlo, s.yhi, s.ylo
+}
+
 // Scale returns the closed-form slab parameter τ: the largest τ >= 0 such
 // that origin + τ·(dx, dy) still lies in the rectangle. The direction is
 // deliberately NOT normalized — for the flux model's ray from a sink through

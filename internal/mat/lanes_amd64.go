@@ -1,24 +1,12 @@
 package mat
 
-// useAVX reports whether the CPU runs AVX and the operating system saves
-// the YMM registers, so the lane kernels take the assembly loops.
-var useAVX = hasAVX()
+import "fluxtrack/internal/cpufeat"
 
-// hasAVX reads CPUID leaf 1 (the OSXSAVE and AVX bits) and, when XGETBV is
-// usable, XCR0 (XMM and YMM state enabled).
-func hasAVX() bool {
-	const osxsave, avx = 1 << 27, 1 << 28
-	if ecx := cpuid1ECX(); ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
-	}
-	const xmmYmm = 1<<1 | 1<<2
-	return xgetbv0EAX()&xmmYmm == xmmYmm
-}
+// useAVX reports whether the lane kernels take the assembly loops: the
+// CPU runs AVX and the operating system saves the YMM registers.
+var useAVX = cpufeat.AVX
 
 // Implemented in lanes_amd64.s.
-
-func cpuid1ECX() uint32
-func xgetbv0EAX() uint32
 
 //go:noescape
 func dotLanesAVX(a, b []float64) (s [4]float64)

@@ -9,21 +9,6 @@
 // at the lowest address, and clears the upper YMM halves before returning
 // to SSE code.
 
-// func cpuid1ECX() uint32
-TEXT ·cpuid1ECX(SB), NOSPLIT, $0-4
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	MOVL CX, ret+0(FP)
-	RET
-
-// func xgetbv0EAX() uint32
-TEXT ·xgetbv0EAX(SB), NOSPLIT, $0-4
-	XORL CX, CX
-	XGETBV
-	MOVL AX, ret+0(FP)
-	RET
-
 // func dotLanesAVX(a, b []float64) (s [4]float64)
 TEXT ·dotLanesAVX(SB), NOSPLIT, $0-80
 	MOVQ   a_base+0(FP), SI

@@ -13,12 +13,23 @@ type NNLSWorkspace struct {
 	passive []bool
 	idx     []int
 	z       []float64 // passive-set solution of the equality-constrained solve
-	y       []float64 // forward-substitution intermediate
-	chol    []float64 // dense lower-triangular Cholesky factor, m×m row-major
+	y       []float64 // forward-substitution intermediate, one entry per row of chol
+	chol    []float64 // dense lower-triangular Cholesky factor, row a at chol[a*k:]
+
+	// Row reuse. cholSolve factors row by row, and row a of chol and y[a]
+	// depend only on the Gram entries and projections of rowIdx[:a+1], so
+	// the first rows rows stay valid for a later solve at the same k whose
+	// passive list starts with rowIdx[:rows], until g or d change there.
+	// ensure forgets them; NNLSGramStableInto keeps the ones its caller
+	// declares unchanged.
+	rowIdx []int
+	rows   int
+	rowsK  int // the Gram dimension rows was factored at
 
 	// Solves and Iters are cumulative work meters, maintained by every
-	// solve through this workspace: Solves counts NNLSGramInto calls and
-	// Iters the iterations they burned — each warm-start round and each
+	// solve through this workspace: Solves counts NNLSGramInto and
+	// NNLSGramStableInto calls and Iters the iterations they burned — each
+	// warm-start round and each
 	// active-set (outer) iteration; the k=1 closed-form path counts as a
 	// solve with zero iterations. They are plain (non-atomic) fields — a
 	// workspace is single-goroutine by contract — and exist so the observability layer (internal/obs via
@@ -28,7 +39,8 @@ type NNLSWorkspace struct {
 	Iters  uint64
 }
 
-// ensure grows the workspace to dimension k.
+// ensure grows the workspace to dimension k and forgets every factored
+// row.
 func (ws *NNLSWorkspace) ensure(k int) {
 	if cap(ws.passive) < k {
 		ws.passive = make([]bool, k)
@@ -36,11 +48,28 @@ func (ws *NNLSWorkspace) ensure(k int) {
 		ws.z = make([]float64, k)
 		ws.y = make([]float64, k)
 		ws.chol = make([]float64, k*k)
+		ws.rowIdx = make([]int, k)
 	}
 	ws.passive = ws.passive[:k]
 	for j := range ws.passive {
 		ws.passive[j] = false
 	}
+	ws.rows, ws.rowsK = 0, k
+}
+
+// stableRows returns how many factored rows stay valid for a solve at
+// dimension k whose g and d are unchanged in their leading stable×stable
+// block and first stable entries: the leading rows whose passive variables
+// all lie below stable (rowIdx is ascending).
+func (ws *NNLSWorkspace) stableRows(k, stable int) int {
+	if k != ws.rowsK {
+		return 0
+	}
+	r := 0
+	for r < ws.rows && ws.rowIdx[r] < stable {
+		r++
+	}
+	return r
 }
 
 // nnlsGramTol mirrors the gradient tolerance of the allocating NNLS: the
@@ -76,7 +105,24 @@ const nnlsGramTol = 1e-10
 // active-set loop are handled the same way as in NNLS — the newest variable
 // is dropped and the iteration continues — so degenerate compositions
 // (e.g. two users at the same position) stay well-defined.
+//
+// NNLSGramInto takes nothing from the workspace's earlier solves; a caller
+// that solves a sequence of related systems can say what stayed the same
+// with NNLSGramStableInto.
 func NNLSGramInto(g, d, x []float64, ws *NNLSWorkspace) {
+	NNLSGramStableInto(g, d, x, ws, 0)
+}
+
+// NNLSGramStableInto is NNLSGramInto for a caller that solves a sequence
+// of related systems on one workspace, such as a scan that varies only the
+// last variable. stable declares that the leading stable×stable block of g
+// and the first stable entries of d hold the values of the workspace's
+// previous solve; the Cholesky rows that depend only on them are then
+// reused instead of refactored, across calls as well as within one. The
+// result has the bits of NNLSGramInto whenever the declaration holds.
+// stable = 0 reuses nothing across calls, and a declaration that follows a
+// solve at another k is ignored.
+func NNLSGramStableInto(g, d, x []float64, ws *NNLSWorkspace, stable int) {
 	k := len(d)
 	if len(g) != k*k || len(x) != k {
 		panic(fmt.Sprintf("mat: NNLSGramInto dimension mismatch: gram %d, d %d, x %d", len(g), len(d), len(x)))
@@ -90,9 +136,12 @@ func NNLSGramInto(g, d, x []float64, ws *NNLSWorkspace) {
 		} else {
 			x[0] = 0
 		}
+		ws.rows = 0 // the next solve follows one at another k
 		return
 	}
+	keep := ws.stableRows(k, stable)
 	ws.ensure(k)
+	ws.rows = keep
 	ws.warmStart(g, d, x, k)
 
 	maxOuter := 3 * k
@@ -224,6 +273,12 @@ func (ws *NNLSWorkspace) passiveIdx() []int {
 // cholSolve solves G[idx,idx] z = d[idx] by a dense Cholesky factorization
 // into the workspace, writing the solution into ws.z[:len(idx)]. It reports
 // false when the submatrix is not (numerically) positive definite.
+//
+// The factorization runs row by row (Cholesky–Banachiewicz) and computes
+// each row's forward-substitution entry y[a] right after the row, so row a
+// and y[a] are functions of idx[:a+1] alone: the leading rows already
+// factored for the same variables (ws.rows, ws.rowIdx) are reused, with
+// the bits a full factorization would give them.
 func (ws *NNLSWorkspace) cholSolve(g, d []float64, k int, idx []int) bool {
 	m := len(idx)
 	if m == 0 {
@@ -238,42 +293,50 @@ func (ws *NNLSWorkspace) cholSolve(g, d []float64, k int, idx []int) bool {
 		ws.z[0] = d[j] / gjj
 		return true
 	}
-	l := ws.chol
-	for a := 0; a < m; a++ {
+	l, y := ws.chol, ws.y
+	a := 0
+	for a < ws.rows && a < m && ws.rowIdx[a] == idx[a] {
+		a++
+	}
+	if a < m {
+		copy(ws.rowIdx[a:m], idx[a:])
+		ws.rows = m
+	}
+	for ; a < m; a++ {
 		ja := idx[a]
+		la := l[a*k : a*k+a+1]
 		for b := 0; b <= a; b++ {
 			s := g[ja*k+idx[b]]
-			for t := 0; t < b; t++ {
-				s -= l[a*m+t] * l[b*m+t]
+			lb := l[b*k : b*k+b]
+			for t, v := range lb {
+				s -= la[t] * v
 			}
 			if a == b {
 				// Relative pivot threshold: a pivot this far below the
 				// column's own squared norm means the column is numerically
 				// dependent on the earlier passive columns.
 				if s <= 0 || s <= 1e-13*g[ja*k+ja] {
+					ws.rows = a
 					return false
 				}
-				l[a*m+a] = math.Sqrt(s)
+				la[a] = math.Sqrt(s)
 			} else {
-				l[a*m+b] = s / l[b*m+b]
+				la[b] = s / l[b*k+b]
 			}
 		}
-	}
-	y := ws.y
-	for a := 0; a < m; a++ {
-		s := d[idx[a]]
-		for t := 0; t < a; t++ {
-			s -= l[a*m+t] * y[t]
+		s := d[ja]
+		for t, v := range la[:a] {
+			s -= v * y[t]
 		}
-		y[a] = s / l[a*m+a]
+		y[a] = s / la[a]
 	}
 	z := ws.z
 	for a := m - 1; a >= 0; a-- {
 		s := y[a]
 		for t := a + 1; t < m; t++ {
-			s -= l[t*m+a] * z[t]
+			s -= l[t*k+a] * z[t]
 		}
-		z[a] = s / l[a*m+a]
+		z[a] = s / l[a*k+a]
 	}
 	return true
 }
