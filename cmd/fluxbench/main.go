@@ -53,30 +53,10 @@
 // to the unsharded tracker):
 //
 //	fluxbench -quick -shards 2x2 -halo 2         # run the suite through a 2x2 tile grid
-//	fluxbench shardbench                         # step throughput vs tile grid (1x1 vs 2x2)
-//	fluxbench shardbench -grids 1x1,2x2,4x2 -trackn 10000 -json shard.json
 //
-// Scale sweeps (the 90/10 hot-corner regime; see DESIGN.md §6.7):
-//
-//	fluxbench shardbench -users 1000,20000 -grids 8x8 -skew 0.9 -activeset 16
-//	fluxbench shardbench -users 20000 -grids 8x8 -skew 0.9   # uncapped search
-//	fluxbench shardbench -users 5000 -grids 4x4 -capacity 500 -metrics
-//
-// Tiles are packed onto workers longest-processing-time first by
-// deterministic cost estimates, and each tile reports only its owned users.
-// -activeset caps the users each tile searches per round; the users/sec
-// ratio against the same sweep without it is the capped-search speedup.
-// -capacity bounds per-tile admission (spills stay deterministic), and
-// -metrics prints the shard.* instrument snapshot, including per-tile
-// gauges, at exit. Entries report p50/p95 step latency, max/mean tile-load
-// imbalance, and retained bytes/user.
-//
-// Tracker latency is the same sweep over one grid and several worker
-// counts; it checks that each grid's final estimates do not depend on the
-// worker count, and takes the search flags above:
-//
-//	fluxbench shardbench -users 3 -grids 1x1 -workers 1,2,4,8 -trackn 1000
-//	fluxbench shardbench -users 3 -grids 1x1 -workers 1,8 -coarse -liars 0.1 -robust both
+// The work the tile split and the active-set cap save is pinned as NNLS
+// solve and iteration counts by internal/shard's TestShardWorkReduction;
+// their step time is perfbench's field-hotspot workload.
 //
 // Serving latency, per-layer timings, the end-to-end benchmark and the
 // quick suite's wall-time baseline (exp.suite_s of a traced track-exact
@@ -114,9 +94,6 @@ func main() {
 }
 
 func run(args []string) error {
-	if len(args) > 0 && args[0] == "shardbench" {
-		return runShardBench(args[1:])
-	}
 	fs := flag.NewFlagSet("fluxbench", flag.ContinueOnError)
 	var (
 		quick   = fs.Bool("quick", false, "use the reduced-effort configuration")
@@ -146,7 +123,7 @@ func run(args []string) error {
 	if fs.NArg() > 0 {
 		// A stray argument, such as a misspelled subcommand, would otherwise
 		// end flag parsing and run the whole suite at full effort.
-		return fmt.Errorf("unknown subcommand or argument %q (want shardbench)", fs.Arg(0))
+		return fmt.Errorf("unknown subcommand or argument %q (fluxbench takes flags only)", fs.Arg(0))
 	}
 	// 0 keeps the configuration's default; a negative count is an error.
 	if err := checkMin(0, intFlag{"trials", *trials}, intFlag{"samples", *samples},

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -30,6 +29,12 @@ func TestRunBadFlag(t *testing.T) {
 		if err := run([]string{"-quick", sub}); err == nil {
 			t.Errorf("unknown subcommand %q must error", sub)
 		}
+	}
+	// A script written for the retired tile-sweep subcommand must fail
+	// before it runs the suite at full effort.
+	err := run([]string{"shardbench", "-users", "50", "-grids", "8x8"})
+	if err == nil || !strings.Contains(err.Error(), "unknown subcommand") {
+		t.Errorf("shardbench: got %v, want an unknown-subcommand error", err)
 	}
 }
 
@@ -99,97 +104,11 @@ func TestRunWithProfiles(t *testing.T) {
 	}
 }
 
-func TestRunShardBenchSubcommand(t *testing.T) {
-	if testing.Short() {
-		t.Skip("end-to-end shard sweep skipped in -short mode")
-	}
-	report, raw := runShardBenchReport(t,
-		"-users", "3,6", "-trackn", "60", "-samples", "40",
-		"-rounds", "2", "-repeats", "1", "-grids", "1x1,2x2",
-		"-skew", "0.5", "-activeset", "4")
-	if report.Skew != 0.5 || report.ActiveSet != 4 {
-		t.Errorf("report header wrong: %+v", report)
-	}
-	if len(report.Entries) != 4 { // 2 populations x 2 grids x 1 worker count
-		t.Fatalf("got %d entries, want 4: %+v", len(report.Entries), report.Entries)
-	}
-	for _, e := range report.Entries {
-		if e.Steps != 2 || e.ImbalanceMean <= 0 || e.Speedup <= 0 {
-			t.Errorf("entry malformed: %+v", e)
-		}
-	}
-	// The first grid of each (users, workers) pair anchors its own speedup.
-	if report.Entries[0].Speedup != 1 || report.Entries[2].Speedup != 1 {
-		t.Errorf("first-grid speedup anchors wrong: %+v", report.Entries)
-	}
-	// CI greps this key out of the raw JSON; keep it stable.
-	if !strings.Contains(string(raw), `"speedup_vs_first"`) {
-		t.Error("report lost the speedup_vs_first key")
-	}
-	if err := run([]string{"shardbench", "-users", "0"}); err == nil {
-		t.Error("non-positive -users must error")
-	}
-	if err := run([]string{"shardbench", "-skew", "1.5"}); err == nil {
-		t.Error("out-of-range -skew must error")
-	}
-	if err := run([]string{"shardbench", "-workers", "1,x"}); err == nil {
-		t.Error("bad -workers list must error")
-	}
-
-	// One grid, several worker counts: the tracker-latency shape. The coarse
-	// shortlist settings land in the report header, and each worker count
-	// gets its own entry.
-	report, _ = runShardBenchReport(t,
-		"-users", "2", "-trackn", "60", "-samples", "40", "-rounds", "2",
-		"-repeats", "1", "-grids", "1x1", "-workers", "1,2",
-		"-coarse", "-coarsek", "16", "-coarsegrid", "8")
-	if report.CoarseTopK != 16 || report.CoarseGrid != 8 {
-		t.Errorf("coarse fields not recorded: %+v", report)
-	}
-	if len(report.Entries) != 2 || report.Entries[0].Workers != 1 || report.Entries[1].Workers != 2 ||
-		report.Entries[0].Steps != 2 {
-		t.Errorf("worker entries wrong: %+v", report.Entries)
-	}
-
-	// A tampered stream through the robust fit must still give the same final
-	// estimates at every worker count, or the sweep errors.
-	report, _ = runShardBenchReport(t,
-		"-users", "3", "-trackn", "60", "-samples", "40", "-rounds", "2",
-		"-repeats", "1", "-grids", "1x1,2x2", "-workers", "1,2",
-		"-liars", "0.1", "-robust", "both")
-	if report.Liars != 0.1 || report.Robust != "both" {
-		t.Errorf("search fields not recorded: %+v", report)
-	}
-	if len(report.Entries) != 4 {
-		t.Errorf("got %d entries, want 4: %+v", len(report.Entries), report.Entries)
-	}
-}
-
-// runShardBenchReport runs `fluxbench shardbench args... -json` and returns
-// the decoded report and its raw bytes.
-func runShardBenchReport(t *testing.T, args ...string) (shardThroughputReport, []byte) {
-	t.Helper()
-	out := filepath.Join(t.TempDir(), "shard.json")
-	if err := run(append(append([]string{"shardbench"}, args...), "-json", out)); err != nil {
-		t.Fatalf("shardbench %v failed: %v", args, err)
-	}
-	buf, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report shardThroughputReport
-	if err := json.Unmarshal(buf, &report); err != nil {
-		t.Fatalf("shard report is not valid JSON: %v", err)
-	}
-	return report, buf
-}
-
 // TestRunRejectsBadTrackerFlags pins that out-of-range search, fault and
 // effort flags fail the run instead of silently falling back to defaults (a
 // negative -liars used to run honest, a negative -coarsek the default
-// shortlist, a negative -trials the default trial count), that -robust
-// takes only off and both, and that shardbench refuses a sweep that would
-// time no step.
+// shortlist, a negative -trials the default trial count), and that -robust
+// takes only off and both.
 func TestRunRejectsBadTrackerFlags(t *testing.T) {
 	search := [][]string{
 		{"-liars", "-0.5"},
@@ -207,11 +126,6 @@ func TestRunRejectsBadTrackerFlags(t *testing.T) {
 			t.Errorf("fluxbench %v must error", bad)
 		}
 	}
-	for _, bad := range search {
-		if err := run(append([]string{"shardbench", "-trackn", "60", "-rounds", "1", "-repeats", "1"}, bad...)); err == nil {
-			t.Errorf("fluxbench shardbench %v must error", bad)
-		}
-	}
 
 	// Effort flags: the error names the flag.
 	effort := [][]string{
@@ -222,16 +136,6 @@ func TestRunRejectsBadTrackerFlags(t *testing.T) {
 		err := run(append([]string{"-quick", "-exp", "fig4"}, bad...))
 		if err == nil || !strings.Contains(err.Error(), bad[0]) {
 			t.Errorf("fluxbench %v: got %v, want an error naming %s", bad, err, bad[0])
-		}
-	}
-	sweep := [][]string{
-		{"-rounds", "0"}, {"-repeats", "0"}, {"-trackn", "0"}, {"-trackn", "-50"},
-		{"-samples", "0"}, {"-activeset", "-1"},
-	}
-	for _, bad := range sweep {
-		err := run(append([]string{"shardbench", "-trackn", "60", "-rounds", "1", "-repeats", "1"}, bad...))
-		if err == nil || !strings.Contains(err.Error(), bad[0]) {
-			t.Errorf("fluxbench shardbench %v: got %v, want an error naming %s", bad, err, bad[0])
 		}
 	}
 }

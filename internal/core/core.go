@@ -191,7 +191,7 @@ type Sniffer struct {
 // NewSniffer picks ceil(fraction*N) random nodes to monitor. The paper
 // evaluates fractions from 40% down to 5%.
 func (s *Scenario) NewSniffer(fraction float64, src *rng.Source) (*Sniffer, error) {
-	if fraction <= 0 || fraction > 1 {
+	if !(fraction > 0 && fraction <= 1) { // NaN fails here too
 		return nil, fmt.Errorf("core: sniffer fraction %v outside (0, 1]", fraction)
 	}
 	count := int(math.Ceil(fraction * float64(s.net.Len())))
@@ -219,9 +219,13 @@ func (sn *Sniffer) Points() []geom.Point { return append([]geom.Point(nil), sn.p
 
 // Observe simulates one measurement window: the users' combined flux,
 // smoothed, sampled at the monitored nodes, with optional multiplicative
-// measurement noise of the given sigma. The observation is retained for a
+// measurement noise of the given sigma (0 = noise-free; a negative or
+// non-finite sigma is an error). The observation is retained for a
 // subsequent Localize call.
 func (sn *Sniffer) Observe(users []traffic.User, noiseSigma float64, src *rng.Source) ([]float64, error) {
+	if !(noiseSigma >= 0) || math.IsInf(noiseSigma, 1) {
+		return nil, fmt.Errorf("core: noise sigma %v is not finite and non-negative", noiseSigma)
+	}
 	flux, err := sn.scenario.GroundFlux(users)
 	if err != nil {
 		return nil, err
@@ -338,9 +342,6 @@ type TrackerConfig struct {
 	// deterministic admission redirect and spill accounting (see
 	// shard.Config.TileCapacity). 0 = unlimited.
 	TileCapacity int
-	// PerTileMetrics registers shard.tile.NNN.* instruments per tile on top
-	// of the aggregated shard.* set (see shard.Config.PerTileMetrics).
-	PerTileMetrics bool
 	// InitialPositions, when set alongside Shards (length = user count),
 	// seeds each user's owning tile from its starting position; see
 	// shard.Config.InitialPositions.
@@ -419,7 +420,6 @@ func (sn *Sniffer) NewShardedTracker(numUsers int, cfg TrackerConfig, seed uint6
 		Grid:             grid,
 		InitialPositions: cfg.InitialPositions,
 		TileCapacity:     cfg.TileCapacity,
-		PerTileMetrics:   cfg.PerTileMetrics,
 	}, seed)
 }
 

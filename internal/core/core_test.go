@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"fluxtrack/internal/deploy"
@@ -152,6 +153,14 @@ func TestNewSnifferValidation(t *testing.T) {
 	if _, err := sc.NewSniffer(1.5, src); err == nil {
 		t.Error("fraction > 1 must error")
 	}
+	// A non-finite fraction is rejected by name, not by the sampling count
+	// it would overflow into.
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := sc.NewSniffer(f, src)
+		if err == nil || !strings.Contains(err.Error(), "sniffer fraction") {
+			t.Errorf("NewSniffer(%v): got %v, want a sniffer-fraction error", f, err)
+		}
+	}
 	sn, err := sc.NewSniffer(0.1, src)
 	if err != nil {
 		t.Fatal(err)
@@ -224,6 +233,12 @@ func TestObserveNoise(t *testing.T) {
 	}
 	if diff < len(clean)/2 {
 		t.Errorf("noise changed only %d/%d readings", diff, len(clean))
+	}
+	// A negative or non-finite sigma is an error, not a noise-free round.
+	for _, sigma := range []float64{-0.1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := sn.Observe(users, sigma, src); err == nil || !strings.Contains(err.Error(), "noise sigma") {
+			t.Errorf("Observe(sigma %v): got %v, want a noise-sigma error", sigma, err)
+		}
 	}
 }
 

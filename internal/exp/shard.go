@@ -84,9 +84,11 @@ func matchErrorsByTruth(estimates, truths []geom.Point) []float64 {
 // 1×1 reference. The solve count stays comparable across grids — the
 // candidate volume is fixed — which is the point: sharding's work reduction
 // lives inside each solve, whose Gram build runs over ~1/tiles of the
-// sensors against a smaller joint user set. Wall-clock throughput for the
-// same split is measured by `fluxbench shardbench`; this table keeps only
-// worker-count-invariant columns so it can sit under the golden tests.
+// sensors against a smaller joint user set. That reduction is pinned as
+// deterministic NNLS counts by internal/shard's TestShardWorkReduction, and
+// the sharded step's wall time is perfbench's field-hotspot workload; this
+// table keeps only worker-count-invariant columns so it can sit under the
+// golden tests.
 func FigShard(cfg Config) (Table, error) {
 	cfg = cfg.withDefaults()
 	t := Table{

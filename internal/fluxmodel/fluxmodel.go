@@ -33,10 +33,15 @@ type Model struct {
 }
 
 // New returns a model over field with the given distance clamp. Pass
-// minDist <= 0 to use a tiny epsilon (useful for pure-geometry tests).
+// minDist <= 0 to use a tiny epsilon (useful for pure-geometry tests); a
+// NaN or infinite minDist is an error, since a NaN clamp would switch the
+// clamp off and leave the kernel infinite at the sink.
 func New(field geom.Rect, minDist float64) (*Model, error) {
 	if field.Width() <= 0 || field.Height() <= 0 {
 		return nil, fmt.Errorf("fluxmodel: degenerate field %v", field)
+	}
+	if math.IsNaN(minDist) || math.IsInf(minDist, 0) {
+		return nil, fmt.Errorf("fluxmodel: distance clamp %v is not finite", minDist)
 	}
 	if minDist <= 0 {
 		minDist = 1e-6

@@ -92,6 +92,47 @@ func TestKernelNonNegativeProperty(t *testing.T) {
 	}
 }
 
+// TestNewDistanceClamp pins New's handling of the distance clamp: a NaN
+// or infinite clamp is rejected (a NaN one used to be accepted and switch
+// the clamp off, leaving the kernel +Inf at the sink), a non-positive one
+// means the 1e-6 epsilon, and every accepted model stays finite at the sink
+// on both the reference kernel and the column path.
+func TestNewDistanceClamp(t *testing.T) {
+	cases := []struct {
+		minDist float64
+		want    float64 // the model's clamp; 0 = New must error
+	}{
+		{math.NaN(), 0},
+		{math.Inf(1), 0},
+		{math.Inf(-1), 0},
+		{0, 1e-6},
+		{-1, 1e-6},
+		{0.5, 0.5},
+	}
+	sink := geom.Pt(15, 15)
+	for _, c := range cases {
+		m, err := New(geom.Square(30), c.minDist)
+		if c.want == 0 {
+			if err == nil {
+				t.Errorf("New(minDist %v) accepted, want an error", c.minDist)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("New(minDist %v): %v", c.minDist, err)
+			continue
+		}
+		if m.MinDist() != c.want {
+			t.Errorf("New(minDist %v).MinDist() = %v, want %v", c.minDist, m.MinDist(), c.want)
+		}
+		k := m.Kernel(sink, sink)
+		col := m.KernelVector(sink, []geom.Point{sink})[0]
+		if math.IsInf(k, 0) || math.IsNaN(k) || math.IsInf(col, 0) || math.IsNaN(col) {
+			t.Errorf("minDist %v: kernel at the sink = %v, column %v, want finite", c.minDist, k, col)
+		}
+	}
+}
+
 func TestKernelSinkCoincidence(t *testing.T) {
 	m := mustModel(t, geom.Square(30), 1)
 	// p == sink: must stay finite thanks to the distance clamp.

@@ -21,29 +21,58 @@ import (
 // distributions, capacity admission and spills, and the population-scale
 // smoke digest the CI scale job runs with -race.
 
-// skewTrajectories builds the two pathological distributions of the scale
-// work: "one-tile" parks the whole population inside tile 0 of every grid
-// under test (the cluster fits in [0.4, 3.4]², inside tile 0 even at 8×8 on
-// the 30-unit field), and "hot-corner" clusters everyone at the far corner
-// drifting together toward the field center, so the hot tile moves and the
-// whole block crosses seams round after round.
+// skewTrajectories builds the user distributions of the scale work on the
+// 30-unit field. "one-tile" parks the whole population inside tile 0 of
+// every grid under test (the cluster fits in [0.4, 3.4]², inside tile 0 even
+// at 8×8), and "hot-corner" clusters everyone at the far corner drifting
+// together toward the field center, so the hot tile moves and the whole
+// block crosses seams round after round. "quadrants" gives each field
+// quadrant its own slow orbit (cycling, with a small offset, past four
+// users), so a 2×2 grid owns one user per tile. "hot-90" packs the first 90%
+// of the users into a 1.8-unit patch at the origin corner, inside tile 0 of
+// an 8×8 grid, creeping toward the center; the rest ride the quadrant
+// orbits.
 func skewTrajectories(kind string, users int) []mobility.Trajectory {
+	hot := 0
+	if kind == "hot-90" {
+		hot = users * 9 / 10
+	}
 	trajs := make([]mobility.Trajectory, users)
 	for i := range trajs {
 		fi := float64(i)
-		switch kind {
-		case "one-tile":
+		switch {
+		case kind == "one-tile":
 			trajs[i] = mobility.Static{Pos: geom.Pt(0.4+0.3*fi, 3.1-0.27*fi)}
-		case "hot-corner":
+		case kind == "hot-corner":
 			trajs[i] = mobility.Linear{
 				Start: geom.Pt(26.5+0.25*fi, 28.2-0.3*fi),
 				V:     geom.Vec{DX: -1.6, DY: -1.4},
 			}
+		case kind == "hot-90" && i < hot:
+			trajs[i] = mobility.Linear{
+				Start: geom.Pt(0.9+1.8*float64(i%97)/97, 0.9+1.8*float64(i*31%89)/89),
+				V:     geom.Vec{DX: 0.12, DY: 0.12},
+			}
+		case kind == "quadrants" || kind == "hot-90":
+			k := i - hot
+			tr := quadrantOrbits[k%len(quadrantOrbits)]
+			off := 0.69 * float64(k/len(quadrantOrbits))
+			tr.Start = geom.Pt(tr.Start.X+off, tr.Start.Y+off)
+			trajs[i] = tr
 		default:
 			panic("unknown skew kind " + kind)
 		}
 	}
 	return trajs
+}
+
+// quadrantOrbits holds one slow linear orbit per quadrant of the 30-unit
+// field.
+var quadrantOrbits = []mobility.Linear{
+	{Start: geom.Pt(6.9, 6.9), V: geom.Vec{DX: 0.51, DY: 0.39}},
+	{Start: geom.Pt(23.1, 8.1), V: geom.Vec{DX: -0.39, DY: 0.51}},
+	{Start: geom.Pt(8.1, 21.9), V: geom.Vec{DX: 0.51, DY: -0.39}},
+	{Start: geom.Pt(21.9, 23.1), V: geom.Vec{DX: -0.51, DY: -0.51}},
 }
 
 // degrade precomputes a fault-injected view of the world's observation

@@ -152,13 +152,6 @@ type Config struct {
 	// applies the same admission. NumUsers must not exceed
 	// TileCapacity×tiles.
 	TileCapacity int
-
-	// PerTileMetrics registers per-tile instruments on top of the
-	// aggregated shard.* set: shard.tile.NNN.users (owned-user count per
-	// round, a deterministic queue-depth gauge) and shard.tile.NNN.step_ms
-	// (that tile's step-latency histogram). Off by default — a 32×32 grid
-	// would register 2048 extra instruments.
-	PerTileMetrics bool
 }
 
 // tile is one shard: its ground, sensors, and tracker, plus the per-round
@@ -191,10 +184,6 @@ type tile struct {
 	stepped bool
 	queueNs int64
 	wallNs  int64
-
-	// Per-tile instruments, bound only when Config.PerTileMetrics is set.
-	usersGauge *obs.Counter
-	stepHist   *obs.Histogram
 }
 
 // TileInfo is the read-only description of one tile.
@@ -363,12 +352,6 @@ func New(cfg Config, seed uint64) (*Field, error) {
 		f.lastEst[j] = smc.Estimate{Mean: c, Best: c}
 	}
 	f.met.bind(tc.Metrics, seed)
-	if cfg.PerTileMetrics && tc.Metrics != nil {
-		for _, tl := range f.tiles {
-			tl.usersGauge = tc.Metrics.Counter(fmt.Sprintf("shard.tile.%03d.users", tl.index))
-			tl.stepHist = tc.Metrics.Histogram(fmt.Sprintf("shard.tile.%03d.step_ms", tl.index), obs.DurationBucketsMs)
-		}
-	}
 	return f, nil
 }
 
@@ -804,15 +787,9 @@ func (f *Field) record(t float64, migrations, spills int) {
 		fm.maxTile.Add(w, uint64(f.lastMax))
 		for _, tl := range f.tiles {
 			fm.tileUsers.Observe(w, float64(len(tl.owned)))
-			if tl.usersGauge != nil {
-				tl.usersGauge.Add(w, uint64(len(tl.owned)))
-			}
 			if tl.stepped {
 				fm.queue.Observe(w, float64(tl.queueNs)/1e6)
 				fm.wall.Observe(w, float64(tl.wallNs)/1e6)
-				if tl.stepHist != nil {
-					tl.stepHist.Observe(w, float64(tl.wallNs)/1e6)
-				}
 			}
 		}
 	}
