@@ -126,9 +126,7 @@ func run(args []string) error {
 		return fmt.Errorf("unknown subcommand or argument %q (fluxbench takes flags only)", fs.Arg(0))
 	}
 	// 0 keeps the configuration's default; a negative count is an error.
-	if err := checkMin(0, intFlag{"trials", *trials}, intFlag{"samples", *samples},
-		intFlag{"trackn", *trackN}, intFlag{"rounds", *rounds},
-		intFlag{"workers", *workers}, intFlag{"tracecap", *trCap}); err != nil {
+	if err := exp.CheckMin(fs, 0, "trials", "samples", "trackn", "rounds", "workers", "tracecap"); err != nil {
 		return err
 	}
 
@@ -281,22 +279,6 @@ func run(args []string) error {
 		fmt.Printf("wrote %d spans (of %d recorded) to %s\n", len(spans), trace.Total(), *trOut)
 	}
 
-	return nil
-}
-
-// intFlag is an integer flag's name and parsed value.
-type intFlag struct {
-	name string
-	v    int
-}
-
-// checkMin returns an error naming the first flag whose value is below lo.
-func checkMin(lo int, flags ...intFlag) error {
-	for _, f := range flags {
-		if f.v < lo {
-			return fmt.Errorf("-%s %d: want at least %d", f.name, f.v, lo)
-		}
-	}
 	return nil
 }
 

@@ -19,6 +19,7 @@ import (
 	"os"
 
 	"fluxtrack/internal/core"
+	"fluxtrack/internal/exp"
 	"fluxtrack/internal/fluxmodel"
 	"fluxtrack/internal/geom"
 	"fluxtrack/internal/mobility"
@@ -168,6 +169,10 @@ func attack(args []string) error {
 	if *in == "" {
 		return fmt.Errorf("attack: -in is required")
 	}
+	// 0 keeps the default; a negative count is an error.
+	if err := exp.CheckMin(fs, 0, "n", "m"); err != nil {
+		return err
+	}
 	f, err := os.Open(*in)
 	if err != nil {
 		return err
@@ -248,31 +253,16 @@ func loadTruth(path string) (map[float64][]geom.Point, error) {
 	return out, nil
 }
 
-// matchedMean pairs estimates greedily with the nearest unmatched truths.
+// matchedMean is the mean distance of the estimates geom.MatchGreedy
+// pairs with a truth, summed in estimate order; 0 when none pairs.
 func matchedMean(ests, truths []geom.Point) float64 {
-	used := make([]bool, len(truths))
-	var sum float64
-	var n int
-	for _, est := range ests {
-		best, bestD := -1, 0.0
-		for j, tr := range truths {
-			if used[j] {
-				continue
-			}
-			d := est.Dist(tr)
-			if best < 0 || d < bestD {
-				best, bestD = j, d
-			}
-		}
-		if best < 0 {
-			break
-		}
-		used[best] = true
-		sum += bestD
-		n++
-	}
-	if n == 0 {
+	match := geom.MatchGreedy(ests, truths)
+	if len(match) == 0 {
 		return 0
 	}
-	return sum / float64(n)
+	var sum float64
+	for i, j := range match {
+		sum += ests[i].Dist(truths[j])
+	}
+	return sum / float64(len(match))
 }

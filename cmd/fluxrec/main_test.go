@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"fluxtrack/internal/geom"
@@ -35,6 +36,13 @@ func TestAttackValidation(t *testing.T) {
 	}
 	if err := attack([]string{"-in", "/nonexistent/file"}); err == nil {
 		t.Error("missing file must error")
+	}
+	// A negative effort count is an error naming the flag, not the default.
+	for _, flag := range []string{"-n", "-m"} {
+		err := attack([]string{"-in", "/nonexistent/file", flag, "-5"})
+		if err == nil || !strings.Contains(err.Error(), flag+" -5") {
+			t.Errorf("attack %s -5: got %v, want an error naming %s", flag, err, flag)
+		}
 	}
 }
 

@@ -73,6 +73,10 @@ func run(args []string) error {
 	if *users <= 0 {
 		return fmt.Errorf("need at least one user, got %d", *users)
 	}
+	// 0 keeps the default; a negative count is an error.
+	if err := exp.CheckMin(fs, 0, "samples", "trackn", "rounds", "workers"); err != nil {
+		return err
+	}
 
 	kind := deploy.PerturbedGrid
 	switch *deployK {
@@ -263,26 +267,17 @@ func renderFlux(sc *core.Scenario, flux []float64, users []traffic.User) string 
 	return string(out)
 }
 
-// matchErrors pairs estimates with their nearest unmatched true users.
+// matchErrors returns each matched estimate's distance to its true user
+// under geom.MatchGreedy, in estimate order.
 func matchErrors(estimates []geom.Point, users []traffic.User) []float64 {
-	used := make([]bool, len(users))
-	var out []float64
-	for _, est := range estimates {
-		best, bestD := -1, 0.0
-		for j, u := range users {
-			if used[j] {
-				continue
-			}
-			d := est.Dist(u.Pos)
-			if best < 0 || d < bestD {
-				best, bestD = j, d
-			}
-		}
-		if best < 0 {
-			break
-		}
-		used[best] = true
-		out = append(out, bestD)
+	truths := make([]geom.Point, len(users))
+	for j, u := range users {
+		truths[j] = u.Pos
+	}
+	match := geom.MatchGreedy(estimates, truths)
+	out := make([]float64, len(match))
+	for i, j := range match {
+		out[i] = estimates[i].Dist(truths[j])
 	}
 	return out
 }

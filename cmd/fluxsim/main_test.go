@@ -22,8 +22,8 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadTrackerFlags pins that out-of-range search and fault
-// flags fail the run instead of silently falling back to defaults (a
+// TestRunRejectsBadTrackerFlags pins that out-of-range search, fault and
+// effort flags fail the run instead of silently falling back to defaults (a
 // negative -coarsek used to run the exact search), and that -robust takes
 // only off and both.
 func TestRunRejectsBadTrackerFlags(t *testing.T) {
@@ -37,6 +37,10 @@ func TestRunRejectsBadTrackerFlags(t *testing.T) {
 		{"-robust", "loso"},
 		{"-loss", "1.5"},
 		{"-delayrounds", "-1"},
+		{"-samples", "-7"},
+		{"-trackn", "-5"},
+		{"-rounds", "-1"},
+		{"-workers", "-2"},
 	} {
 		args := append([]string{"-users", "1", "-samples", "100", "-nodes", "400"}, bad...)
 		if err := run(args); err == nil {

@@ -78,6 +78,7 @@
 //	E16  figByzantine  Byzantine breakdown curve: 0–40% liars × robust defense
 //	A4   countermeasure  traffic shaping (dummy flux + route
 //	                randomization) vs attacker accuracy
+//	                (fluxbench -quick -exp countermeasure)
 //
 // Run `fluxbench -list` for the exact registered ids and one-line notes;
 // EXPERIMENTS.md records paper-reported vs measured shapes for each.

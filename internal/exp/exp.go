@@ -216,29 +216,13 @@ func (c Config) trialSeed(exp string, cell, trial int) uint64 {
 	return h
 }
 
-// matchErrors greedily pairs each estimate with its nearest unmatched true
-// user position and returns the pairing distances. Tracker and localization
-// identities are exchangeable, so evaluation always matches by proximity
-// (the paper measures errors the same way after identity mixups).
+// matchErrors returns each matched estimate's distance to its truth under
+// geom.MatchGreedy, in estimate order.
 func matchErrors(estimates, truths []geom.Point) []float64 {
-	used := make([]bool, len(truths))
-	out := make([]float64, 0, len(estimates))
-	for _, est := range estimates {
-		best, bestD := -1, 0.0
-		for j, tr := range truths {
-			if used[j] {
-				continue
-			}
-			d := est.Dist(tr)
-			if best < 0 || d < bestD {
-				best, bestD = j, d
-			}
-		}
-		if best < 0 {
-			break
-		}
-		used[best] = true
-		out = append(out, bestD)
+	match := geom.MatchGreedy(estimates, truths)
+	out := make([]float64, len(match))
+	for i, j := range match {
+		out[i] = estimates[i].Dist(truths[j])
 	}
 	return out
 }

@@ -72,3 +72,15 @@ func BindFaultFlags(fs *flag.FlagSet) func(cfg *Config) error {
 		return nil
 	}
 }
+
+// CheckMin returns an error naming the first of fs's named int flags whose
+// value is below lo. The commands check their effort flags with it, where
+// 0 keeps the default and a negative count is an error, not the default.
+func CheckMin(fs *flag.FlagSet, lo int, names ...string) error {
+	for _, name := range names {
+		if v := fs.Lookup(name).Value.(flag.Getter).Get().(int); v < lo {
+			return fmt.Errorf("-%s %d: want at least %d", name, v, lo)
+		}
+	}
+	return nil
+}

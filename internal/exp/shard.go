@@ -39,33 +39,6 @@ func shardTrajectories() []mobility.Trajectory {
 // staying in their tile's interior (false).
 var shardSeamUser = [6]bool{4: true, 5: true}
 
-// matchErrorsByTruth greedily pairs each estimate with its nearest unmatched
-// true position, like matchErrors, but returns the pairing distances indexed
-// by truth. figShard needs per-user groups (seam riders vs interior users)
-// to stay attributable even when the tracker swaps identities.
-func matchErrorsByTruth(estimates, truths []geom.Point) []float64 {
-	out := make([]float64, len(truths))
-	used := make([]bool, len(truths))
-	for _, est := range estimates {
-		best, bestD := -1, 0.0
-		for j, tr := range truths {
-			if used[j] {
-				continue
-			}
-			d := est.Dist(tr)
-			if best < 0 || d < bestD {
-				best, bestD = j, d
-			}
-		}
-		if best < 0 {
-			break
-		}
-		used[best] = true
-		out[best] = bestD
-	}
-	return out
-}
-
 // FigShard quantifies the accuracy cost and work reduction of field sharding
 // (internal/shard). It is an extension figure — the paper tracks one
 // monolithic field — comparing the unsharded 1×1 reference against a 2×2
@@ -159,7 +132,13 @@ func FigShard(cfg Config) (Table, error) {
 			for i, e := range step.Estimates {
 				ests[i] = e.Mean
 			}
-			for i, d := range matchErrorsByTruth(ests, truths) {
+			// Group errors by truth, so seam riders and interior users stay
+			// attributable even when the tracker swaps identities.
+			byTruth := make([]float64, len(truths))
+			for i, j := range geom.MatchGreedy(ests, truths) {
+				byTruth[j] = ests[i].Dist(truths[j])
+			}
+			for i, d := range byTruth {
 				if shardSeamUser[i] {
 					seam = append(seam, d)
 				} else {

@@ -230,3 +230,31 @@ func (s ExitSlabs) Scale(dx, dy float64) float64 {
 func Lerp(a, b Point, t float64) Point {
 	return Point{X: a.X + (b.X-a.X)*t, Y: a.Y + (b.Y-a.Y)*t}
 }
+
+// MatchGreedy pairs estimates with true positions the way every error
+// figure scores them: in estimate order, each estimate takes the nearest
+// truth not yet taken (the lowest index on a tie). It returns the truth
+// index of each of the first min(len(estimates), len(truths)) estimates;
+// the estimates after those find no truth left. Tracker and localization
+// identities are exchangeable, so errors are measured after this matching.
+func MatchGreedy(estimates, truths []Point) []int {
+	used := make([]bool, len(truths))
+	out := make([]int, 0, min(len(estimates), len(truths)))
+	for _, est := range estimates {
+		best, bestD := -1, 0.0
+		for j, tr := range truths {
+			if used[j] {
+				continue
+			}
+			if d := est.Dist(tr); best < 0 || d < bestD {
+				best, bestD = j, d
+			}
+		}
+		if best < 0 {
+			break
+		}
+		used[best] = true
+		out = append(out, best)
+	}
+	return out
+}

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -272,5 +273,29 @@ func TestLerp(t *testing.T) {
 	}
 	if got := Lerp(a, b, 0.5); got != Pt(5, 10) {
 		t.Errorf("Lerp t=0.5 = %v, want (5,10)", got)
+	}
+}
+
+func TestMatchGreedy(t *testing.T) {
+	truths := []Point{Pt(9, 9), Pt(1, 1), Pt(5, 0)}
+	for _, tc := range []struct {
+		name      string
+		estimates []Point
+		want      []int
+	}{
+		{"nearest each", []Point{Pt(0, 0), Pt(10, 10)}, []int{1, 0}},
+		// Greedy, not optimal: the first estimate takes (1, 1), leaving the
+		// second the farther (5, 0).
+		{"first come first served", []Point{Pt(2, 1), Pt(1, 0)}, []int{1, 2}},
+		{"tie takes the lowest index", []Point{Pt(4, 6)}, []int{0}},
+		{"extra estimates find no truth", []Point{Pt(0, 0), Pt(0, 0), Pt(0, 0), Pt(0, 0)}, []int{1, 2, 0}},
+		{"no estimates", nil, []int{}},
+	} {
+		if got := MatchGreedy(tc.estimates, truths); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	if got := MatchGreedy([]Point{Pt(0, 0)}, nil); len(got) != 0 {
+		t.Errorf("no truths: got %v", got)
 	}
 }

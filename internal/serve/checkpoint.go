@@ -12,7 +12,7 @@
 //	[0:4)   magic "FXCP"
 //	[4:6)   format version (currently 1)
 //	[6]     kind: 1 = plain SMC tracker, 2 = sharded field
-//	[7:n-4) payload (kind-specific, see encode{Tracker,Field}State)
+//	[7:n-4) payload (kind-specific, see the trackerState and fieldState walks)
 //	[n-4:n) IEEE CRC-32 over bytes [0, n-4)
 //
 // Versioning rules (DESIGN.md §6.8): the version covers the entire payload
@@ -111,24 +111,26 @@ func (c Checkpoint) RestoreInto(st core.StepTracker) error {
 // Encode serializes the checkpoint into the versioned binary format. The
 // encoding is canonical: equal states produce identical bytes, and every
 // blob Decode accepts re-encodes to exactly itself (the fuzz round-trip
-// target pins this).
-func Encode(c Checkpoint) ([]byte, error) {
-	if (c.SMC == nil) == (c.Field == nil) {
+// target pins this). A state Decode would reject — a table whose length
+// disagrees with the population or tile count, users out of order, an
+// integer its field cannot hold — is an ErrMalformed error, not a blob.
+func Encode(ck Checkpoint) ([]byte, error) {
+	if (ck.SMC == nil) == (ck.Field == nil) {
 		return nil, errors.New("serve: checkpoint must carry exactly one tracker state")
 	}
-	var e encoder
-	e.buf = append(e.buf, checkpointMagic[:]...)
-	e.u16(Version)
-	if c.SMC != nil {
-		e.u8(kindSMC)
-		e.trackerState(*c.SMC)
+	c := codec{buf: append([]byte(nil), checkpointMagic[:]...)}
+	c.buf = binary.LittleEndian.AppendUint16(c.buf, Version)
+	if ck.SMC != nil {
+		c.buf = append(c.buf, kindSMC)
+		c.trackerState(ck.SMC)
 	} else {
-		e.u8(kindShard)
-		e.fieldState(*c.Field)
+		c.buf = append(c.buf, kindShard)
+		c.fieldState(ck.Field)
 	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(e.buf))
-	return append(e.buf, crc[:]...), nil
+	if c.err != nil {
+		return nil, c.err
+	}
+	return binary.LittleEndian.AppendUint32(c.buf, crc32.ChecksumIEEE(c.buf)), nil
 }
 
 // Decode parses a checkpoint blob, rejecting every malformed input with a
@@ -148,413 +150,307 @@ func Decode(data []byte) (Checkpoint, error) {
 	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(tail); got != want {
 		return Checkpoint{}, fmt.Errorf("%w: computed %#x, stored %#x", ErrChecksum, got, want)
 	}
-	d := decoder{buf: body[7:]}
-	kind := body[6]
-	var c Checkpoint
-	switch kind {
+	c := codec{dec: true, buf: body[7:]}
+	var ck Checkpoint
+	switch kind := body[6]; kind {
 	case kindSMC:
-		st, err := d.trackerState()
-		if err != nil {
-			return Checkpoint{}, err
-		}
-		c.SMC = &st
+		ck.SMC = new(smc.TrackerState)
+		c.trackerState(ck.SMC)
 	case kindShard:
-		st, err := d.fieldState()
-		if err != nil {
-			return Checkpoint{}, err
-		}
-		c.Field = &st
+		ck.Field = new(shard.FieldState)
+		c.fieldState(ck.Field)
 	default:
 		return Checkpoint{}, fmt.Errorf("%w: unknown kind %d", ErrMalformed, kind)
 	}
-	if len(d.buf) != d.pos {
-		return Checkpoint{}, fmt.Errorf("%w: %d trailing payload bytes", ErrMalformed, len(d.buf)-d.pos)
+	if c.err == nil && c.pos != len(c.buf) {
+		c.failf(ErrMalformed, "%d trailing payload bytes", len(c.buf)-c.pos)
 	}
-	return c, nil
+	if c.err != nil {
+		return Checkpoint{}, c.err
+	}
+	return ck, nil
 }
 
-// ---- encoder ----
+// ---- the payload layout ----
 
-type encoder struct{ buf []byte }
-
-func (e *encoder) u8(v uint8)    { e.buf = append(e.buf, v) }
-func (e *encoder) u16(v uint16)  { e.buf = binary.LittleEndian.AppendUint16(e.buf, v) }
-func (e *encoder) u32(v uint32)  { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-func (e *encoder) u64(v uint64)  { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *encoder) f64(v float64) { e.u64(math.Float64bits(v)) }
-func (e *encoder) boolean(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-
-func (e *encoder) point(p geom.Point) { e.f64(p.X); e.f64(p.Y) }
-
-func (e *encoder) points(ps []geom.Point) {
-	e.u32(uint32(len(ps)))
-	for _, p := range ps {
-		e.point(p)
-	}
-}
-
-func (e *encoder) floats(fs []float64) {
-	e.u32(uint32(len(fs)))
-	for _, f := range fs {
-		e.f64(f)
-	}
-}
-
-func (e *encoder) trackerState(st smc.TrackerState) {
-	e.u64(st.Seed)
-	e.u64(uint64(st.NumUsers))
-	e.u64(uint64(st.Steps))
-	e.u32(uint32(len(st.Users)))
-	for _, uc := range st.Users {
-		e.u32(uint32(uc.User))
-		e.u64(uc.RNG.Cursor)
-		e.f64(uc.RNG.Spare)
-		e.boolean(uc.RNG.HasSpare)
-		s := uc.Snapshot
-		e.boolean(s.Initialized)
-		e.f64(s.LastUpdate)
-		e.f64(s.Velocity.DX)
-		e.f64(s.Velocity.DY)
-		e.boolean(s.HasVelocity)
-		e.point(s.PrevMean)
-		e.boolean(s.HasPrevMean)
-		e.points(s.Samples)
-		e.floats(s.Weights)
-	}
-}
-
-func (e *encoder) estimate(est smc.Estimate) {
-	e.point(est.Mean)
-	e.point(est.Best)
-	e.f64(est.Stretch)
-	e.boolean(est.Active)
-	e.points(est.Samples)
-	e.floats(est.Weights)
-}
-
-func (e *encoder) fieldState(st shard.FieldState) {
-	e.u64(st.Seed)
-	e.u64(uint64(st.NumUsers))
-	e.u32(uint32(st.Tiles))
-	e.u64(uint64(st.Steps))
-	e.u64(uint64(st.Handoffs))
-	e.u64(uint64(st.Spills))
-	e.u64(uint64(st.LastMax))
-	e.f64(st.LastMean)
-	for _, o := range st.Owner {
-		e.u32(uint32(o))
-	}
-	for _, est := range st.LastEst {
-		e.estimate(est)
-	}
-	for _, ts := range st.Trackers {
-		e.trackerState(ts)
-	}
-}
-
-// ---- decoder ----
-
-// decoder reads the payload with strict bounds checks: every primitive read
-// verifies the remaining length, and every element count is validated
-// against the bytes that could possibly back it before any slice is
-// allocated, so hostile counts can neither panic nor balloon memory.
-type decoder struct {
-	buf []byte
-	pos int
-}
-
-func (d *decoder) remaining() int { return len(d.buf) - d.pos }
-
-func (d *decoder) need(n int) error {
-	if d.remaining() < n {
-		return fmt.Errorf("%w: payload needs %d more bytes, has %d", ErrTruncated, n, d.remaining())
-	}
-	return nil
-}
-
-func (d *decoder) u8() (uint8, error) {
-	if err := d.need(1); err != nil {
-		return 0, err
-	}
-	v := d.buf[d.pos]
-	d.pos++
-	return v, nil
-}
-
-func (d *decoder) u32() (uint32, error) {
-	if err := d.need(4); err != nil {
-		return 0, err
-	}
-	v := binary.LittleEndian.Uint32(d.buf[d.pos:])
-	d.pos += 4
-	return v, nil
-}
-
-func (d *decoder) u64() (uint64, error) {
-	if err := d.need(8); err != nil {
-		return 0, err
-	}
-	v := binary.LittleEndian.Uint64(d.buf[d.pos:])
-	d.pos += 8
-	return v, nil
-}
-
-func (d *decoder) f64() (float64, error) {
-	v, err := d.u64()
-	return math.Float64frombits(v), err
-}
-
-func (d *decoder) boolean() (bool, error) {
-	v, err := d.u8()
-	if err != nil {
-		return false, err
-	}
-	switch v {
-	case 0:
-		return false, nil
-	case 1:
-		return true, nil
-	}
-	return false, fmt.Errorf("%w: boolean byte %d", ErrMalformed, v)
-}
-
-// nonNegInt decodes a u64 that must fit a non-negative int.
-func (d *decoder) nonNegInt(what string) (int, error) {
-	v, err := d.u64()
-	if err != nil {
-		return 0, err
-	}
-	if v > math.MaxInt64/2 {
-		return 0, fmt.Errorf("%w: %s %d is implausible", ErrMalformed, what, v)
-	}
-	return int(v), nil
-}
-
-// count decodes an element count and verifies the remaining payload can
-// back it at elemSize bytes apiece.
-func (d *decoder) count(what string, elemSize int) (int, error) {
-	v, err := d.u32()
-	if err != nil {
-		return 0, err
-	}
-	n := int(v)
-	if n > d.remaining()/elemSize {
-		return 0, fmt.Errorf("%w: %s count %d, payload has %d bytes",
-			ErrTruncated, what, n, d.remaining())
-	}
-	return n, nil
-}
-
-func (d *decoder) point() (geom.Point, error) {
-	x, err := d.f64()
-	if err != nil {
-		return geom.Point{}, err
-	}
-	y, err := d.f64()
-	return geom.Pt(x, y), err
-}
-
-func (d *decoder) pointSlice(what string) ([]geom.Point, error) {
-	n, err := d.count(what, 16)
-	if err != nil || n == 0 {
-		return nil, err
-	}
-	out := make([]geom.Point, n)
-	for i := range out {
-		if out[i], err = d.point(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-func (d *decoder) floatSlice(what string) ([]float64, error) {
-	n, err := d.count(what, 8)
-	if err != nil || n == 0 {
-		return nil, err
-	}
-	out := make([]float64, n)
-	for i := range out {
-		if out[i], err = d.f64(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-func (d *decoder) trackerState() (smc.TrackerState, error) {
-	var st smc.TrackerState
-	var err error
-	if st.Seed, err = d.u64(); err != nil {
-		return st, err
-	}
-	if st.NumUsers, err = d.nonNegInt("user population"); err != nil {
-		return st, err
-	}
-	if st.Steps, err = d.nonNegInt("step count"); err != nil {
-		return st, err
-	}
+// trackerState walks one smc.TrackerState: seed, population, steps, then
+// the materialized users, strictly ascending within the population.
+func (c *codec) trackerState(st *smc.TrackerState) {
+	c.u64(&st.Seed)
+	c.u64Int(&st.NumUsers, "user population")
+	c.u64Int(&st.Steps, "step count")
 	// One user costs at least 47 payload bytes (index + RNG + flags +
 	// bookkeeping + two empty slice counts).
-	n, err := d.count("tracker users", 47)
-	if err != nil {
-		return st, err
+	n := c.count(len(st.Users), 47, "tracker users")
+	if c.err == nil && n > st.NumUsers {
+		c.failf(ErrMalformed, "%d user slots for a population of %d", n, st.NumUsers)
 	}
-	if n > st.NumUsers {
-		return st, fmt.Errorf("%w: %d user slots for a population of %d", ErrMalformed, n, st.NumUsers)
+	if c.dec && c.err == nil && n > 0 {
+		st.Users = make([]smc.UserCheckpoint, n)
 	}
 	prev := -1
-	for i := 0; i < n; i++ {
-		var uc smc.UserCheckpoint
-		u, err := d.u32()
-		if err != nil {
-			return st, err
-		}
-		uc.User = int(u)
-		if uc.User <= prev || uc.User >= st.NumUsers {
-			return st, fmt.Errorf("%w: user index %d after %d (population %d)", ErrMalformed, uc.User, prev, st.NumUsers)
+	for i := 0; i < n && c.err == nil; i++ {
+		uc := &st.Users[i]
+		c.u32Int(&uc.User, "user index")
+		if c.err == nil && (uc.User <= prev || uc.User >= st.NumUsers) {
+			c.failf(ErrMalformed, "user index %d after %d (population %d)", uc.User, prev, st.NumUsers)
 		}
 		prev = uc.User
-		if uc.RNG.Cursor, err = d.u64(); err != nil {
-			return st, err
-		}
-		if uc.RNG.Spare, err = d.f64(); err != nil {
-			return st, err
-		}
-		if uc.RNG.HasSpare, err = d.boolean(); err != nil {
-			return st, err
-		}
+		c.u64(&uc.RNG.Cursor)
+		c.f64(&uc.RNG.Spare)
+		c.boolean(&uc.RNG.HasSpare)
 		s := &uc.Snapshot
-		if s.Initialized, err = d.boolean(); err != nil {
-			return st, err
+		c.boolean(&s.Initialized)
+		c.f64(&s.LastUpdate)
+		c.f64(&s.Velocity.DX)
+		c.f64(&s.Velocity.DY)
+		c.boolean(&s.HasVelocity)
+		c.point(&s.PrevMean)
+		c.boolean(&s.HasPrevMean)
+		c.points(&s.Samples, "user samples")
+		c.floats(&s.Weights, "user weights")
+		if c.err == nil && s.Initialized && (len(s.Samples) == 0 || len(s.Samples) != len(s.Weights)) {
+			c.failf(ErrMalformed, "initialized user %d with %d samples, %d weights",
+				uc.User, len(s.Samples), len(s.Weights))
 		}
-		if s.LastUpdate, err = d.f64(); err != nil {
-			return st, err
-		}
-		if s.Velocity.DX, err = d.f64(); err != nil {
-			return st, err
-		}
-		if s.Velocity.DY, err = d.f64(); err != nil {
-			return st, err
-		}
-		if s.HasVelocity, err = d.boolean(); err != nil {
-			return st, err
-		}
-		if s.PrevMean, err = d.point(); err != nil {
-			return st, err
-		}
-		if s.HasPrevMean, err = d.boolean(); err != nil {
-			return st, err
-		}
-		if s.Samples, err = d.pointSlice("user samples"); err != nil {
-			return st, err
-		}
-		if s.Weights, err = d.floatSlice("user weights"); err != nil {
-			return st, err
-		}
-		if s.Initialized && (len(s.Samples) == 0 || len(s.Samples) != len(s.Weights)) {
-			return st, fmt.Errorf("%w: initialized user %d with %d samples, %d weights",
-				ErrMalformed, uc.User, len(s.Samples), len(s.Weights))
-		}
-		st.Users = append(st.Users, uc)
 	}
-	return st, nil
 }
 
-func (d *decoder) estimate() (smc.Estimate, error) {
-	var est smc.Estimate
-	var err error
-	if est.Mean, err = d.point(); err != nil {
-		return est, err
-	}
-	if est.Best, err = d.point(); err != nil {
-		return est, err
-	}
-	if est.Stretch, err = d.f64(); err != nil {
-		return est, err
-	}
-	if est.Active, err = d.boolean(); err != nil {
-		return est, err
-	}
-	if est.Samples, err = d.pointSlice("estimate samples"); err != nil {
-		return est, err
-	}
-	est.Weights, err = d.floatSlice("estimate weights")
-	return est, err
+// estimate walks one smc.Estimate.
+func (c *codec) estimate(est *smc.Estimate) {
+	c.point(&est.Mean)
+	c.point(&est.Best)
+	c.f64(&est.Stretch)
+	c.boolean(&est.Active)
+	c.points(&est.Samples, "estimate samples")
+	c.floats(&est.Weights, "estimate weights")
 }
 
-func (d *decoder) fieldState() (shard.FieldState, error) {
-	var st shard.FieldState
-	var err error
-	if st.Seed, err = d.u64(); err != nil {
-		return st, err
+// fieldState walks one shard.FieldState: the scalars, then NumUsers owner
+// entries, NumUsers cached estimates and Tiles tile trackers. The three
+// tables carry no count of their own; their lengths are the population and
+// the tile count.
+func (c *codec) fieldState(st *shard.FieldState) {
+	c.u64(&st.Seed)
+	c.u64Int(&st.NumUsers, "field population")
+	c.u32Int(&st.Tiles, "tile count")
+	c.u64Int(&st.Steps, "field steps")
+	c.u64Int(&st.Handoffs, "handoffs")
+	c.u64Int(&st.Spills, "spills")
+	c.u64Int(&st.LastMax, "imbalance max")
+	c.f64(&st.LastMean)
+	// An owner entry is 4 bytes and an estimate at least 49 (two points,
+	// stretch, flag, two empty slice counts).
+	if c.table(len(st.Owner), st.NumUsers, 4, "owner table") && c.dec && st.NumUsers > 0 {
+		st.Owner = make([]int, st.NumUsers)
 	}
-	if st.NumUsers, err = d.nonNegInt("field population"); err != nil {
-		return st, err
-	}
-	tiles, err := d.u32()
-	if err != nil {
-		return st, err
-	}
-	st.Tiles = int(tiles)
-	if st.Steps, err = d.nonNegInt("field steps"); err != nil {
-		return st, err
-	}
-	if st.Handoffs, err = d.nonNegInt("handoffs"); err != nil {
-		return st, err
-	}
-	if st.Spills, err = d.nonNegInt("spills"); err != nil {
-		return st, err
-	}
-	if st.LastMax, err = d.nonNegInt("imbalance max"); err != nil {
-		return st, err
-	}
-	if st.LastMean, err = d.f64(); err != nil {
-		return st, err
-	}
-	// Owner table: NumUsers u32 entries. Divide rather than multiply so a
-	// hostile population count cannot overflow the guard into an allocation.
-	if st.NumUsers > d.remaining()/4 {
-		return st, fmt.Errorf("%w: owner table of %d entries, payload has %d bytes",
-			ErrTruncated, st.NumUsers, d.remaining())
-	}
-	st.Owner = make([]int, st.NumUsers)
-	for j := range st.Owner {
-		o, err := d.u32()
-		if err != nil {
-			return st, err
+	for j := 0; j < st.NumUsers && c.err == nil; j++ {
+		c.u32Int(&st.Owner[j], "owner")
+		if c.err == nil && st.Owner[j] >= st.Tiles {
+			c.failf(ErrMalformed, "owner[%d] = %d with %d tiles", j, st.Owner[j], st.Tiles)
 		}
-		if int(o) >= st.Tiles {
-			return st, fmt.Errorf("%w: owner[%d] = %d with %d tiles", ErrMalformed, j, o, st.Tiles)
-		}
-		st.Owner[j] = int(o)
 	}
-	st.LastEst = make([]smc.Estimate, 0, st.NumUsers)
-	for j := 0; j < st.NumUsers; j++ {
-		est, err := d.estimate()
-		if err != nil {
-			return st, err
-		}
-		st.LastEst = append(st.LastEst, est)
+	if c.table(len(st.LastEst), st.NumUsers, 49, "estimate table") && c.dec && st.NumUsers > 0 {
+		st.LastEst = make([]smc.Estimate, st.NumUsers)
+	}
+	for j := 0; j < st.NumUsers && c.err == nil; j++ {
+		c.estimate(&st.LastEst[j])
 	}
 	// One tile tracker costs at least 28 payload bytes (seed + population +
 	// steps + empty user count).
-	if st.Tiles > d.remaining()/28 {
-		return st, fmt.Errorf("%w: %d tile trackers, payload has %d bytes",
-			ErrTruncated, st.Tiles, d.remaining())
+	if c.table(len(st.Trackers), st.Tiles, 28, "tile trackers") && c.dec && st.Tiles > 0 {
+		st.Trackers = make([]smc.TrackerState, st.Tiles)
 	}
-	for i := 0; i < st.Tiles; i++ {
-		ts, err := d.trackerState()
-		if err != nil {
-			return st, err
+	for i := 0; i < st.Tiles && c.err == nil; i++ {
+		c.trackerState(&st.Trackers[i])
+	}
+}
+
+// ---- codec ----
+
+// codec moves one payload in either direction, so the walks above are the
+// only description of the layout. Encoding (dec false) appends each field
+// of a state to buf and never writes to the state; decoding reads each
+// field from buf at pos into the zero state it is given, leaving empty
+// slices nil. The first failure sticks in err and turns every later move
+// into a no-op, so a walk looks at err only where it branches or indexes.
+//
+// The checks run in both directions, so Encode refuses any state its own
+// Decode would reject. Decoding also checks every read against the bytes
+// left, and every element count against the bytes that could back it
+// before anything is allocated, so hostile counts can neither panic nor
+// balloon memory. Integers are compared as unsigned values before any int
+// conversion, so a 32-bit build rejects what an int cannot hold instead of
+// truncating it.
+type codec struct {
+	dec bool
+	buf []byte
+	pos int
+	err error
+}
+
+// Limits of the integer fields: a value above one does not fit its wire
+// field, does not fit an int on this platform, or, for the u64 counters,
+// is implausible.
+const (
+	maxU32Int = min(math.MaxUint32, math.MaxInt)
+	maxU64Int = min(math.MaxInt64/2, math.MaxInt)
+)
+
+func (c *codec) failf(sentinel error, format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf("%w: "+format, append([]any{sentinel}, args...)...)
+	}
+}
+
+// take consumes the next n payload bytes when decoding; it returns nil
+// once the codec has failed.
+func (c *codec) take(n int) []byte {
+	if c.err != nil {
+		return nil
+	}
+	if rem := len(c.buf) - c.pos; rem < n {
+		c.failf(ErrTruncated, "payload needs %d more bytes, has %d", n, rem)
+		return nil
+	}
+	c.pos += n
+	return c.buf[c.pos-n : c.pos]
+}
+
+func (c *codec) u32(v *uint32) {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, *v)
+	} else if b := c.take(4); b != nil {
+		*v = binary.LittleEndian.Uint32(b)
+	}
+}
+
+func (c *codec) u64(v *uint64) {
+	if !c.dec {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, *v)
+	} else if b := c.take(8); b != nil {
+		*v = binary.LittleEndian.Uint64(b)
+	}
+}
+
+func (c *codec) f64(v *float64) {
+	bits := math.Float64bits(*v)
+	c.u64(&bits)
+	if c.dec {
+		*v = math.Float64frombits(bits)
+	}
+}
+
+func (c *codec) point(p *geom.Point) { c.f64(&p.X); c.f64(&p.Y) }
+
+// boolean moves a bool as one byte, 0 or 1; any other byte is malformed.
+func (c *codec) boolean(v *bool) {
+	if !c.dec {
+		b := byte(0)
+		if *v {
+			b = 1
 		}
-		st.Trackers = append(st.Trackers, ts)
+		c.buf = append(c.buf, b)
+	} else if b := c.take(1); b != nil {
+		if b[0] > 1 {
+			c.failf(ErrMalformed, "boolean byte %d", b[0])
+		}
+		*v = b[0] == 1
 	}
-	return st, nil
+}
+
+// u32Int moves a non-negative int as a u32, and u64Int as a u64.
+func (c *codec) u32Int(v *int, what string) {
+	u := uint32(*v)
+	c.u32(&u)
+	c.intField(v, uint64(u), maxU32Int, what)
+}
+
+func (c *codec) u64Int(v *int, what string) {
+	u := uint64(*v)
+	c.u64(&u)
+	c.intField(v, u, maxU64Int, what)
+}
+
+// intField checks an int field's value against its limit: the int itself
+// when encoding (a negative one wraps far above every limit), the wire
+// value u when decoding, which it then stores.
+func (c *codec) intField(v *int, u, limit uint64, what string) {
+	if !c.dec {
+		u = uint64(*v)
+	}
+	if c.err == nil && u > limit {
+		c.failf(ErrMalformed, "%s %d is out of range", what, int64(u))
+	} else if c.dec && c.err == nil {
+		*v = int(u)
+	}
+}
+
+// count moves a slice length as a u32. When decoding it also checks that
+// the bytes left can back that many elements of at least elemSize bytes.
+// It returns the length, or 0 once the codec has failed.
+func (c *codec) count(n, elemSize int, what string) int {
+	u := uint32(n)
+	c.u32(&u)
+	if rem := len(c.buf) - c.pos; c.dec && c.err == nil && uint64(u) > uint64(rem/elemSize) {
+		c.failf(ErrTruncated, "%s count %d, payload has %d bytes", what, u, rem)
+	}
+	if c.err != nil {
+		return 0
+	}
+	return int(u)
+}
+
+// table checks a table whose length n the layout implies rather than
+// stores: encoding requires have == n, decoding requires the bytes left to
+// back n elements of at least elemSize bytes. Divide rather than multiply,
+// so a hostile n cannot overflow the guard into an allocation.
+func (c *codec) table(have, n, elemSize int, what string) bool {
+	switch rem := len(c.buf) - c.pos; {
+	case !c.dec && have != n:
+		c.failf(ErrMalformed, "%s has %d entries, want %d", what, have, n)
+	case c.dec && n > rem/elemSize:
+		c.failf(ErrTruncated, "%s of %d entries, payload has %d bytes", what, n, rem)
+	}
+	return c.err == nil
+}
+
+// points moves a counted point slice in one loop per direction.
+func (c *codec) points(ps *[]geom.Point, what string) {
+	n := c.count(len(*ps), 16, what)
+	if n == 0 {
+		return
+	}
+	if !c.dec {
+		for _, p := range *ps {
+			c.buf = binary.LittleEndian.AppendUint64(c.buf, math.Float64bits(p.X))
+			c.buf = binary.LittleEndian.AppendUint64(c.buf, math.Float64bits(p.Y))
+		}
+		return
+	}
+	b, out := c.take(16*n), make([]geom.Point, n)
+	for i := range out {
+		out[i].X = math.Float64frombits(binary.LittleEndian.Uint64(b[16*i:]))
+		out[i].Y = math.Float64frombits(binary.LittleEndian.Uint64(b[16*i+8:]))
+	}
+	*ps = out
+}
+
+// floats moves a counted float slice in one loop per direction.
+func (c *codec) floats(fs *[]float64, what string) {
+	n := c.count(len(*fs), 8, what)
+	if n == 0 {
+		return
+	}
+	if !c.dec {
+		for _, f := range *fs {
+			c.buf = binary.LittleEndian.AppendUint64(c.buf, math.Float64bits(f))
+		}
+		return
+	}
+	b, out := c.take(8*n), make([]float64, n)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	*fs = out
 }

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"fluxtrack/internal/core"
@@ -391,4 +392,126 @@ func TestRestoreRejectsNonFiniteBlob(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCodecOversizedCounts decodes two hostile SMC blobs that a 32-bit
+// build used to mis-read: a population of 2^32+1, which an int conversion
+// truncated to 1 (so the blob re-encoded to different bytes), and a u32
+// sample count of 2^31, which became a negative int and panicked in
+// makeslice. The sample count is ErrTruncated on every build. The
+// population is a valid state where an int holds it and ErrMalformed where
+// it does not.
+func TestCodecOversizedCounts(t *testing.T) {
+	smcBlob := func(numUsers uint64, users []byte) []byte {
+		b := append([]byte(nil), checkpointMagic[:]...)
+		b = binary.LittleEndian.AppendUint16(b, Version)
+		b = append(b, kindSMC)
+		b = binary.LittleEndian.AppendUint64(b, 0) // seed
+		b = binary.LittleEndian.AppendUint64(b, numUsers)
+		b = binary.LittleEndian.AppendUint64(b, 0) // steps
+		b = append(b, users...)
+		return reseal(append(b, 0, 0, 0, 0))
+	}
+
+	huge := smcBlob(1<<32+1, []byte{0, 0, 0, 0})
+	got, err := Decode(huge)
+	switch {
+	case strconv.IntSize == 32:
+		if !errors.Is(err, ErrMalformed) {
+			t.Errorf("population 2^32+1 on a 32-bit build: got %v, want ErrMalformed", err)
+		}
+	case err != nil:
+		t.Errorf("population 2^32+1: %v", err)
+	default:
+		if uint64(got.SMC.NumUsers) != 1<<32+1 {
+			t.Errorf("population 2^32+1 decoded as %d", got.SMC.NumUsers)
+		}
+		if again, err := Encode(got); err != nil || !bytes.Equal(again, huge) {
+			t.Errorf("population 2^32+1 does not re-encode to itself: %v", err)
+		}
+	}
+
+	// One user: index 0, a zero RNG state and snapshot, then 2^31 samples.
+	user := binary.LittleEndian.AppendUint32(nil, 1)
+	user = append(user, make([]byte, 4+8+8+1+1+8+8+8+1+16+1)...)
+	user = binary.LittleEndian.AppendUint32(user, 1<<31)
+	if _, err := Decode(smcBlob(2, user)); !errors.Is(err, ErrTruncated) {
+		t.Errorf("sample count 2^31: got %v, want ErrTruncated", err)
+	}
+}
+
+// TestCodecRefusesUnreadableState pins that Encode refuses a state its
+// own Decode would reject, instead of writing a blob that cannot be read
+// back: table lengths that disagree with the population or the tile count,
+// and the user-list and range checks the decoder applies.
+func TestCodecRefusesUnreadableState(t *testing.T) {
+	fields := map[string]func(st *shard.FieldState){
+		"short owner table":   func(st *shard.FieldState) { st.Owner = st.Owner[:1] },
+		"long estimate table": func(st *shard.FieldState) { st.LastEst = append(st.LastEst, smc.Estimate{}) },
+		"missing tile":        func(st *shard.FieldState) { st.Trackers = st.Trackers[:1] },
+		"owner past tiles":    func(st *shard.FieldState) { st.Owner[1] = 2 },
+		"negative owner":      func(st *shard.FieldState) { st.Owner[1] = -1 },
+		"negative handoffs":   func(st *shard.FieldState) { st.Handoffs = -1 },
+	}
+	for name, mutate := range fields {
+		st := synthFieldState()
+		mutate(&st)
+		if _, err := Encode(Checkpoint{Field: &st}); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: got %v, want ErrMalformed", name, err)
+		}
+	}
+	trackers := map[string]func(st *smc.TrackerState){
+		"negative population":  func(st *smc.TrackerState) { st.NumUsers = -1 },
+		"user past population": func(st *smc.TrackerState) { st.Users[1].User = 5 },
+		"users out of order":   func(st *smc.TrackerState) { st.Users[0].User = 4 },
+		"initialized, no samples": func(st *smc.TrackerState) {
+			st.Users[0].Snapshot.Samples, st.Users[0].Snapshot.Weights = nil, nil
+		},
+		"weights misaligned": func(st *smc.TrackerState) { st.Users[0].Snapshot.Weights = []float64{1} },
+	}
+	for name, mutate := range trackers {
+		st := synthTrackerState()
+		mutate(&st)
+		if _, err := Encode(Checkpoint{SMC: &st}); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: got %v, want ErrMalformed", name, err)
+		}
+	}
+}
+
+// BenchmarkCheckpointCodec times Encode and Decode of a plain tracker's
+// state at 3 users × 500 samples, the shape of perfbench's serve-stream
+// tenants.
+func BenchmarkCheckpointCodec(b *testing.B) {
+	st := smc.TrackerState{Seed: 1, NumUsers: 3, Steps: 40}
+	for u := 0; u < 3; u++ {
+		uc := smc.UserCheckpoint{User: u, RNG: rng.State{Cursor: uint64(u) * 977}}
+		s := &uc.Snapshot
+		s.Initialized, s.LastUpdate, s.HasVelocity = true, 40, true
+		for i := 0; i < 500; i++ {
+			s.Samples = append(s.Samples, geom.Pt(float64(i)/17, float64(u*i)/31))
+			s.Weights = append(s.Weights, 1/500.0)
+		}
+		st.Users = append(st.Users, uc)
+	}
+	ck := Checkpoint{SMC: &st}
+	blob, err := Encode(ck)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("Encode", func(b *testing.B) {
+		b.SetBytes(int64(len(blob)))
+		for i := 0; i < b.N; i++ {
+			if _, err := Encode(ck); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Decode", func(b *testing.B) {
+		b.SetBytes(int64(len(blob)))
+		for i := 0; i < b.N; i++ {
+			if _, err := Decode(blob); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

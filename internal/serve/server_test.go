@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -352,8 +353,8 @@ func TestServeAPIErrors(t *testing.T) {
 	check("users × samples × sensors over the cap", resp, http.StatusBadRequest)
 	// A tile capacity whose product with the tile count overflows int
 	// still has room for every user.
-	resp, _ = doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/p", TenantConfig{Users: 3, Shards: "2x2", TileCapacity: 1 << 62})
-	check("tile capacity 2^62", resp, http.StatusCreated)
+	resp, _ = doJSON(t, http.MethodPost, hs.URL+"/v1/tenant/p", TenantConfig{Users: 3, Shards: "2x2", TileCapacity: math.MaxInt / 2})
+	check("tile capacity MaxInt/2", resp, http.StatusCreated)
 	// 4294967296x4294967296 overflows int and 30000x30000 outnumbers the
 	// sensors: both are rejected before any tile state is allocated.
 	for _, shards := range []string{"2by2", "2x2x9", "4294967296x4294967296", "30000x30000"} {

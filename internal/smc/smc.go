@@ -73,7 +73,8 @@ type Config struct {
 	M int
 	// VMax is the maximum user speed per unit of observation time; the
 	// prediction disc radius is VMax times the per-user elapsed time
-	// (paper: 5 per detection interval).
+	// (paper: 5 per detection interval). Zero or negative means 5; NaN or
+	// infinite is an error.
 	VMax float64
 	// Search tunes the inner candidate-ranking search. Setting
 	// Search.Robust.Mode arms the robust-fitting defense against Byzantine
@@ -330,6 +331,11 @@ func userStreamSeed(seed uint64, j int) uint64 {
 // New returns a Tracker. SamplePoints and the model must be consistent;
 // seed fixes all Monte Carlo draws.
 func New(cfg Config, seed uint64) (*Tracker, error) {
+	// A NaN bound would survive withDefaults and freeze every prediction
+	// disc; an infinite one scatters predictions to the field's corners.
+	if math.IsNaN(cfg.VMax) || math.IsInf(cfg.VMax, 0) {
+		return nil, fmt.Errorf("smc: VMax %v is not finite", cfg.VMax)
+	}
 	cfg = cfg.withDefaults()
 	if cfg.Model == nil {
 		return nil, errors.New("smc: nil model")

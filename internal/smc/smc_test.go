@@ -48,6 +48,9 @@ func TestNewValidation(t *testing.T) {
 		{"M > N", Config{Model: m, SamplePoints: pts, NumUsers: 1, N: 5, M: 10}},
 		{"preset Search.Coarse", Config{Model: m, SamplePoints: pts, NumUsers: 1,
 			Search: fit.Options{Coarse: &fit.Coarse{}}}},
+		{"NaN VMax", Config{Model: m, SamplePoints: pts, NumUsers: 1, VMax: math.NaN()}},
+		{"+Inf VMax", Config{Model: m, SamplePoints: pts, NumUsers: 1, VMax: math.Inf(1)}},
+		{"-Inf VMax", Config{Model: m, SamplePoints: pts, NumUsers: 1, VMax: math.Inf(-1)}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
