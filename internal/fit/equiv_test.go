@@ -397,7 +397,8 @@ func TestConditionalMemoExact(t *testing.T) {
 // zero heap allocations, at the track-exact shape (k = 3) and the
 // field-hotspot active-set cap (k = 8). The test alternates between two
 // compositions so setCol really rewrites Gram rows instead of
-// short-circuiting.
+// short-circuiting. So does a grouped scan's solveLast4, fast and fallen
+// back lanes alike.
 func TestEvaluateScratchZeroAllocs(t *testing.T) {
 	src := rng.New(31)
 	p, field := randomEquivProblem(t, src, true)
@@ -427,6 +428,35 @@ func TestEvaluateScratchZeroAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("k=%d: steady-state evaluation allocates %.1f times per composition, want 0", k, allocs)
+		}
+
+		// A grouped scan: the fixed slots factored once, then groups of
+		// four candidates for the last slot, one of them a copy of a fixed
+		// slot so its lane falls back to the scalar solver.
+		cc := comps[0]
+		sc.setK(k)
+		for j := 0; j < k-1; j++ {
+			sc.setCol(j, &cc[j])
+		}
+		if !sc.border.Factor(sc.gram[:k*k], sc.d[:k]) {
+			t.Fatalf("k=%d: the fixed slots do not factor", k)
+		}
+		var groups [2][]candCol
+		for g := range groups {
+			groups[g] = make([]candCol, 4)
+			for q := range groups[g] {
+				groups[g][q].wcol = make([]float64, n)
+				p.fillCandCol(src.InRect(field), &groups[g][q])
+			}
+		}
+		groups[1][0] = cc[0]
+		objs, strs := make([]float64, 4), make([]float64, 4)
+		allocs = testing.AllocsPerRun(200, func() {
+			sc.solveLast4(p, groups[flip], objs, strs)
+			flip = 1 - flip
+		})
+		if allocs != 0 {
+			t.Fatalf("k=%d: a steady-state grouped scan allocates %.1f times per group, want 0", k, allocs)
 		}
 	}
 }

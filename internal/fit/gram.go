@@ -73,11 +73,16 @@ func (p *Problem) finishCandCol(c *candCol) {
 // their bits without it.
 var reuseRows = true
 
+// groupLanes lets scanUser solve its candidates four at a time
+// (solveLast4). It is always on; the tests turn it off to check that the
+// results keep their bits without it.
+var groupLanes = true
+
 // evalScratch is one worker's reusable state for evaluating compositions:
 // the current composition's Gram matrix and projections, the NNLS solution
 // and workspace, and a residual buffer for the scaled norm. After ensure
-// has sized it, the evaluate path (setK/setCol/solve) performs zero heap
-// allocations.
+// has sized it, the evaluate path (setK/setCol/solve, and solveLast4 once
+// border has factored at that size) performs zero heap allocations.
 //
 // The scratch caches the composition incrementally: setCol is a no-op when
 // the slot already holds the same candidate, so enumeration orders that
@@ -100,6 +105,11 @@ type evalScratch struct {
 	// rows that depend only on them. The scans change their last slot most
 	// often, so most solves refactor one row.
 	stable int
+
+	// border holds a conditional scan's fixed slots factored once, for
+	// solveLast4; grouped reports that the factorization passed.
+	border  mat.NNLSBorder
+	grouped bool
 }
 
 // ensure sizes the scratch for problems with n samples and compositions of
@@ -136,20 +146,25 @@ func (sc *evalScratch) setK(k int) {
 }
 
 // setCol installs candidate c in slot j, refreshing row and column j of the
-// Gram matrix against the other occupied slots, two slots per pass over
-// c's column. Unchanged slots (pointer equality) cost nothing.
+// Gram matrix against the other occupied slots. Unchanged slots (pointer
+// equality) cost nothing.
 func (sc *evalScratch) setCol(j int, c *candCol) {
 	if sc.cur[j] == c {
 		return
 	}
-	sc.cur[j] = c
-	sc.cols[j] = c.wcol
-	sc.stable = min(sc.stable, j)
 	k := sc.k
-	sc.d[j] = c.proj
-	sc.gram[j*k+j] = c.norm2
+	row := sc.gram[j*k : j*k+k]
+	sc.gramRow(j, c, row)
+	sc.putCol(j, c, row)
+}
+
+// gramRow computes candidate c's Gram row for slot j into row: its norm at
+// row[j] and its entry against every other occupied slot, two slots per
+// pass over c's column.
+func (sc *evalScratch) gramRow(j int, c *candCol, row []float64) {
+	row[j] = c.norm2
 	pending := -1 // an occupied slot whose entry waits for a partner
-	for o := 0; o < k; o++ {
+	for o := 0; o < sc.k; o++ {
 		if o == j || sc.cur[o] == nil {
 			continue
 		}
@@ -157,21 +172,28 @@ func (sc *evalScratch) setCol(j int, c *candCol) {
 			pending = o
 			continue
 		}
-		v, w := mat.Dot2(c.wcol, sc.cols[pending], sc.cols[o])
-		sc.setGram(j, pending, v)
-		sc.setGram(j, o, w)
+		row[pending], row[o] = mat.Dot2(c.wcol, sc.cols[pending], sc.cols[o])
 		pending = -1
 	}
 	if pending >= 0 {
-		sc.setGram(j, pending, mat.Dot(c.wcol, sc.cols[pending]))
+		row[pending] = mat.Dot(c.wcol, sc.cols[pending])
 	}
 }
 
-// setGram stores the symmetric Gram entry of slots j and o.
-func (sc *evalScratch) setGram(j, o int, v float64) {
+// putCol installs candidate c in slot j given its Gram row from gramRow,
+// storing the row and its mirror column.
+func (sc *evalScratch) putCol(j int, c *candCol, row []float64) {
 	k := sc.k
-	sc.gram[j*k+o] = v
-	sc.gram[o*k+j] = v
+	sc.cur[j] = c
+	sc.cols[j] = c.wcol
+	sc.stable = min(sc.stable, j)
+	sc.d[j] = c.proj
+	copy(sc.gram[j*k:j*k+k], row)
+	for o, co := range sc.cur[:k] {
+		if o != j && co != nil {
+			sc.gram[o*k+j] = row[o]
+		}
+	}
 }
 
 // solve fits the stretch factors of the current composition and returns the
@@ -186,6 +208,42 @@ func (sc *evalScratch) solve(p *Problem) float64 {
 	mat.NNLSGramStableInto(sc.gram[:k*k], sc.d[:k], sc.x[:k], &sc.ws, stable)
 	sc.stable = k
 	return mat.ResidualNorm2(p.wb, sc.x[:k], sc.cols[:k], sc.resid)
+}
+
+// solveLast4 evaluates mat.BorderLanes candidates in the last slot, with
+// the other slots fixed and factored by border, writing each candidate's
+// objective and fitted stretch into objs and strs. The candidates' Gram
+// rows come from gramRow, as setCol would compute them, and the four
+// NNLS systems are solved side by side. A fast lane takes the warm round's
+// solution without installing its Gram row; a slow one is installed and
+// solved by the scalar solver with the factored rows reused. Each result,
+// and the NNLS work counted, has the bits of setCol and solve.
+func (sc *evalScratch) solveLast4(p *Problem, cs []candCol, objs, strs []float64) {
+	k := sc.k
+	last := k - 1
+	b := &sc.border
+	var dk [mat.BorderLanes]float64
+	for q := range cs {
+		sc.gramRow(last, &cs[q], b.Lane(q))
+		dk[q] = cs[q].proj
+	}
+	fast := b.Solve(dk)
+	x := sc.x[:k]
+	for q := range cs {
+		c := &cs[q]
+		if fast[q] {
+			b.Take(q, x, &sc.ws)
+			// The slot's Gram row is not installed: a later setCol must
+			// not take the slot as holding c.
+			sc.cur[last], sc.cols[last] = nil, c.wcol
+		} else {
+			sc.putCol(last, c, b.Lane(q))
+			b.Fallback(q, sc.gram[:k*k], sc.d[:k], x, &sc.ws)
+			sc.stable = k
+		}
+		objs[q] = mat.ResidualNorm2(p.wb, x, sc.cols[:k], sc.resid)
+		strs[q] = x[last]
+	}
 }
 
 // makeEval materializes an Eval from slot-aligned positions and stretches.

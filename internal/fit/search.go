@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"fluxtrack/internal/geom"
+	"fluxtrack/internal/mat"
 	"fluxtrack/internal/obs"
 	"fluxtrack/internal/par"
 	"fluxtrack/internal/rng"
@@ -548,9 +549,10 @@ func (s *Searcher) runConditional(p *Problem, candidates [][]geom.Point, order [
 // at its incumbent position, updating bestIdx[j] to the winner (unchanged
 // when no candidate has a finite objective), and returns the topM ranking.
 // The ranking is read-only: it may be the memo's stored copy. On a memo
-// miss the fixed users occupy the leading scratch slots and user j's
-// candidate the last one, so per candidate only one Gram row is
-// recomputed.
+// miss the fixed users occupy the leading scratch slots, factored once per
+// worker, and user j's candidates the last one, four at a time
+// (solveLast4), so per candidate only one Gram row and one Cholesky row are
+// computed.
 func (s *Searcher) scanUser(p *Problem, candidates [][]geom.Point, bestIdx []int, assigned []bool,
 	j int, opts Options, memo *scanMemo) []RankedPosition {
 	ranked, ok := memo.find(j, bestIdx, assigned)
@@ -566,22 +568,37 @@ func (s *Searcher) scanUser(p *Problem, candidates [][]geom.Point, bestIdx []int
 		nc := len(candidates[j])
 		objs := growFloats(&s.objs, nc)
 		strJ := growFloats(&s.stretch, nc)
-		workers := par.Resolve(nc, opts.Workers)
+		// Candidates go in groups of mat.BorderLanes, solved side by side
+		// over the fixed slots factored once per worker; a short last group,
+		// a single user and fixed slots whose factorization fails take the
+		// one-candidate path.
+		groups := (nc + mat.BorderLanes - 1) / mat.BorderLanes
+		workers := par.Resolve(groups, opts.Workers)
 		scratches := s.scratchSet(workers, len(p.points), kk)
-		par.For(nc, opts.Workers, func(w, i int) {
-			sc := scratches[w]
+		for _, sc := range scratches {
 			sc.setK(kk)
 			slot := 0
 			for o := 0; o < k; o++ {
-				if o == j || !assigned[o] {
-					continue
+				if o != j && assigned[o] {
+					sc.setCol(slot, &s.cands[o][bestIdx[o]])
+					slot++
 				}
-				sc.setCol(slot, &s.cands[o][bestIdx[o]]) // no-op after the first candidate
-				slot++
 			}
-			sc.setCol(kk-1, &s.cands[j][i])
-			objs[i] = sc.solve(p)
-			strJ[i] = sc.x[kk-1]
+			sc.grouped = groupLanes && kk > 1 && sc.border.Factor(sc.gram[:kk*kk], sc.d[:kk])
+		}
+		cj := s.cands[j]
+		par.For(groups, opts.Workers, func(w, u int) {
+			sc := scratches[w]
+			lo, hi := u*mat.BorderLanes, min((u+1)*mat.BorderLanes, nc)
+			if sc.grouped && hi-lo == mat.BorderLanes {
+				sc.solveLast4(p, cj[lo:hi], objs[lo:hi], strJ[lo:hi])
+				return
+			}
+			for i := lo; i < hi; i++ {
+				sc.setCol(kk-1, &cj[i])
+				objs[i] = sc.solve(p)
+				strJ[i] = sc.x[kk-1]
+			}
 		})
 		ranked = memo.store(candidates[j], objs, strJ, opts.TopM)
 	}

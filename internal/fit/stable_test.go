@@ -96,3 +96,104 @@ func TestSearchStableRowsBitIdentical(t *testing.T) {
 		t.Fatalf("paths covered: %v, want both exhaustive and conditional", paths)
 	}
 }
+
+// TestSearchGroupedLanesBitIdentical: the conditional Search returns the
+// same bits, and does the same NNLS work, with its scans solving four
+// candidates at a time (solveLast4) and with every candidate solved alone,
+// on the plain, coarse and robust two-pass paths, at workers 1 and 2. The
+// scanned user's candidate count runs through 1–9, 64 and 1000, so every
+// length of the short last group occurs; two users share a candidate, so
+// some scans hold a duplicated fixed slot.
+func TestSearchGroupedLanesBitIdentical(t *testing.T) {
+	defer func() { groupLanes = true }()
+	p, pts := modelProblem(t, []geom.Point{geom.Pt(7, 9), geom.Pt(21, 12), geom.Pt(15, 24)}, []float64{1.2, 2.3, 1.7}, 48, 31)
+	db := coarseDB(t, p, pts, 8)
+	src := rng.New(30)
+	for _, size := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 1000} {
+		cands := randomCandidates(p.Model().Field(), 3, 7, src)
+		cands[0] = randomCandidates(p.Model().Field(), 1, size, src)[0]
+		cands[2][0] = cands[1][0]
+		for _, path := range []string{"plain", "coarse", "robust"} {
+			for _, workers := range []int{1, 2} {
+				opts := Options{TopM: 5, Seed: uint64(size), Workers: workers, MaxExhaustive: 1}
+				switch path {
+				case "coarse":
+					opts.Coarse = &Coarse{DB: db, TopK: max(2, size-size/5)}
+				case "robust":
+					opts.Robust = RobustConfig{Mode: RobustBoth}
+				}
+				run := func(grouped bool) (Result, uint64, uint64) {
+					groupLanes = grouped
+					s := NewSearcher()
+					res, err := s.Search(p, cands, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					solves, iters := s.WorkTotals()
+					return res, solves, iters
+				}
+				on, solvesOn, itersOn := run(true)
+				off, solvesOff, itersOff := run(false)
+				if on.Exhaustive {
+					t.Fatalf("size %d, %s: the search enumerated, want the conditional scan", size, path)
+				}
+				a, b := resultBits(on), resultBits(off)
+				if len(a) != len(b) {
+					t.Fatalf("size %d, %s, workers %d: results differ in shape with grouped lanes on and off", size, path, workers)
+				}
+				for i := range a {
+					if a[i] != b[i] {
+						t.Fatalf("size %d, %s, workers %d: result word %d differs with grouped lanes on (%#x) and off (%#x)",
+							size, path, workers, i, a[i], b[i])
+					}
+				}
+				if solvesOn != solvesOff || itersOn != itersOff {
+					t.Fatalf("size %d, %s, workers %d: %d solves / %d iters with grouped lanes, %d / %d without",
+						size, path, workers, solvesOn, itersOn, solvesOff, itersOff)
+				}
+			}
+		}
+	}
+}
+
+// TestScanGroupedLanesFixedPivotFails: a scan whose fixed slots hold one
+// position twice cannot factor them, so it solves every candidate alone,
+// with the bits of a scan that never groups; distinct fixed slots group.
+func TestScanGroupedLanesFixedPivotFails(t *testing.T) {
+	defer func() { groupLanes = true }()
+	p, _ := modelProblem(t, []geom.Point{geom.Pt(8, 8), geom.Pt(20, 18)}, []float64{1.5, 2}, 40, 5)
+	src := rng.New(6)
+	cands := randomCandidates(p.Model().Field(), 3, 12, src)
+	cands[2][3] = cands[1][0]
+	opts := Options{TopM: 4}.withDefaults()
+	scan := func(grouped bool, fixed2 int) ([]RankedPosition, bool) {
+		groupLanes = grouped
+		s := NewSearcher()
+		s.prepare(p, cands, 1)
+		memo := newScanMemo(3, 1, opts.TopM)
+		ranked := s.scanUser(p, cands, []int{0, 0, fixed2}, []bool{true, true, true}, 0, opts, memo)
+		return ranked, s.scratch[0].grouped
+	}
+	for _, c := range []struct {
+		fixed2      int
+		wantGrouped bool
+	}{{3, false}, {4, true}} {
+		got, grouped := scan(true, c.fixed2)
+		want, _ := scan(false, c.fixed2)
+		if grouped != c.wantGrouped {
+			t.Fatalf("fixed slots (%v, %v): scan grouped = %v, want %v",
+				cands[1][0], cands[2][c.fixed2], grouped, c.wantGrouped)
+		}
+		a := resultBits(Result{PerUser: [][]RankedPosition{got}})
+		b := resultBits(Result{PerUser: [][]RankedPosition{want}})
+		if len(a) != len(b) {
+			t.Fatal("rankings differ in length with grouped lanes on and off")
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("fixed slots (%v, %v): ranking word %d differs with grouped lanes on and off",
+					cands[1][0], cands[2][c.fixed2], i)
+			}
+		}
+	}
+}

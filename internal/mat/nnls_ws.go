@@ -157,7 +157,7 @@ func NNLSGramStableInto(g, d, x []float64, ws *NNLSWorkspace, stable int) {
 			s := d[j]
 			for o := 0; o < k; o++ {
 				if x[o] != 0 {
-					s -= g[j*k+o] * x[o]
+					s -= float64(g[j*k+o] * x[o])
 				}
 			}
 			if s > bestVal {
@@ -206,7 +206,7 @@ func NNLSGramStableInto(g, d, x []float64, ws *NNLSWorkspace, stable int) {
 				alpha = 0
 			}
 			for t, j := range idx {
-				x[j] += alpha * (z[t] - x[j])
+				x[j] += float64(alpha * (z[t] - x[j]))
 				if x[j] <= nnlsGramTol {
 					x[j] = 0
 					ws.passive[j] = false
@@ -293,7 +293,6 @@ func (ws *NNLSWorkspace) cholSolve(g, d []float64, k int, idx []int) bool {
 		ws.z[0] = d[j] / gjj
 		return true
 	}
-	l, y := ws.chol, ws.y
 	a := 0
 	for a < ws.rows && a < m && ws.rowIdx[a] == idx[a] {
 		a++
@@ -302,22 +301,40 @@ func (ws *NNLSWorkspace) cholSolve(g, d []float64, k int, idx []int) bool {
 		copy(ws.rowIdx[a:m], idx[a:])
 		ws.rows = m
 	}
-	for ; a < m; a++ {
+	if f := cholRows(g, d, k, idx, ws.chol, ws.y, a); f < m {
+		ws.rows = f
+		return false
+	}
+	l, y := ws.chol, ws.y
+	z := ws.z
+	for a := m - 1; a >= 0; a-- {
+		s := y[a]
+		for t := a + 1; t < m; t++ {
+			s -= float64(l[t*k+a] * z[t])
+		}
+		z[a] = s / l[a*k+a]
+	}
+	return true
+}
+
+// cholRows factors rows from..len(idx)−1 of G[idx,idx] into l (row a at
+// l[a*k:]) and computes each row's forward-substitution entry y[a] right
+// after it, given rows and entries 0..from−1. It returns the first row
+// whose pivot fails the relative threshold, or len(idx) when none does.
+func cholRows(g, d []float64, k int, idx []int, l, y []float64, from int) int {
+	m := len(idx)
+	for a := from; a < m; a++ {
 		ja := idx[a]
 		la := l[a*k : a*k+a+1]
 		for b := 0; b <= a; b++ {
 			s := g[ja*k+idx[b]]
 			lb := l[b*k : b*k+b]
 			for t, v := range lb {
-				s -= la[t] * v
+				s -= float64(la[t] * v)
 			}
 			if a == b {
-				// Relative pivot threshold: a pivot this far below the
-				// column's own squared norm means the column is numerically
-				// dependent on the earlier passive columns.
-				if s <= 0 || s <= 1e-13*g[ja*k+ja] {
-					ws.rows = a
-					return false
+				if !pivotOK(s, g[ja*k+ja]) {
+					return a
 				}
 				la[a] = math.Sqrt(s)
 			} else {
@@ -326,17 +343,9 @@ func (ws *NNLSWorkspace) cholSolve(g, d []float64, k int, idx []int) bool {
 		}
 		s := d[ja]
 		for t, v := range la[:a] {
-			s -= v * y[t]
+			s -= float64(v * y[t])
 		}
 		y[a] = s / la[a]
 	}
-	z := ws.z
-	for a := m - 1; a >= 0; a-- {
-		s := y[a]
-		for t := a + 1; t < m; t++ {
-			s -= l[t*k+a] * z[t]
-		}
-		z[a] = s / l[a*k+a]
-	}
-	return true
+	return m
 }

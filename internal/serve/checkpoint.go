@@ -118,18 +118,31 @@ func Encode(ck Checkpoint) ([]byte, error) {
 	if (ck.SMC == nil) == (ck.Field == nil) {
 		return nil, errors.New("serve: checkpoint must carry exactly one tracker state")
 	}
-	c := codec{buf: append([]byte(nil), checkpointMagic[:]...)}
-	c.buf = binary.LittleEndian.AppendUint16(c.buf, Version)
-	if ck.SMC != nil {
-		c.buf = append(c.buf, kindSMC)
-		c.trackerState(ck.SMC)
-	} else {
-		c.buf = append(c.buf, kindShard)
-		c.fieldState(ck.Field)
+	kind := byte(kindSMC)
+	if ck.Field != nil {
+		kind = kindShard
 	}
-	if c.err != nil {
-		return nil, c.err
+	walk := func(c *codec) {
+		if head := c.next(7); head != nil {
+			copy(head, checkpointMagic[:])
+			binary.LittleEndian.PutUint16(head[4:], Version)
+			head[6] = kind
+		}
+		if ck.SMC != nil {
+			c.trackerState(ck.SMC)
+		} else {
+			c.fieldState(ck.Field)
+		}
 	}
+	// The length pass runs every check and sizes the blob, so the writing
+	// pass allocates it once.
+	var size codec
+	walk(&size)
+	if size.err != nil {
+		return nil, size.err
+	}
+	c := codec{buf: make([]byte, 0, size.pos+4)}
+	walk(&c)
 	return binary.LittleEndian.AppendUint32(c.buf, crc32.ChecksumIEEE(c.buf)), nil
 }
 
@@ -269,10 +282,12 @@ func (c *codec) fieldState(st *shard.FieldState) {
 // ---- codec ----
 
 // codec moves one payload in either direction, so the walks above are the
-// only description of the layout. Encoding (dec false) appends each field
-// of a state to buf and never writes to the state; decoding reads each
-// field from buf at pos into the zero state it is given, leaving empty
-// slices nil. The first failure sticks in err and turns every later move
+// only description of the layout. Encoding (dec false) writes each field
+// of a state at the end of buf and never writes to the state; it runs
+// twice, a length pass without a buffer that only counts the bytes in pos,
+// then the pass that writes them into a buffer of that capacity. Decoding
+// reads each field from buf at pos into the zero state it is given,
+// leaving empty slices nil. The first failure sticks in err and turns every later move
 // into a no-op, so a walk looks at err only where it branches or indexes.
 //
 // The checks run in both directions, so Encode refuses any state its own
@@ -317,9 +332,22 @@ func (c *codec) take(n int) []byte {
 	return c.buf[c.pos-n : c.pos]
 }
 
+// next extends the encoded blob by n bytes and returns them for the
+// encoder to fill; in the length pass it only counts them and returns nil.
+func (c *codec) next(n int) []byte {
+	c.pos += n
+	if c.buf == nil {
+		return nil
+	}
+	c.buf = c.buf[:c.pos]
+	return c.buf[c.pos-n:]
+}
+
 func (c *codec) u32(v *uint32) {
 	if !c.dec {
-		c.buf = binary.LittleEndian.AppendUint32(c.buf, *v)
+		if b := c.next(4); b != nil {
+			binary.LittleEndian.PutUint32(b, *v)
+		}
 	} else if b := c.take(4); b != nil {
 		*v = binary.LittleEndian.Uint32(b)
 	}
@@ -327,7 +355,9 @@ func (c *codec) u32(v *uint32) {
 
 func (c *codec) u64(v *uint64) {
 	if !c.dec {
-		c.buf = binary.LittleEndian.AppendUint64(c.buf, *v)
+		if b := c.next(8); b != nil {
+			binary.LittleEndian.PutUint64(b, *v)
+		}
 	} else if b := c.take(8); b != nil {
 		*v = binary.LittleEndian.Uint64(b)
 	}
@@ -346,11 +376,9 @@ func (c *codec) point(p *geom.Point) { c.f64(&p.X); c.f64(&p.Y) }
 // boolean moves a bool as one byte, 0 or 1; any other byte is malformed.
 func (c *codec) boolean(v *bool) {
 	if !c.dec {
-		b := byte(0)
-		if *v {
-			b = 1
+		if b := c.next(1); b != nil && *v {
+			b[0] = 1
 		}
-		c.buf = append(c.buf, b)
 	} else if b := c.take(1); b != nil {
 		if b[0] > 1 {
 			c.failf(ErrMalformed, "boolean byte %d", b[0])
@@ -422,9 +450,11 @@ func (c *codec) points(ps *[]geom.Point, what string) {
 		return
 	}
 	if !c.dec {
-		for _, p := range *ps {
-			c.buf = binary.LittleEndian.AppendUint64(c.buf, math.Float64bits(p.X))
-			c.buf = binary.LittleEndian.AppendUint64(c.buf, math.Float64bits(p.Y))
+		if b := c.next(16 * n); b != nil {
+			for i, p := range *ps {
+				binary.LittleEndian.PutUint64(b[16*i:], math.Float64bits(p.X))
+				binary.LittleEndian.PutUint64(b[16*i+8:], math.Float64bits(p.Y))
+			}
 		}
 		return
 	}
@@ -443,8 +473,10 @@ func (c *codec) floats(fs *[]float64, what string) {
 		return
 	}
 	if !c.dec {
-		for _, f := range *fs {
-			c.buf = binary.LittleEndian.AppendUint64(c.buf, math.Float64bits(f))
+		if b := c.next(8 * n); b != nil {
+			for i, f := range *fs {
+				binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(f))
+			}
 		}
 		return
 	}

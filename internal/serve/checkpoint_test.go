@@ -126,6 +126,31 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointEncodeAllocsOnce: Encode sizes the blob in a length pass
+// over the layout walk, so a plain or sharded checkpoint costs exactly one
+// allocation, the blob itself, and the blob fills its capacity.
+func TestCheckpointEncodeAllocsOnce(t *testing.T) {
+	tr := synthTrackerState()
+	fd := synthFieldState()
+	for _, ck := range []Checkpoint{{SMC: &tr}, {Field: &fd}} {
+		blob, err := Encode(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(blob) != cap(blob) {
+			t.Errorf("blob of %d bytes in a buffer of %d", len(blob), cap(blob))
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := Encode(ck); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("Encode allocates %.1f times per checkpoint, want 1", allocs)
+		}
+	}
+}
+
 // TestCodecRejectsCorruption drives the decoder through exhaustive
 // single-bit flips and every truncation of a valid blob: each must fail
 // with one of the typed sentinel errors, never succeed and never panic.
