@@ -83,7 +83,6 @@ import (
 	"fluxtrack/internal/fingerprint"
 	"fluxtrack/internal/obs"
 	"fluxtrack/internal/plot"
-	"fluxtrack/internal/shard"
 )
 
 func main() {
@@ -108,8 +107,6 @@ func run(args []string) error {
 		chart   = fs.Bool("chart", false, "render an ASCII bar chart per table column")
 		cpuProf = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProf = fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
-		shards  = fs.String("shards", "", "track through a RxC tile grid (internal/shard), e.g. 2x2; empty = unsharded")
-		halo    = fs.Float64("halo", 0, "tile halo width for -shards: sensors within this margin report to both neighbors")
 		metrics = fs.Bool("metrics", false, "collect work counters and latency histograms; print the merged snapshot at exit")
 		metOut  = fs.String("metricsout", "", "write the metrics snapshot as JSON to this file (implies collection)")
 		trOut   = fs.String("trace", "", "write one JSON span per tracker round to this file (JSON lines)")
@@ -198,14 +195,6 @@ func run(args []string) error {
 		// the same seeds, so memoizing across the run removes those rebuilds
 		// without changing any table (see fingerprint.Cache).
 		cfg.DBCache = fingerprint.NewCache(0)
-	}
-	if *shards != "" {
-		grid, err := shard.ParseGrid(*shards)
-		if err != nil {
-			return err
-		}
-		grid.Halo = *halo
-		cfg.Shards = grid
 	}
 	var met *obs.Metrics
 	if *metrics || *metOut != "" {

@@ -119,6 +119,8 @@ func TestRunRejectsBadTrackerFlags(t *testing.T) {
 		{"-robust", "sometimes"},
 		{"-robust", "huber"},
 		{"-robust", "loso"},
+		{"-shards", "2y2"},
+		{"-shards", "2x2", "-halo", "-1"},
 	}
 	faults := [][]string{{"-dropout", "-0.1"}, {"-delayrounds", "-1"}}
 	for _, bad := range append(search, faults...) {

@@ -29,7 +29,6 @@ import (
 	"fluxtrack/internal/geom"
 	"fluxtrack/internal/obs"
 	"fluxtrack/internal/rng"
-	"fluxtrack/internal/shard"
 	"fluxtrack/internal/traffic"
 )
 
@@ -52,8 +51,6 @@ func run(args []string) error {
 		samples = fs.Int("samples", 2000, "candidate positions per user")
 		workers = fs.Int("workers", 1, "NLS search worker count (0 = one per CPU)")
 		metrics = fs.Bool("metrics", false, "collect work counters (traffic, fault, NLS search) and print the snapshot at exit")
-		shards  = fs.String("shards", "", "also run the tiled tracking demo over a RxC tile grid (internal/shard), e.g. 2x2")
-		halo    = fs.Float64("halo", 0, "tile halo width for -shards: sensors within this margin report to both neighbors")
 		rounds  = fs.Int("rounds", 8, "tracking rounds for the -shards demo")
 		trackN  = fs.Int("trackn", 1000, "SMC prediction samples per user per round in the -shards demo")
 	)
@@ -184,13 +181,8 @@ func run(args []string) error {
 	mean /= float64(len(errs))
 	fmt.Printf("  mean matched error: %.2f (%.1f%% of field diameter)\n",
 		mean, 100*mean/sc.Field().Diameter())
-	if *shards != "" {
-		grid, err := shard.ParseGrid(*shards)
-		if err != nil {
-			return err
-		}
-		grid.Halo = *halo
-		if err := runShardDemo(sc, sniffer, userSet, grid, *rounds, *trackN, *workers, cfg.Coarse, met, src); err != nil {
+	if cfg.Shards.Tiles() > 0 {
+		if err := runShardDemo(sc, sniffer, userSet, cfg.Shards, *rounds, *trackN, *workers, cfg.Coarse, met, src); err != nil {
 			return err
 		}
 	}

@@ -35,6 +35,8 @@ func TestRunRejectsBadTrackerFlags(t *testing.T) {
 		{"-robust", "sometimes"},
 		{"-robust", "huber"},
 		{"-robust", "loso"},
+		{"-shards", "2y2"},
+		{"-halo", "-1"},
 		{"-loss", "1.5"},
 		{"-delayrounds", "-1"},
 		{"-samples", "-7"},

@@ -5,8 +5,6 @@ import (
 
 	"fluxtrack/internal/fault"
 	"fluxtrack/internal/fit"
-	"fluxtrack/internal/rng"
-	"fluxtrack/internal/stats"
 )
 
 // LiarMix returns the standard Byzantine attack mix used by the figByzantine
@@ -59,28 +57,15 @@ func FigByzantine(cfg Config) (Table, error) {
 			// defense column is the only moving part within a liar band.
 			trials, err := runTrials(cfg, "figByzantine", 0, cfg.Trials,
 				func(trial int, seed uint64) ([]float64, error) {
-					sc := cfg.scenario(defaultScenarioCfg(), seed)
-					src := rng.New(seed + 17)
-					trajs, err := randomWalks(sc, 2, 4, cfg.Rounds, src)
-					if err != nil {
-						return nil, err
-					}
 					bcfg := cfg
 					bcfg.Liars = frac
 					bcfg.Robust = fit.RobustConfig{Mode: def.mode}
-					return trackTrial(bcfg, sc, trajs, 90, 5, false, src)
+					return walkTrial(bcfg, cfg.scenario(defaultScenarioCfg(), seed), seed, 2, 90, false)
 				})
 			if err != nil {
 				return Table{}, err
 			}
-			var all, finals []float64
-			for _, perRound := range trials {
-				all = append(all, perRound...)
-				finals = append(finals, perRound[len(perRound)-1])
-			}
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprintf("%d%%", pct), def.name, f2(stats.Mean(all)), f2(stats.Mean(finals)),
-			})
+			t.Rows = append(t.Rows, append([]string{fmt.Sprintf("%d%%", pct), def.name}, meanAndFinal(trials)...))
 		}
 	}
 	return t, nil

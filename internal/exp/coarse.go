@@ -31,33 +31,28 @@ func FigCoarse(cfg Config) (Table, error) {
 		Paper:   "extension: the paper searches all candidates; full-K row must agree 100%",
 		Columns: []string{"topK", "loc_err", "top1_agree", "track_err"},
 	}
-	topKs := []int{16, 32, 64, 128, 0} // 0 means full (TopK = candidate count)
-	cells := make([]int, len(topKs))
-	for i, k := range topKs {
-		cells[i] = k
-	}
+	// Each shortlist size is also its cell id; 0 means full (TopK =
+	// candidate count).
+	topKs := []int{16, 32, 64, 128, 0}
 
-	type coarseTrial struct {
-		locErr   float64
-		agree    float64
-		trackErr float64
-	}
-	res, err := runCells(cfg, "figCoarse", cells, func(ci, trial int, seed uint64) (coarseTrial, error) {
+	// Each trial yields one value per table column after topK: loc_err,
+	// top1_agree and track_err.
+	res, err := runCells(cfg, "figCoarse", topKs, func(ci, trial int, seed uint64) ([]float64, error) {
 		topK := topKs[ci]
 		sc := cfg.scenario(defaultScenarioCfg(), seed)
 		src := rng.New(seed + 17)
 		sniffer, err := sc.NewSnifferCount(90, src)
 		if err != nil {
-			return coarseTrial{}, err
+			return nil, err
 		}
 		truths := []geom.Point{src.InRect(sc.Field()), src.InRect(sc.Field())}
 		stretches := []float64{src.Uniform(1, 3), src.Uniform(1, 3)}
 		if _, err := sniffer.Observe(activeUsers(truths, stretches), 0, src); err != nil {
-			return coarseTrial{}, err
+			return nil, err
 		}
 		db, err := sniffer.NewFingerprintDB(cfg.Coarse, cfg.Workers, cfg.Metrics)
 		if err != nil {
-			return coarseTrial{}, err
+			return nil, err
 		}
 
 		// Exact and coarse localization consume candidate draws from twin
@@ -67,7 +62,7 @@ func FigCoarse(cfg Config) (Table, error) {
 		opts := cfg.searchOpts(cfg.Samples, seed+1)
 		exact, err := sniffer.Localize(2, opts, rng.New(candSeed))
 		if err != nil {
-			return coarseTrial{}, err
+			return nil, err
 		}
 		kk := topK
 		if kk <= 0 {
@@ -76,17 +71,16 @@ func FigCoarse(cfg Config) (Table, error) {
 		opts.Coarse = &fit.Coarse{DB: db, TopK: kk}
 		coarse, err := sniffer.Localize(2, opts, rng.New(candSeed))
 		if err != nil {
-			return coarseTrial{}, err
+			return nil, err
 		}
-		out := coarseTrial{
-			locErr: stats.Mean(matchErrors(coarse.Best[0].Positions, truths)),
-		}
+		locErr := stats.Mean(matchErrors(coarse.Best[0].Positions, truths))
+		var agree float64
 		for j, pos := range exact.Best[0].Positions {
 			if coarse.Best[0].Positions[j] == pos {
-				out.agree++
+				agree++
 			}
 		}
-		out.agree /= float64(len(exact.Best[0].Positions))
+		agree /= float64(len(exact.Best[0].Positions))
 
 		// Tracking with the same shortlist size: the tracker builds its own
 		// database (core.TrackerConfig.Coarse) since its candidates are the
@@ -100,14 +94,14 @@ func FigCoarse(cfg Config) (Table, error) {
 		}
 		trajs, err := randomWalks(sc, 2, 4, cfg.Rounds, src)
 		if err != nil {
-			return coarseTrial{}, err
+			return nil, err
 		}
-		perRound, err := trackTrial(tcfg, sc, trajs, 90, 5, false, src)
+		run, err := trackTrial(tcfg, sc, trajs, 90, false, src)
 		if err != nil {
-			return coarseTrial{}, err
+			return nil, err
 		}
-		out.trackErr = perRound[len(perRound)-1]
-		return out, nil
+		perRound := run.errs()
+		return []float64{locErr, agree, perRound[len(perRound)-1]}, nil
 	})
 	if err != nil {
 		return Table{}, err
@@ -118,18 +112,8 @@ func FigCoarse(cfg Config) (Table, error) {
 		if topK > 0 {
 			label = fmt.Sprintf("%d", topK)
 		}
-		var loc, agree, track []float64
-		for _, tr := range res[ci] {
-			loc = append(loc, tr.locErr)
-			agree = append(agree, tr.agree)
-			track = append(track, tr.trackErr)
-		}
-		t.Rows = append(t.Rows, []string{
-			label,
-			f2(stats.Mean(loc)),
-			fmt.Sprintf("%.1f%%", 100*stats.Mean(agree)),
-			f2(stats.Mean(track)),
-		})
+		m := trialMeans(res[ci])
+		t.Rows = append(t.Rows, []string{label, f2(m[0]), fmt.Sprintf("%.1f%%", 100*m[1]), f2(m[2])})
 	}
 	return t, nil
 }

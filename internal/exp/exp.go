@@ -28,6 +28,7 @@ import (
 	"fluxtrack/internal/obs"
 	"fluxtrack/internal/rng"
 	"fluxtrack/internal/shard"
+	"fluxtrack/internal/stats"
 	"fluxtrack/internal/traffic"
 )
 
@@ -91,16 +92,23 @@ type Config struct {
 	// forces the exact sequential legacy path. Every value produces
 	// byte-identical tables — see parallel.go.
 	Workers int
-	// Fault degrades the observation stream every tracking trial sees:
-	// permanent sensor dropout, per-round report loss, delayed delivery, and
-	// stuck readings (see internal/fault). The zero value is the clean,
-	// lossless stream of the paper's evaluation. Each trial gets its own
-	// injector seeded from the trial seed, so fault patterns are byte-stable
-	// at any worker count like everything else in this package.
+	// Fault, Liars and Shards reach only the tracking trials that run
+	// through trackTrial: fig7, fig8a, fig8b, ablation-importance, figRobust,
+	// figByzantine and figCoarse's track_err column. fig10a/b, baseline-ekf
+	// and ablation-heading build their own trackers and ignore all three.
+	//
+	// Fault degrades the observation stream of those trials: permanent
+	// sensor dropout, per-round report loss, delayed delivery, and stuck
+	// readings (see internal/fault). figRobust replaces it with each row's
+	// regime, and figShard zeroes it. The zero value is the clean, lossless
+	// stream of the paper's evaluation. Each trial gets its own injector
+	// seeded from the trial seed, so fault patterns are byte-stable at any
+	// worker count like everything else in this package.
 	Fault fault.Config
-	// Liars is the fraction of each tracking trial's sensors compromised
-	// with the LiarMix blend of Byzantine behaviors — inflated, deflated,
-	// or replayed readings (see fault.AdversaryConfig). Tampering happens
+	// Liars is the fraction of those trials' sensors compromised with the
+	// LiarMix blend of Byzantine behaviors — inflated, deflated, or replayed
+	// readings (see fault.AdversaryConfig). figByzantine replaces it with
+	// each row's fraction, and figShard zeroes it. Tampering happens
 	// upstream of the Fault injector, so a liar's report can still be lost
 	// or delayed. Zero keeps every sensor honest. Each trial gets its own
 	// adversary seeded from the trial seed, so the compromised set is
@@ -122,9 +130,10 @@ type Config struct {
 	// to exact tables unless TopK >= TrackN; the figCoarse experiment
 	// quantifies the accuracy cost across shortlist sizes.
 	Coarse fingerprint.CoarseConfig
-	// Shards, when it names a grid (Tiles() > 0), runs every tracking trial
-	// through the tiled multi-shard coordinator (internal/shard) instead of
-	// the single tracker: the field splits into Rows×Cols tiles, each owning
+	// Shards, when it names a grid (Tiles() > 0), runs the trackTrial
+	// trials listed above through the tiled multi-shard coordinator
+	// (internal/shard) instead of the single tracker; figShard replaces it
+	// with each row's grid. The field splits into Rows×Cols tiles, each owning
 	// its sensors and an independent SMC tracker, and users hand off between
 	// tiles as their estimates cross seams. Each user's owning tile is seeded
 	// from its trajectory start. A 1×1 grid reproduces the unsharded tables
@@ -227,6 +236,36 @@ func matchErrors(estimates, truths []geom.Point) []float64 {
 	return out
 }
 
+// flatten concatenates per-trial error slices in trial order.
+func flatten(trials [][]float64) []float64 {
+	var out []float64
+	for _, es := range trials {
+		out = append(out, es...)
+	}
+	return out
+}
+
+// errRow formats a table row: the label, then the mean and the median of
+// the trials' errors, concatenated in trial order.
+func errRow(label string, trials [][]float64) []string {
+	errs := flatten(trials)
+	return []string{label, f2(stats.Mean(errs)), f2(stats.Median(errs))}
+}
+
+// trialMeans reduces each trial's row of values to the column means over
+// the trials, every column summed in trial order.
+func trialMeans(trials [][]float64) []float64 {
+	means := make([]float64, len(trials[0]))
+	col := make([]float64, len(trials))
+	for c := range means {
+		for i, tr := range trials {
+			col[i] = tr[c]
+		}
+		means[c] = stats.Mean(col)
+	}
+	return means
+}
+
 // activeUsers converts positions and stretches into active traffic users.
 func activeUsers(positions []geom.Point, stretches []float64) []traffic.User {
 	users := make([]traffic.User, len(positions))
@@ -242,13 +281,13 @@ func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 // f3 formats a float with three decimals.
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 
-// scenarioOrDie builds a scenario and panics on configuration errors, which
-// in the experiment harness are always programming errors in the experiment
-// definitions themselves.
 // defaultScenarioCfg is the paper's standard deployment (§5.A): 900 nodes,
 // perturbed grids, 30x30 field, radius 2.4.
 func defaultScenarioCfg() core.ScenarioConfig { return core.ScenarioConfig{} }
 
+// mustScenario builds a scenario and panics on configuration errors, which
+// in the experiment harness are always programming errors in the experiment
+// definitions themselves.
 func mustScenario(cfg core.ScenarioConfig, seed uint64) *core.Scenario {
 	sc, err := core.NewScenario(cfg, rng.New(seed))
 	if err != nil {

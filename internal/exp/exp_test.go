@@ -177,10 +177,11 @@ func TestTrackingAccuracyNoiseBand(t *testing.T) {
 	trajs := []mobility.Trajectory{
 		mobility.Linear{Start: geom.Pt(4, 15), V: geom.Vec{DX: 2, DY: 0.5}},
 	}
-	perRound, err := trackTrial(cfg, sc, trajs, sc.Network().Len(), 5, false, src)
+	run, err := trackTrial(cfg, sc, trajs, sc.Network().Len(), false, src)
 	if err != nil {
 		t.Fatal(err)
 	}
+	perRound := run.errs()
 	final := perRound[len(perRound)-1]
 	if final > 2.5 {
 		t.Errorf("fig7-style single-user final error %.2f, want <= 2.5 (paper: < 2); all rounds: %v",
@@ -194,10 +195,11 @@ func TestTrackingAccuracyNoiseBand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perRound2, err := trackTrial(cfg, sc2, walks, sc2.Network().Len()/10, 5, false, src2)
+	run2, err := trackTrial(cfg, sc2, walks, sc2.Network().Len()/10, false, src2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	perRound2 := run2.errs()
 	final2 := perRound2[len(perRound2)-1]
 	if final2 < 0 || final2 > 12 {
 		t.Errorf("fig8-style two-user final error %.2f outside plausible band [0, 12]; all rounds: %v",

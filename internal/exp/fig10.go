@@ -160,45 +160,32 @@ func traceTrial(cfg Config, kind deploy.Kind, sampleFrac float64, vmax float64, 
 	return stats.Mean(errs), nil
 }
 
+// kindAxis is the deployment column axis of Figs 10a and 10b.
+var kindAxis = axis[deploy.Kind]{
+	vals:   []deploy.Kind{deploy.PerturbedGrid, deploy.UniformRandom},
+	labels: []string{"perturbed-grid", "random"},
+	ids:    []int{int(deploy.PerturbedGrid), int(deploy.UniformRandom)},
+}
+
 // Fig10a regenerates Figure 10(a): trace-driven tracking error vs the
 // percentage of sampling nodes, for perturbed-grid and purely random
 // deployments.
 func Fig10a(cfg Config) (Table, error) {
 	cfg = cfg.withDefaults()
-	t := Table{
-		ID:      "fig10a",
-		Title:   "Trace-driven tracking error vs percentage of sampling nodes",
-		Paper:   "error below 3 at 10%+ reports with perturbed grids; random deployment ~1.5x worse",
-		Columns: []string{"pct", "perturbed-grid", "random"},
-	}
-	pcts := []int{40, 20, 10, 5}
-	kinds := []deploy.Kind{deploy.PerturbedGrid, deploy.UniformRandom}
-	type spec struct {
-		pct  int
-		kind deploy.Kind
-	}
-	var cells []int
-	var specs []spec
-	for _, pct := range pcts {
-		for _, kind := range kinds {
-			cells = append(cells, pct*10+int(kind))
-			specs = append(specs, spec{pct, kind})
-		}
-	}
-	res, err := runCells(cfg, "fig10a", cells, func(ci, trial int, seed uint64) (float64, error) {
-		return traceTrial(cfg, specs[ci].kind, float64(specs[ci].pct)/100, 5, seed)
+	cells, err := sweep(cfg, "fig10a", pctAxis, kindAxis, func(pct int, kind deploy.Kind, seed uint64) ([]float64, error) {
+		e, err := traceTrial(cfg, kind, float64(pct)/100, 5, seed)
+		return []float64{e}, err
 	})
 	if err != nil {
 		return Table{}, err
 	}
-	for pi, pct := range pcts {
-		row := []string{fmt.Sprintf("%d%%", pct)}
-		for kj := range kinds {
-			row = append(row, f2(stats.Mean(res[pi*len(kinds)+kj])))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
+	return Table{
+		ID:      "fig10a",
+		Title:   "Trace-driven tracking error vs percentage of sampling nodes",
+		Paper:   "error below 3 at 10%+ reports with perturbed grids; random deployment ~1.5x worse",
+		Columns: append([]string{"pct"}, kindAxis.labels...),
+		Rows:    sweepRows(pctAxis.labels, cells),
+	}, nil
 }
 
 // Fig10b regenerates Figure 10(b): trace-driven tracking error vs the
@@ -206,38 +193,19 @@ func Fig10a(cfg Config) (Table, error) {
 // sampling.
 func Fig10b(cfg Config) (Table, error) {
 	cfg = cfg.withDefaults()
-	t := Table{
-		ID:      "fig10b",
-		Title:   "Trace-driven tracking error vs resampling radius (10% sampling)",
-		Paper:   "robust to the enlarged prediction disc: error grows only slightly with the radius",
-		Columns: []string{"radius", "perturbed-grid", "random"},
-	}
-	radii := []float64{4, 6, 8, 10, 12}
-	kinds := []deploy.Kind{deploy.PerturbedGrid, deploy.UniformRandom}
-	type spec struct {
-		radius float64
-		kind   deploy.Kind
-	}
-	var cells []int
-	var specs []spec
-	for _, radius := range radii {
-		for _, kind := range kinds {
-			cells = append(cells, int(radius)*10+int(kind))
-			specs = append(specs, spec{radius, kind})
-		}
-	}
-	res, err := runCells(cfg, "fig10b", cells, func(ci, trial int, seed uint64) (float64, error) {
-		return traceTrial(cfg, specs[ci].kind, 0.1, specs[ci].radius, seed)
+	radii := newAxis([]float64{4, 6, 8, 10, 12}, f2, func(radius float64) int { return int(radius) * 10 })
+	cells, err := sweep(cfg, "fig10b", radii, kindAxis, func(radius float64, kind deploy.Kind, seed uint64) ([]float64, error) {
+		e, err := traceTrial(cfg, kind, 0.1, radius, seed)
+		return []float64{e}, err
 	})
 	if err != nil {
 		return Table{}, err
 	}
-	for ri, radius := range radii {
-		row := []string{f2(radius)}
-		for kj := range kinds {
-			row = append(row, f2(stats.Mean(res[ri*len(kinds)+kj])))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
+	return Table{
+		ID:      "fig10b",
+		Title:   "Trace-driven tracking error vs resampling radius (10% sampling)",
+		Paper:   "robust to the enlarged prediction disc: error grows only slightly with the radius",
+		Columns: append([]string{"radius"}, kindAxis.labels...),
+		Rows:    sweepRows(radii.labels, cells),
+	}, nil
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"strconv"
 
 	"fluxtrack/internal/core"
 	"fluxtrack/internal/fit"
@@ -56,11 +57,7 @@ func Fig5(cfg Config) (Table, error) {
 		return Table{}, err
 	}
 	for ci, k := range ks {
-		var errs []float64
-		for _, es := range res[ci] {
-			errs = append(errs, es...)
-		}
-		s := stats.Summarize(errs)
+		s := stats.Summarize(flatten(res[ci]))
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", k), f2(s.Mean), f2(s.Median), f2(s.Max),
 		})
@@ -78,93 +75,56 @@ func sparseSearchSamples(cfg Config) int {
 	return cfg.Samples
 }
 
+// The sweep axes the paper's figures share: the percentage of sampling
+// nodes (Figs 6a, 8a, 10a), the node count at 90 reports (Figs 6b, 8b) and
+// the number of simultaneous users (Figs 6, 8).
+var (
+	pctAxis = newAxis([]int{40, 20, 10, 5},
+		func(pct int) string { return fmt.Sprintf("%d%%", pct) }, func(pct int) int { return pct * 10 })
+	nodeAxis = newAxis([]int{900, 1200, 1500, 1800}, strconv.Itoa, func(nodes int) int { return nodes })
+	userAxis = axis[int]{vals: []int{1, 2, 3, 4}, labels: []string{"1 user", "2 users", "3 users", "4 users"}, ids: []int{1, 2, 3, 4}}
+)
+
 // Fig6a regenerates Figure 6(a): localization error vs the percentage of
 // sampling nodes, for 1-4 simultaneous users.
 func Fig6a(cfg Config) (Table, error) {
 	cfg = cfg.withDefaults()
-	t := Table{
-		ID:      "fig6a",
-		Title:   "Localization error vs percentage of sampling nodes",
-		Paper:   "error stays low down to 10% sampling (1.23/1.52/1.84/2.01 for 1-4 users), jumps below 5%",
-		Columns: []string{"pct", "1 user", "2 users", "3 users", "4 users"},
-	}
-	pcts := []int{40, 20, 10, 5}
-	ks := []int{1, 2, 3, 4}
-	type spec struct{ pct, k int }
-	var cells []int
-	var specs []spec
-	for _, pct := range pcts {
-		for _, k := range ks {
-			cells = append(cells, pct*10+k)
-			specs = append(specs, spec{pct, k})
-		}
-	}
-	res, err := runCells(cfg, "fig6a", cells, func(ci, trial int, seed uint64) ([]float64, error) {
+	cells, err := sweep(cfg, "fig6a", pctAxis, userAxis, func(pct, k int, seed uint64) ([]float64, error) {
 		sc := cfg.scenario(defaultScenarioCfg(), seed)
-		src := rng.New(seed + 17)
-		count := sc.Network().Len() * specs[ci].pct / 100
-		return localizeTrial(cfg, sc, specs[ci].k, count, sparseSearchSamples(cfg), src)
+		return localizeTrial(cfg, sc, k, sc.Network().Len()*pct/100, sparseSearchSamples(cfg), rng.New(seed+17))
 	})
 	if err != nil {
 		return Table{}, err
 	}
-	for pi, pct := range pcts {
-		row := []string{fmt.Sprintf("%d%%", pct)}
-		for kj := range ks {
-			var errs []float64
-			for _, es := range res[pi*len(ks)+kj] {
-				errs = append(errs, es...)
-			}
-			row = append(row, f2(stats.Mean(errs)))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
+	return Table{
+		ID:      "fig6a",
+		Title:   "Localization error vs percentage of sampling nodes",
+		Paper:   "error stays low down to 10% sampling (1.23/1.52/1.84/2.01 for 1-4 users), jumps below 5%",
+		Columns: append([]string{"pct"}, userAxis.labels...),
+		Rows:    sweepRows(pctAxis.labels, cells),
+	}, nil
 }
 
 // Fig6b regenerates Figure 6(b): localization error vs network density
 // (900-1800 nodes) with the report count fixed at 90 nodes.
 func Fig6b(cfg Config) (Table, error) {
 	cfg = cfg.withDefaults()
-	t := Table{
-		ID:      "fig6b",
-		Title:   "Localization error vs node count (90 reports fixed)",
-		Paper:   "error decreases mildly with density; impact fairly limited",
-		Columns: []string{"nodes", "1 user", "2 users", "3 users", "4 users"},
-	}
-	nodeCounts := []int{900, 1200, 1500, 1800}
-	ks := []int{1, 2, 3, 4}
-	type spec struct{ nodes, k int }
-	var cells []int
-	var specs []spec
-	for _, nodes := range nodeCounts {
-		for _, k := range ks {
-			cells = append(cells, nodes+k)
-			specs = append(specs, spec{nodes, k})
-		}
-	}
-	res, err := runCells(cfg, "fig6b", cells, func(ci, trial int, seed uint64) ([]float64, error) {
+	cells, err := sweep(cfg, "fig6b", nodeAxis, userAxis, func(nodes, k int, seed uint64) ([]float64, error) {
 		scc := defaultScenarioCfg()
-		scc.Nodes = specs[ci].nodes
+		scc.Nodes = nodes
 		sc := cfg.scenario(scc, seed)
-		src := rng.New(seed + 17)
-		return localizeTrial(cfg, sc, specs[ci].k, 90, sparseSearchSamples(cfg), src)
+		return localizeTrial(cfg, sc, k, 90, sparseSearchSamples(cfg), rng.New(seed+17))
 	})
 	if err != nil {
 		return Table{}, err
 	}
-	for ni, nodes := range nodeCounts {
-		row := []string{fmt.Sprintf("%d", nodes)}
-		for kj := range ks {
-			var errs []float64
-			for _, es := range res[ni*len(ks)+kj] {
-				errs = append(errs, es...)
-			}
-			row = append(row, f2(stats.Mean(errs)))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
+	return Table{
+		ID:      "fig6b",
+		Title:   "Localization error vs node count (90 reports fixed)",
+		Paper:   "error decreases mildly with density; impact fairly limited",
+		Columns: append([]string{"nodes"}, userAxis.labels...),
+		Rows:    sweepRows(nodeAxis.labels, cells),
+	}, nil
 }
 
 // AblationSearch compares the exhaustive composition ranking (the literal
@@ -178,25 +138,23 @@ func AblationSearch(cfg Config) (Table, error) {
 		Paper:   "n/a (implementation ablation; the paper's N^K filter is intractable at N=10^4)",
 		Columns: []string{"search", "mean_obj", "mean_err", "found_same_best_frac"},
 	}
-	type searchTrial struct {
-		exhObj, exhErr, condObj, condErr float64
-		same                             bool
-	}
-	trials, err := runTrials(cfg, "ablA1", 0, cfg.Trials, func(trial int, seed uint64) (searchTrial, error) {
+	// Each trial yields the exhaustive objective and error, the conditional
+	// objective and error, and 1 when both found the same best objective.
+	trials, err := runTrials(cfg, "ablA1", 0, cfg.Trials, func(trial int, seed uint64) ([]float64, error) {
 		sc := cfg.scenario(defaultScenarioCfg(), seed)
 		src := rng.New(seed + 17)
 		sniffer, err := sc.NewSnifferCount(90, src)
 		if err != nil {
-			return searchTrial{}, err
+			return nil, err
 		}
 		users := traffic.RandomUsers(sc.Field(), 2, 1, 3, src)
 		obs, err := sniffer.Observe(users, 0, src)
 		if err != nil {
-			return searchTrial{}, err
+			return nil, err
 		}
 		prob, err := sniffer.Problem(obs)
 		if err != nil {
-			return searchTrial{}, err
+			return nil, err
 		}
 		cands := make([][]geom.Point, 2)
 		for j := range cands {
@@ -211,43 +169,29 @@ func AblationSearch(cfg Config) (Table, error) {
 			TopM: 5, MaxExhaustive: 10000, Workers: cfg.Workers,
 		})
 		if err != nil {
-			return searchTrial{}, err
+			return nil, err
 		}
 		cond, err := fit.SearchCandidates(prob, cands, fit.Options{
 			TopM: 5, MaxExhaustive: 10, Seed: seed, Workers: cfg.Workers,
 		})
 		if err != nil {
-			return searchTrial{}, err
+			return nil, err
 		}
-		return searchTrial{
-			exhObj:  exh.Best[0].Objective,
-			condObj: cond.Best[0].Objective,
-			exhErr:  stats.Mean(matchErrors(exh.Best[0].Positions, truths)),
-			condErr: stats.Mean(matchErrors(cond.Best[0].Positions, truths)),
-			same:    abs(exh.Best[0].Objective-cond.Best[0].Objective) < 1e-9,
+		same := 0.0
+		if abs(exh.Best[0].Objective-cond.Best[0].Objective) < 1e-9 {
+			same = 1
+		}
+		return []float64{
+			exh.Best[0].Objective, stats.Mean(matchErrors(exh.Best[0].Positions, truths)),
+			cond.Best[0].Objective, stats.Mean(matchErrors(cond.Best[0].Positions, truths)), same,
 		}, nil
 	})
 	if err != nil {
 		return Table{}, err
 	}
-	var exhObj, exhErr, condObj, condErr []float64
-	same := 0
-	for _, tr := range trials {
-		exhObj = append(exhObj, tr.exhObj)
-		condObj = append(condObj, tr.condObj)
-		exhErr = append(exhErr, tr.exhErr)
-		condErr = append(condErr, tr.condErr)
-		if tr.same {
-			same++
-		}
-	}
-	t.Rows = append(t.Rows, []string{
-		"exhaustive", f2(stats.Mean(exhObj)), f2(stats.Mean(exhErr)), "1.000",
-	})
-	t.Rows = append(t.Rows, []string{
-		"conditional", f2(stats.Mean(condObj)), f2(stats.Mean(condErr)),
-		f3(float64(same) / float64(cfg.Trials)),
-	})
+	m := trialMeans(trials)
+	t.Rows = append(t.Rows, []string{"exhaustive", f2(m[0]), f2(m[1]), "1.000"})
+	t.Rows = append(t.Rows, []string{"conditional", f2(m[2]), f2(m[3]), f3(m[4])})
 	return t, nil
 }
 
@@ -341,13 +285,7 @@ func Countermeasure(cfg Config) (Table, error) {
 		return Table{}, err
 	}
 	for ci, sp := range specs {
-		var errs []float64
-		for _, es := range res[ci] {
-			errs = append(errs, es...)
-		}
-		t.Rows = append(t.Rows, []string{
-			sp.label, f2(stats.Mean(errs)), f2(stats.Median(errs)),
-		})
+		t.Rows = append(t.Rows, errRow(sp.label, res[ci]))
 	}
 	return t, nil
 }

@@ -9,14 +9,34 @@ import (
 	"fluxtrack/internal/geom"
 	"fluxtrack/internal/mobility"
 	"fluxtrack/internal/rng"
+	"fluxtrack/internal/shard"
 	"fluxtrack/internal/smc"
 	"fluxtrack/internal/stats"
 )
 
+// trackRun is one tracking trial's record: every round's estimates and the
+// true positions they are scored against, and the tracker's cross-tile
+// handoffs (0 on the plain tracker) and cumulative NNLS solves.
+type trackRun struct {
+	estimates, truths [][]geom.Point // [round][user]
+	handoffs          int
+	solves            uint64
+}
+
+// errs returns the identity-agnostic matched error per round, averaged over
+// users in estimate order.
+func (r trackRun) errs() []float64 {
+	out := make([]float64, len(r.truths))
+	for i := range out {
+		out[i] = stats.Mean(matchErrors(r.estimates[i], r.truths[i]))
+	}
+	return out
+}
+
 // trackTrial runs one tracking trial: k users following the given
 // trajectories, observed over cfg.Rounds windows at unit intervals through
-// a sniffer of sampleCount nodes. It returns the identity-agnostic matched
-// error per round (averaged over users).
+// a sniffer of sampleCount nodes, by a tracker whose speed bound is 5 per
+// interval (§5). It returns the trial's record.
 //
 // When cfg.Fault is enabled the observation stream passes through a fault
 // injector seeded from the trial's own stream, and rounds run through the
@@ -28,18 +48,21 @@ import (
 // When cfg.Liars is nonzero a deterministic subset of sensors lies before
 // the injector runs (the LiarMix blend of inflate, deflate and replay — see
 // fault.Adversary), and cfg.Robust arms the fit-layer defense against them.
+//
+// When cfg.Shards names a grid the trial tracks through the sharded
+// coordinator, each user's owning tile seeded from its trajectory start.
 func trackTrial(cfg Config, sc *core.Scenario, trajectories []mobility.Trajectory,
-	sampleCount int, vmax float64, uniformWeights bool, src *rng.Source) ([]float64, error) {
+	sampleCount int, uniformWeights bool, src *rng.Source) (trackRun, error) {
 	sniffer, err := sc.NewSnifferCount(sampleCount, src)
 	if err != nil {
-		return nil, err
+		return trackRun{}, err
 	}
 	k := len(trajectories)
 	stretches := make([]float64, k)
 	for i := range stretches {
 		stretches[i] = src.Uniform(1, 3)
 	}
-	tcfg := cfg.tracker(vmax)
+	tcfg := cfg.tracker(5)
 	tcfg.UniformWeights = uniformWeights
 	tcfg.Shards = cfg.Shards
 	if cfg.Shards.Tiles() > 0 {
@@ -55,7 +78,7 @@ func trackTrial(cfg Config, sc *core.Scenario, trajectories []mobility.Trajector
 	// grid and the plain tracker otherwise; both step identically below.
 	tracker, err := sniffer.NewStepTracker(k, tcfg, src.Uint64())
 	if err != nil {
-		return nil, err
+		return trackRun{}, err
 	}
 	// The injector seed is drawn only when faults are on, so fault-free
 	// trials consume exactly the seed stream they always did.
@@ -63,7 +86,7 @@ func trackTrial(cfg Config, sc *core.Scenario, trajectories []mobility.Trajector
 	if cfg.Fault.Enabled() {
 		inj, err = sniffer.NewFaultInjector(cfg.Fault, src.Uint64())
 		if err != nil {
-			return nil, err
+			return trackRun{}, err
 		}
 		inj.SetMetrics(cfg.Metrics)
 	}
@@ -72,7 +95,7 @@ func trackTrial(cfg Config, sc *core.Scenario, trajectories []mobility.Trajector
 	if cfg.Liars > 0 {
 		adv, err = sniffer.NewAdversary(LiarMix(cfg.Liars), src.Uint64())
 		if err != nil {
-			return nil, err
+			return trackRun{}, err
 		}
 		adv.SetMetrics(cfg.Metrics)
 	}
@@ -83,7 +106,7 @@ func trackTrial(cfg Config, sc *core.Scenario, trajectories []mobility.Trajector
 	for i := range estimates {
 		estimates[i] = sc.Field().Center()
 	}
-	perRound := make([]float64, 0, cfg.Rounds)
+	var run trackRun
 	for round := 1; round <= cfg.Rounds; round++ {
 		t := float64(round)
 		truths := make([]geom.Point, k)
@@ -92,21 +115,21 @@ func trackTrial(cfg Config, sc *core.Scenario, trajectories []mobility.Trajector
 		}
 		obs, err := sniffer.Observe(activeUsers(truths, stretches), 0, src)
 		if err != nil {
-			return nil, err
+			return trackRun{}, err
 		}
 		// Byzantine sensors tamper before any benign degradation: a liar's
 		// report can still be dropped or delayed by the injector downstream.
 		if adv != nil {
 			obs, err = adv.Apply(obs)
 			if err != nil {
-				return nil, err
+				return trackRun{}, err
 			}
 		}
 		round := smc.Round{T: t, Measured: obs}
 		if inj != nil {
 			deg, err := inj.Apply(obs)
 			if err != nil {
-				return nil, err
+				return trackRun{}, err
 			}
 			round = smc.Round{T: t, Measured: deg.Readings, Present: deg.Present, Age: deg.Age}
 		}
@@ -115,15 +138,42 @@ func trackTrial(cfg Config, sc *core.Scenario, trajectories []mobility.Trajector
 		case errors.Is(err, smc.ErrAllMasked):
 			// Nothing delivered this round: keep the previous estimates.
 		case err != nil:
-			return nil, err
+			return trackRun{}, err
 		default:
 			for i, est := range res.Estimates {
 				estimates[i] = est.Mean
 			}
 		}
-		perRound = append(perRound, stats.Mean(matchErrors(estimates, truths)))
+		run.estimates = append(run.estimates, append([]geom.Point(nil), estimates...))
+		run.truths = append(run.truths, truths)
 	}
-	return perRound, nil
+	if field, ok := tracker.(*shard.Field); ok {
+		run.handoffs = field.Handoffs()
+	}
+	run.solves, _ = tracker.WorkTotals()
+	return run, nil
+}
+
+// walkTrial tracks k users at the Fig 8a working point on the world sc: the
+// trial's seed+17 source draws k random walks at speed 4, then trackTrial
+// follows them through a sniffer of sampleCount nodes. It returns the
+// matched error per round.
+func walkTrial(cfg Config, sc *core.Scenario, seed uint64, k, sampleCount int, uniformWeights bool) ([]float64, error) {
+	src := rng.New(seed + 17)
+	trajs, err := randomWalks(sc, k, 4, cfg.Rounds, src)
+	if err != nil {
+		return nil, err
+	}
+	run, err := trackTrial(cfg, sc, trajs, sampleCount, uniformWeights, src)
+	return run.errs(), err
+}
+
+// finalRound keeps a trial's last-round error.
+func finalRound(perRound []float64, err error) ([]float64, error) {
+	if err != nil {
+		return nil, err
+	}
+	return perRound[len(perRound)-1:], nil
 }
 
 // randomWalks builds k independent speed-bounded walks.
@@ -194,21 +244,13 @@ func Fig7(cfg Config) (Table, error) {
 				if err != nil {
 					return nil, err
 				}
-				return trackTrial(cfg, sc, trajs, sc.Network().Len(), 5, false, src)
+				run, err := trackTrial(cfg, sc, trajs, sc.Network().Len(), false, src)
+				return run.errs(), err
 			})
 		if err != nil {
 			return Table{}, err
 		}
-		sums := make([]float64, cfg.Rounds)
-		for _, perRound := range trials {
-			for r, e := range perRound {
-				sums[r] += e
-			}
-		}
-		for r := range sums {
-			sums[r] /= float64(cfg.Trials)
-		}
-		perCase[ci] = sums
+		perCase[ci] = trialMeans(trials)
 	}
 
 	for r := 0; r < cfg.Rounds; r++ {
@@ -225,97 +267,41 @@ func Fig7(cfg Config) (Table, error) {
 // percentage of sampling nodes for 1-4 users on random walks.
 func Fig8a(cfg Config) (Table, error) {
 	cfg = cfg.withDefaults()
-	t := Table{
-		ID:      "fig8a",
-		Title:   "Tracking error vs percentage of sampling nodes",
-		Paper:   "accuracy stable until sampling drops below 5%; 10% of nodes already acceptable",
-		Columns: []string{"pct", "1 user", "2 users", "3 users", "4 users"},
-	}
-	pcts := []int{40, 20, 10, 5}
-	ks := []int{1, 2, 3, 4}
-	type spec struct{ pct, k int }
-	var cells []int
-	var specs []spec
-	for _, pct := range pcts {
-		for _, k := range ks {
-			cells = append(cells, pct*10+k)
-			specs = append(specs, spec{pct, k})
-		}
-	}
-	res, err := runCells(cfg, "fig8a", cells, func(ci, trial int, seed uint64) (float64, error) {
+	cells, err := sweep(cfg, "fig8a", pctAxis, userAxis, func(pct, k int, seed uint64) ([]float64, error) {
 		sc := cfg.scenario(defaultScenarioCfg(), seed)
-		src := rng.New(seed + 17)
-		trajs, err := randomWalks(sc, specs[ci].k, 4, cfg.Rounds, src)
-		if err != nil {
-			return 0, err
-		}
-		count := sc.Network().Len() * specs[ci].pct / 100
-		perRound, err := trackTrial(cfg, sc, trajs, count, 5, false, src)
-		if err != nil {
-			return 0, err
-		}
-		return perRound[len(perRound)-1], nil
+		return finalRound(walkTrial(cfg, sc, seed, k, sc.Network().Len()*pct/100, false))
 	})
 	if err != nil {
 		return Table{}, err
 	}
-	for pi, pct := range pcts {
-		row := []string{fmt.Sprintf("%d%%", pct)}
-		for kj := range ks {
-			row = append(row, f2(stats.Mean(res[pi*len(ks)+kj])))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
+	return Table{
+		ID:      "fig8a",
+		Title:   "Tracking error vs percentage of sampling nodes",
+		Paper:   "accuracy stable until sampling drops below 5%; 10% of nodes already acceptable",
+		Columns: append([]string{"pct"}, userAxis.labels...),
+		Rows:    sweepRows(pctAxis.labels, cells),
+	}, nil
 }
 
 // Fig8b regenerates Figure 8(b): final-round tracking error vs node count
 // with the report count fixed at 90.
 func Fig8b(cfg Config) (Table, error) {
 	cfg = cfg.withDefaults()
-	t := Table{
-		ID:      "fig8b",
-		Title:   "Tracking error vs node count (90 reports fixed)",
-		Paper:   "network density does not significantly affect tracking accuracy",
-		Columns: []string{"nodes", "1 user", "2 users", "3 users", "4 users"},
-	}
-	nodeCounts := []int{900, 1200, 1500, 1800}
-	ks := []int{1, 2, 3, 4}
-	type spec struct{ nodes, k int }
-	var cells []int
-	var specs []spec
-	for _, nodes := range nodeCounts {
-		for _, k := range ks {
-			cells = append(cells, nodes+k)
-			specs = append(specs, spec{nodes, k})
-		}
-	}
-	res, err := runCells(cfg, "fig8b", cells, func(ci, trial int, seed uint64) (float64, error) {
+	cells, err := sweep(cfg, "fig8b", nodeAxis, userAxis, func(nodes, k int, seed uint64) ([]float64, error) {
 		scc := defaultScenarioCfg()
-		scc.Nodes = specs[ci].nodes
-		sc := cfg.scenario(scc, seed)
-		src := rng.New(seed + 17)
-		trajs, err := randomWalks(sc, specs[ci].k, 4, cfg.Rounds, src)
-		if err != nil {
-			return 0, err
-		}
-		perRound, err := trackTrial(cfg, sc, trajs, 90, 5, false, src)
-		if err != nil {
-			return 0, err
-		}
-		return perRound[len(perRound)-1], nil
+		scc.Nodes = nodes
+		return finalRound(walkTrial(cfg, cfg.scenario(scc, seed), seed, k, 90, false))
 	})
 	if err != nil {
 		return Table{}, err
 	}
-	for ni, nodes := range nodeCounts {
-		row := []string{fmt.Sprintf("%d", nodes)}
-		for kj := range ks {
-			row = append(row, f2(stats.Mean(res[ni*len(ks)+kj])))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
+	return Table{
+		ID:      "fig8b",
+		Title:   "Tracking error vs node count (90 reports fixed)",
+		Paper:   "network density does not significantly affect tracking accuracy",
+		Columns: append([]string{"nodes"}, userAxis.labels...),
+		Rows:    sweepRows(nodeAxis.labels, cells),
+	}, nil
 }
 
 // AblationImportance compares importance-weighted resampling (§4.D) with
@@ -330,19 +316,8 @@ func AblationImportance(cfg Config) (Table, error) {
 		Columns: []string{"weighting", "final_err_mean", "final_err_p90"},
 	}
 	cells := []int{boolCell(false), boolCell(true)}
-	res, err := runCells(cfg, "ablA2", cells, func(ci, trial int, seed uint64) (float64, error) {
-		uniform := cells[ci] == 1
-		sc := cfg.scenario(defaultScenarioCfg(), seed)
-		src := rng.New(seed + 17)
-		trajs, err := randomWalks(sc, 2, 4, cfg.Rounds, src)
-		if err != nil {
-			return 0, err
-		}
-		perRound, err := trackTrial(cfg, sc, trajs, 90, 5, uniform, src)
-		if err != nil {
-			return 0, err
-		}
-		return perRound[len(perRound)-1], nil
+	res, err := runCells(cfg, "ablA2", cells, func(ci, trial int, seed uint64) ([]float64, error) {
+		return finalRound(walkTrial(cfg, cfg.scenario(defaultScenarioCfg(), seed), seed, 2, 90, cells[ci] == 1))
 	})
 	if err != nil {
 		return Table{}, err
@@ -352,9 +327,8 @@ func AblationImportance(cfg Config) (Table, error) {
 		if cells[ci] == 1 {
 			label = "uniform"
 		}
-		t.Rows = append(t.Rows, []string{
-			label, f2(stats.Mean(res[ci])), f2(stats.Percentile(res[ci], 90)),
-		})
+		finals := flatten(res[ci])
+		t.Rows = append(t.Rows, []string{label, f2(stats.Mean(finals)), f2(stats.Percentile(finals, 90))})
 	}
 	return t, nil
 }

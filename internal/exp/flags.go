@@ -8,21 +8,26 @@ import (
 	"fluxtrack/internal/fault"
 	"fluxtrack/internal/fingerprint"
 	"fluxtrack/internal/fit"
+	"fluxtrack/internal/shard"
 )
 
 // BindSearchFlags declares the tracker search flags on fs: -coarse,
-// -coarsek, -coarsegrid, -robust and -liars. Call the returned function
-// after fs.Parse: it rejects a negative -coarsek or -coarsegrid, a -liars
-// outside [0, 1] and an unknown -robust mode, then writes cfg.Coarse,
-// cfg.Robust and cfg.Liars. A nonzero -coarsek or -coarsegrid implies
-// -coarse, and zero means the fingerprint package default. cfg.DBCache is
-// left to the caller.
+// -coarsek, -coarsegrid, -robust, -liars, -shards and -halo. Call the
+// returned function after fs.Parse: it rejects a negative -coarsek or
+// -coarsegrid, a -liars outside [0, 1], an unknown -robust mode, a -shards
+// that is not RxC and a negative or non-finite -halo, then writes
+// cfg.Coarse, cfg.Robust, cfg.Liars and cfg.Shards. A nonzero -coarsek or
+// -coarsegrid implies -coarse, and zero means the fingerprint package
+// default. An empty -shards leaves cfg.Shards the zero (unsharded) grid.
+// cfg.DBCache is left to the caller.
 func BindSearchFlags(fs *flag.FlagSet) func(cfg *Config) error {
 	coarse := fs.Bool("coarse", false, "shortlist tracking candidates through the coarse-to-fine fingerprint search")
 	coarseK := fs.Int("coarsek", 0, "coarse shortlist size per user (0 = default 64; implies -coarse)")
 	coarseG := fs.Int("coarsegrid", 0, "fingerprint grid resolution per axis (0 = default 24; implies -coarse)")
 	robust := fs.String("robust", "", "robust-fit defense: off or both (leave-one-sensor-out flags, then Huber IRLS)")
 	liars := fs.Float64("liars", 0, "fraction of Byzantine sensors (half inflate, a quarter deflate, a quarter replay)")
+	shards := fs.String("shards", "", "track through a RxC tile grid (internal/shard), e.g. 2x2; empty = unsharded")
+	halo := fs.Float64("halo", 0, "tile halo width for -shards: sensors within this margin report to both neighbors")
 	return func(cfg *Config) error {
 		if *coarseK < 0 {
 			return fmt.Errorf("-coarsek %d is negative", *coarseK)
@@ -40,12 +45,23 @@ func BindSearchFlags(fs *flag.FlagSet) func(cfg *Config) error {
 		if err := LiarMix(*liars).Validate(); err != nil {
 			return err
 		}
+		if math.IsNaN(*halo) || math.IsInf(*halo, 0) || *halo < 0 {
+			return fmt.Errorf("-halo %v is not a finite, non-negative width", *halo)
+		}
+		grid := shard.Grid{}
+		if *shards != "" {
+			if grid, err = shard.ParseGrid(*shards); err != nil {
+				return err
+			}
+			grid.Halo = *halo
+		}
 		cfg.Coarse = fingerprint.CoarseConfig{}
 		if *coarse || *coarseK > 0 || *coarseG > 0 {
 			cfg.Coarse = fingerprint.CoarseConfig{Enabled: true, TopK: *coarseK, GridRes: *coarseG}.WithDefaults()
 		}
 		cfg.Robust = fit.RobustConfig{Mode: mode}
 		cfg.Liars = *liars
+		cfg.Shards = grid
 		return nil
 	}
 }

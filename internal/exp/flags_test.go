@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fluxtrack/internal/fit"
+	"fluxtrack/internal/shard"
 )
 
 // bindAll parses args through both flag binders into a fresh Config.
@@ -50,5 +51,39 @@ func TestBindFlagsApply(t *testing.T) {
 	}
 	if cfg.Fault.DropoutFrac != 0.2 || cfg.Fault.DelayProb != 0.1 || cfg.Fault.DelayRounds != 3 {
 		t.Errorf("fault config = %+v", cfg.Fault)
+	}
+}
+
+// TestBindSearchFlagsShards pins -shards/-halo: a grid and its halo land in
+// cfg.Shards, an empty -shards keeps the unsharded zero grid, and a grid
+// that is not RxC or a negative or non-finite halo fails when the flags
+// are applied, before any trial runs.
+func TestBindSearchFlagsShards(t *testing.T) {
+	cfg, err := bindAll("-shards", "2x3", "-halo", "1.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (shard.Grid{Rows: 2, Cols: 3, Halo: 1.5}); cfg.Shards != want {
+		t.Errorf("shards = %+v, want %+v", cfg.Shards, want)
+	}
+	cfg, err = bindAll("-halo", "2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Shards != (shard.Grid{}) {
+		t.Errorf("-halo without -shards: shards = %+v, want the zero grid", cfg.Shards)
+	}
+	for _, bad := range [][]string{
+		{"-shards", "2y2"},
+		{"-shards", "0x2"},
+		{"-shards", "x"},
+		{"-shards", "2x2", "-halo", "-1"},
+		{"-shards", "2x2", "-halo", "NaN"},
+		{"-shards", "2x2", "-halo", "Inf"},
+		{"-halo", "-0.5"},
+	} {
+		if _, err := bindAll(bad...); err == nil {
+			t.Errorf("%v must error", bad)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package exp
 import (
 	"fluxtrack/internal/geom"
 	"fluxtrack/internal/rng"
-	"fluxtrack/internal/stats"
 	"fluxtrack/internal/traffic"
 )
 
@@ -48,13 +47,7 @@ func NoiseRobustness(cfg Config) (Table, error) {
 		return Table{}, err
 	}
 	for ci, sigma := range sigmas {
-		var errs []float64
-		for _, es := range res[ci] {
-			errs = append(errs, es...)
-		}
-		t.Rows = append(t.Rows, []string{
-			f2(sigma), f2(stats.Mean(errs)), f2(stats.Median(errs)),
-		})
+		t.Rows = append(t.Rows, errRow(f2(sigma), res[ci]))
 	}
 	return t, nil
 }

@@ -5,7 +5,6 @@ import (
 	"fluxtrack/internal/geom"
 	"fluxtrack/internal/rng"
 	"fluxtrack/internal/sim"
-	"fluxtrack/internal/stats"
 	"fluxtrack/internal/traffic"
 )
 
@@ -75,11 +74,7 @@ func AblationPacketLevel(cfg Config) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	var fluid []float64
-	for _, es := range fluidTrials {
-		fluid = append(fluid, es...)
-	}
-	t.Rows = append(t.Rows, []string{"fluid flux", f2(stats.Mean(fluid)), f2(stats.Median(fluid))})
+	t.Rows = append(t.Rows, errRow("fluid flux", fluidTrials))
 
 	packetTrials, err := runTrials(cfg, "ablA8pkt", 0, cfg.Trials,
 		func(trial int, seed uint64) ([]float64, error) {
@@ -88,11 +83,7 @@ func AblationPacketLevel(cfg Config) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	var packet []float64
-	for _, es := range packetTrials {
-		packet = append(packet, es...)
-	}
-	t.Rows = append(t.Rows, []string{"packet sniffing", f2(stats.Mean(packet)), f2(stats.Median(packet))})
+	t.Rows = append(t.Rows, errRow("packet sniffing", packetTrials))
 	return t, nil
 }
 
@@ -115,16 +106,6 @@ func AggregationDefense(cfg Config) (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	for ci := range cells {
-		var errs []float64
-		for _, es := range res[ci] {
-			errs = append(errs, es...)
-		}
-		label := "raw collection"
-		if cells[ci] == 1 {
-			label = "TAG aggregation"
-		}
-		t.Rows = append(t.Rows, []string{label, f2(stats.Mean(errs)), f2(stats.Median(errs))})
-	}
+	t.Rows = [][]string{errRow("raw collection", res[0]), errRow("TAG aggregation", res[1])}
 	return t, nil
 }

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"fluxtrack/internal/obs"
+	"fluxtrack/internal/stats"
 )
 
 // workerCount resolves the Workers knob: values above 1 bound the pool,
@@ -120,28 +121,17 @@ func (p poolObs) observe(unit, total int, t0 time.Time) {
 }
 
 // runTrials runs the n trials of one experiment cell on the worker pool and
-// returns the per-trial results indexed by trial number. Each trial
-// receives its own seed from Config.trialSeed, so the randomness a trial
-// sees is a pure function of (expID, cell, trial) no matter which worker
-// executes it, and reducing the returned slice in index order reproduces
-// the sequential reduction byte for byte.
+// returns the per-trial results indexed by trial number: runCells over the
+// single cell with cfg.Trials set to n.
 func runTrials[T any](cfg Config, expID string, cell, n int, fn func(trial int, seed uint64) (T, error)) ([]T, error) {
-	pool := cfg.poolObs()
-	out := make([]T, n)
-	err := forEachUnit(cfg.workerCount(), n, func(trial int) error {
-		t0 := pool.start()
-		v, err := fn(trial, cfg.trialSeed(expID, cell, trial))
-		pool.observe(trial, n, t0)
-		if err != nil {
-			return err
-		}
-		out[trial] = v
-		return nil
+	cfg.Trials = n
+	out, err := runCells(cfg, expID, []int{cell}, func(_, trial int, seed uint64) (T, error) {
+		return fn(trial, seed)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return out[0], nil
 }
 
 // runCells fans an experiment's full (cell, trial) grid out over one shared
@@ -172,4 +162,66 @@ func runCells[T any](cfg Config, expID string, cells []int, fn func(cellIdx, tri
 		return nil, err
 	}
 	return out, nil
+}
+
+// axis is one dimension of a two-axis sweep: its values, the label a table
+// prints for each, and the integer id each adds to its cells' trialSeed
+// coordinate (a cell's id is its row id plus its column id).
+type axis[V any] struct {
+	vals   []V
+	labels []string
+	ids    []int
+}
+
+// newAxis builds the axis over vals, labelling and numbering each value
+// with label and id.
+func newAxis[V any](vals []V, label func(V) string, id func(V) int) axis[V] {
+	a := axis[V]{vals: vals}
+	for _, v := range vals {
+		a.labels = append(a.labels, label(v))
+		a.ids = append(a.ids, id(v))
+	}
+	return a
+}
+
+// sweep runs a two-axis experiment through runCells: every (row, column)
+// cell runs cfg.Trials trials of trial(row value, column value, seed),
+// seeded from trialSeed(expID, row id + column id, trial), with the cells in
+// row-major order. Each cell reduces to the mean of its trials' values,
+// concatenated in trial order, and the result is out[row][column].
+func sweep[R, C any](cfg Config, expID string, rows axis[R], cols axis[C],
+	trial func(r R, c C, seed uint64) ([]float64, error)) ([][]float64, error) {
+	nc := len(cols.vals)
+	cells := make([]int, 0, len(rows.vals)*nc)
+	for _, r := range rows.ids {
+		for _, c := range cols.ids {
+			cells = append(cells, r+c)
+		}
+	}
+	res, err := runCells(cfg, expID, cells, func(ci, _ int, seed uint64) ([]float64, error) {
+		return trial(rows.vals[ci/nc], cols.vals[ci%nc], seed)
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]float64, len(rows.vals))
+	for r := range out {
+		for c := 0; c < nc; c++ {
+			out[r] = append(out[r], stats.Mean(flatten(res[r*nc+c])))
+		}
+	}
+	return out, nil
+}
+
+// sweepRows formats a sweep's cells as table rows: the row's label, then
+// each cell with two decimals.
+func sweepRows(labels []string, cells [][]float64) [][]string {
+	rows := make([][]string, len(cells))
+	for r, cell := range cells {
+		rows[r] = []string{labels[r]}
+		for _, v := range cell {
+			rows[r] = append(rows[r], f2(v))
+		}
+	}
+	return rows
 }

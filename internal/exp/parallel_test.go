@@ -3,10 +3,14 @@ package exp
 import (
 	"fmt"
 	"reflect"
+	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"fluxtrack/internal/stats"
 )
 
 // TestForEachUnitCoversEveryIndex checks that every index in [0, n) runs
@@ -135,6 +139,60 @@ func TestRunCellsSeedsAndIndexing(t *testing.T) {
 				t.Errorf("cell %d trial %d: seed %d, want %d", ci, trial, v[1], want)
 			}
 		}
+	}
+}
+
+// TestSweepSeedsAndIndexing checks the two-axis sweep: every (row, column)
+// cell runs its trials with the row and column values and the seeds
+// trialSeed(expID, row id + column id, trial), and the reduced cells come
+// back as out[row][column] in axis order, each the mean of its trials'
+// values in trial order.
+func TestSweepSeedsAndIndexing(t *testing.T) {
+	cfg := Config{Seed: 5, Trials: 3, Workers: 3}
+	rows := axis[string]{vals: []string{"a", "b", "c"}, labels: []string{"A", "B", "C"}, ids: []int{300, 100, 200}}
+	cols := newAxis([]int{1, 2}, strconv.Itoa, func(v int) int { return v * 10 })
+	var mu sync.Mutex
+	seeds := map[string][]uint64{}
+	got, err := sweep(cfg, "unit", rows, cols, func(r string, c int, seed uint64) ([]float64, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		key := r + strconv.Itoa(c)
+		seeds[key] = append(seeds[key], seed)
+		return []float64{float64(seed % 997), float64(c)}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(rows.vals) {
+		t.Fatalf("got %d rows, want %d", len(got), len(rows.vals))
+	}
+	for ri, r := range rows.vals {
+		if len(got[ri]) != len(cols.vals) {
+			t.Fatalf("row %s: %d columns, want %d", r, len(got[ri]), len(cols.vals))
+		}
+		for ci, c := range cols.vals {
+			var want []uint64
+			var vals []float64
+			for trial := 0; trial < cfg.Trials; trial++ {
+				seed := cfg.trialSeed("unit", rows.ids[ri]+cols.ids[ci], trial)
+				want = append(want, seed)
+				vals = append(vals, float64(seed%997), float64(c))
+			}
+			key := r + strconv.Itoa(c)
+			gotSeeds := append([]uint64(nil), seeds[key]...)
+			sort.Slice(gotSeeds, func(i, j int) bool { return gotSeeds[i] < gotSeeds[j] })
+			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+			if !reflect.DeepEqual(gotSeeds, want) {
+				t.Errorf("cell (%s, %d): seeds %v, want %v", r, c, gotSeeds, want)
+			}
+			if m := stats.Mean(vals); got[ri][ci] != m {
+				t.Errorf("cell (%s, %d) = %v, want %v", r, c, got[ri][ci], m)
+			}
+		}
+	}
+	table := sweepRows(rows.labels, [][]float64{{1, 2.345}, {3, 4}})
+	if want := [][]string{{"A", "1.00", "2.35"}, {"B", "3.00", "4.00"}}; !reflect.DeepEqual(table, want) {
+		t.Errorf("sweepRows = %v, want %v", table, want)
 	}
 }
 

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fluxtrack/internal/fault"
-	"fluxtrack/internal/rng"
 	"fluxtrack/internal/stats"
 )
 
@@ -44,25 +43,25 @@ func FigRobust(cfg Config) (Table, error) {
 		// at small trial counts.
 		trials, err := runTrials(cfg, "figRobust", 0, cfg.Trials,
 			func(trial int, seed uint64) ([]float64, error) {
-				sc := cfg.scenario(defaultScenarioCfg(), seed)
-				src := rng.New(seed + 17)
-				trajs, err := randomWalks(sc, 2, 4, cfg.Rounds, src)
-				if err != nil {
-					return nil, err
-				}
 				fcfg := cfg
 				fcfg.Fault = regime.f
-				return trackTrial(fcfg, sc, trajs, 90, 5, false, src)
+				return walkTrial(fcfg, cfg.scenario(defaultScenarioCfg(), seed), seed, 2, 90, false)
 			})
 		if err != nil {
 			return Table{}, err
 		}
-		var all, finals []float64
-		for _, perRound := range trials {
-			all = append(all, perRound...)
-			finals = append(finals, perRound[len(perRound)-1])
-		}
-		t.Rows = append(t.Rows, []string{regime.name, f2(stats.Mean(all)), f2(stats.Mean(finals))})
+		t.Rows = append(t.Rows, append([]string{regime.name}, meanAndFinal(trials)...))
 	}
 	return t, nil
+}
+
+// meanAndFinal reduces per-trial, per-round errors to the two error
+// columns of figRobust and figByzantine: the mean over every round of every
+// trial, and the mean final-round error.
+func meanAndFinal(trials [][]float64) []string {
+	var finals []float64
+	for _, perRound := range trials {
+		finals = append(finals, perRound[len(perRound)-1])
+	}
+	return []string{f2(stats.Mean(flatten(trials))), f2(stats.Mean(finals))}
 }

@@ -69,7 +69,8 @@ func TestDropoutDegradesGracefully(t *testing.T) {
 				}
 				fcfg := cfg
 				fcfg.Fault = fault.Config{DropoutFrac: frac}
-				return trackTrial(fcfg, sc, trajs, 90, 5, false, src)
+				run, err := trackTrial(fcfg, sc, trajs, 90, false, src)
+				return run.errs(), err
 			})
 		if err != nil {
 			t.Fatalf("dropout %.2f: %v", frac, err)
@@ -156,7 +157,8 @@ func TestConcurrentFaultTrialsRaceClean(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return trackTrial(cfg, sc, trajs, 90, 5, false, src)
+			run, err := trackTrial(cfg, sc, trajs, 90, false, src)
+			return run.errs(), err
 		})
 	if err != nil {
 		t.Fatal(err)

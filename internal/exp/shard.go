@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"fluxtrack/internal/core"
+	"fluxtrack/internal/fault"
 	"fluxtrack/internal/geom"
 	"fluxtrack/internal/mobility"
 	"fluxtrack/internal/rng"
@@ -81,59 +82,24 @@ func FigShard(cfg Config) (Table, error) {
 		cells[i] = g.Rows*1000 + g.Cols*100 + int(g.Halo)
 	}
 
-	type shardTrial struct {
-		errAway  float64
-		errSeam  float64
-		handoffs float64
-		solves   float64
-	}
-	res, err := runCells(cfg, "figShard", cells, func(ci, trial int, seed uint64) (shardTrial, error) {
-		g := grids[ci]
+	// Each trial yields one value per table column after the halo: err_away,
+	// err_seam, handoffs and NNLS solves.
+	res, err := runCells(cfg, "figShard", cells, func(ci, trial int, seed uint64) ([]float64, error) {
+		// Always the sharded coordinator — a 1×1 field reproduces the plain
+		// tracker byte for byte and exposes the same handoff/work meters —
+		// on a clean, honest stream whatever the fault and liar settings.
+		scfg := cfg
+		scfg.Shards, scfg.Fault, scfg.Liars = grids[ci], fault.Config{}, 0
 		sc := cfg.scenario(shardScenarioCfg(), seed)
-		src := rng.New(seed + 17)
-		sniffer, err := sc.NewSnifferCount(360, src)
+		run, err := trackTrial(scfg, sc, shardTrajectories(), 360, false, rng.New(seed+17))
 		if err != nil {
-			return shardTrial{}, err
-		}
-		trajs := shardTrajectories()
-		k := len(trajs)
-		stretches := make([]float64, k)
-		for i := range stretches {
-			stretches[i] = src.Uniform(1, 3)
-		}
-		starts := make([]geom.Point, k)
-		for i, tr := range trajs {
-			starts[i] = sc.Field().Clamp(tr.At(0))
-		}
-		// Always the sharded constructor — a 1×1 field reproduces the plain
-		// tracker byte for byte and exposes the same handoff/work meters.
-		tc := cfg.tracker(5)
-		tc.Shards, tc.InitialPositions = g, starts
-		field, err := sniffer.NewShardedTracker(k, tc, src.Uint64())
-		if err != nil {
-			return shardTrial{}, err
+			return nil, err
 		}
 		var away, seam []float64
-		for round := 1; round <= cfg.Rounds; round++ {
-			tm := float64(round)
-			truths := make([]geom.Point, k)
-			for i, tr := range trajs {
-				truths[i] = sc.Field().Clamp(tr.At(tm))
-			}
-			o, err := sniffer.Observe(activeUsers(truths, stretches), 0, src)
-			if err != nil {
-				return shardTrial{}, err
-			}
-			step, err := field.Step(tm, o)
-			if err != nil {
-				return shardTrial{}, err
-			}
-			ests := make([]geom.Point, k)
-			for i, e := range step.Estimates {
-				ests[i] = e.Mean
-			}
+		for r, ests := range run.estimates {
 			// Group errors by truth, so seam riders and interior users stay
 			// attributable even when the tracker swaps identities.
+			truths := run.truths[r]
 			byTruth := make([]float64, len(truths))
 			for i, j := range geom.MatchGreedy(ests, truths) {
 				byTruth[j] = ests[i].Dist(truths[j])
@@ -146,33 +112,16 @@ func FigShard(cfg Config) (Table, error) {
 				}
 			}
 		}
-		solves, _ := field.WorkTotals()
-		return shardTrial{
-			errAway:  stats.Mean(away),
-			errSeam:  stats.Mean(seam),
-			handoffs: float64(field.Handoffs()),
-			solves:   float64(solves),
-		}, nil
+		return []float64{stats.Mean(away), stats.Mean(seam), float64(run.handoffs), float64(run.solves)}, nil
 	})
 	if err != nil {
 		return Table{}, err
 	}
 
 	for ci, g := range grids {
-		var away, seam, hand, solves []float64
-		for _, tr := range res[ci] {
-			away = append(away, tr.errAway)
-			seam = append(seam, tr.errSeam)
-			hand = append(hand, tr.handoffs)
-			solves = append(solves, tr.solves)
-		}
+		m := trialMeans(res[ci])
 		t.Rows = append(t.Rows, []string{
-			g.String(),
-			fmt.Sprintf("%g", g.Halo),
-			f2(stats.Mean(away)),
-			f2(stats.Mean(seam)),
-			f2(stats.Mean(hand)),
-			fmt.Sprintf("%.0f", stats.Mean(solves)),
+			g.String(), fmt.Sprintf("%g", g.Halo), f2(m[0]), f2(m[1]), f2(m[2]), fmt.Sprintf("%.0f", m[3]),
 		})
 	}
 	return t, nil
