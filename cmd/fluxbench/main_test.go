@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -107,8 +108,9 @@ func TestRunWithProfiles(t *testing.T) {
 // TestRunRejectsBadTrackerFlags pins that out-of-range search, fault and
 // effort flags fail the run instead of silently falling back to defaults (a
 // negative -liars used to run honest, a negative -coarsek the default
-// shortlist, a negative -trials the default trial count), and that -robust
-// takes only off and both.
+// shortlist, a negative -trials the default trial count), that -robust
+// takes only off and both, and that fig10a or baseline-ekf refuses a fault
+// or liar flag its own trackers would ignore.
 func TestRunRejectsBadTrackerFlags(t *testing.T) {
 	search := [][]string{
 		{"-liars", "-0.5"},
@@ -126,6 +128,18 @@ func TestRunRejectsBadTrackerFlags(t *testing.T) {
 	for _, bad := range append(search, faults...) {
 		if err := run(append([]string{"-quick", "-trials", "1", "-exp", "ablation-search"}, bad...)); err == nil {
 			t.Errorf("fluxbench %v must error", bad)
+		}
+	}
+
+	// An experiment that builds its own trackers refuses a degradation flag
+	// it would ignore, instead of printing its clean table.
+	ignored := [][]string{
+		{"-exp", "fig10a", "-dropout", "0.1"},
+		{"-exp", "baseline-ekf", "-liars", "0.1"},
+	}
+	for _, bad := range ignored {
+		if err := run(append([]string{"-quick", "-trials", "1"}, bad...)); !errors.Is(err, exp.ErrIgnoredFlags) {
+			t.Errorf("fluxbench %v: got %v, want exp.ErrIgnoredFlags", bad, err)
 		}
 	}
 

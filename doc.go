@@ -21,7 +21,7 @@
 //
 //	geom       points, rects, ray-boundary intersection
 //	rng        deterministic splitmix64 RNG and geometric samplers
-//	mat        dense matrices, QR/Cholesky LSQ, NNLS, LM solver
+//	mat        dense matrices, Cholesky, Gram-form NNLS, LM solver
 //	stats      summaries, CDFs, percentiles
 //	deploy     perturbed-grid and uniform-random deployments
 //	network    unit-disk graph, BFS hops, neighborhood smoothing
@@ -45,11 +45,13 @@
 //	plot       ASCII charts for the CLI tools
 //	core       top-level orchestration API (Scenario, Sniffer, trackers)
 //	exp        experiment implementations + table rendering
+//	oracle     dense reference solvers that only tests import
 //
 // The cmd/ directory holds the CLI tools (fluxbench regenerates every
 // evaluation table; fluxsim renders single scenarios; tracegen and fluxrec
-// handle traces and offline attacks), and examples/ holds runnable
-// end-to-end scenarios.
+// handle traces and offline attacks; doccheck is the CI lint that every
+// package is documented and that internal/ exports nothing only tests
+// use), and examples/ holds runnable end-to-end scenarios.
 //
 // # Experiment index
 //

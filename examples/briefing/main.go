@@ -45,7 +45,7 @@ func run() error {
 	fmt.Println("combined flux of three users (X marks truths):")
 	fmt.Print(render(scenario, flux, users))
 
-	dets, err := brief.Brief(scenario.Network(), scenario.Model(), flux, 3, brief.Options{})
+	dets, err := brief.Brief(scenario.Network(), scenario.Model(), flux, 3)
 	if err != nil {
 		return err
 	}

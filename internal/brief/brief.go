@@ -22,55 +22,36 @@ type Detection struct {
 	ResidualEnergy float64    // flux energy left in the map after this round
 }
 
-// Options tunes the briefing recursion.
-type Options struct {
-	// MinHops excludes nodes closer than this many hops to the peak from
-	// the stretch fit; the model fits poorly very close to a sink
-	// (default 2).
-	MinHops int
-	// StopEnergyFrac stops early when the residual energy drops below this
-	// fraction of the original (default 0.02).
-	StopEnergyFrac float64
-	// SuppressHops excludes nodes within this many hops of an already
+// The briefing recursion's fixed tuning.
+const (
+	// minHops excludes nodes closer than this many hops to the peak from
+	// the stretch fit; the model fits poorly very close to a sink.
+	minHops = 2
+	// stopEnergyFrac stops early when the residual energy drops below this
+	// fraction of the original.
+	stopEnergyFrac = 0.02
+	// suppressHops excludes nodes within this many hops of an already
 	// detected peak from later peak selection: imperfect subtraction
 	// leaves ring residue around a detected user that would otherwise be
-	// re-detected as a phantom second user (default 3).
-	SuppressHops int
-	// StopPeakFrac stops when the next peak falls below this fraction of
+	// re-detected as a phantom second user.
+	suppressHops = 3
+	// stopPeakFrac stops when the next peak falls below this fraction of
 	// the first round's peak — later "peaks" of that size are subtraction
-	// residue, not users (default 0.12).
-	StopPeakFrac float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.MinHops <= 0 {
-		o.MinHops = 2
-	}
-	if o.StopEnergyFrac <= 0 {
-		o.StopEnergyFrac = 0.02
-	}
-	if o.SuppressHops <= 0 {
-		o.SuppressHops = 3
-	}
-	if o.StopPeakFrac <= 0 {
-		o.StopPeakFrac = 0.12
-	}
-	return o
-}
+	// residue, not users.
+	stopPeakFrac = 0.12
+)
 
 // Brief identifies up to maxUsers users from the full per-node flux map.
 // It returns the detections in discovery order (strongest traffic first);
 // fewer than maxUsers are returned when the residual energy collapses
 // early.
-func Brief(net *network.Network, m *fluxmodel.Model, flux []float64, maxUsers int, opts Options) ([]Detection, error) {
+func Brief(net *network.Network, m *fluxmodel.Model, flux []float64, maxUsers int) ([]Detection, error) {
 	if len(flux) != net.Len() {
 		return nil, fmt.Errorf("brief: flux length %d, want %d", len(flux), net.Len())
 	}
 	if maxUsers <= 0 {
 		return nil, fmt.Errorf("brief: maxUsers must be positive, got %d", maxUsers)
 	}
-	opts = opts.withDefaults()
-
 	residual := append([]float64(nil), flux...)
 	initialEnergy := energy(residual)
 	if initialEnergy == 0 {
@@ -87,18 +68,18 @@ func Brief(net *network.Network, m *fluxmodel.Model, flux []float64, maxUsers in
 		}
 		if round == 0 {
 			firstPeak = peakFlux
-		} else if peakFlux < opts.StopPeakFrac*firstPeak {
+		} else if peakFlux < stopPeakFrac*firstPeak {
 			break
 		}
 		pos := net.Pos(peakIdx)
 
-		// Fit the stretch factor over nodes at least MinHops away from the
+		// Fit the stretch factor over nodes at least minHops away from the
 		// peak: c = <g, residual> / <g, g>, the single-column least squares
 		// with non-negativity clamp.
 		hops := net.HopsFrom(peakIdx)
 		var num, den float64
 		for i := 0; i < net.Len(); i++ {
-			if hops[i] < opts.MinHops {
+			if hops[i] < minHops {
 				continue
 			}
 			g := m.Kernel(pos, net.Pos(i))
@@ -115,10 +96,10 @@ func Brief(net *network.Network, m *fluxmodel.Model, flux []float64, maxUsers in
 		// traffic, which the model underestimates, so remove them outright
 		// and suppress the surrounding rings from later peak selection.
 		for i := 0; i < net.Len(); i++ {
-			if hops[i] >= 0 && hops[i] <= opts.SuppressHops {
+			if hops[i] >= 0 && hops[i] <= suppressHops {
 				suppressed[i] = true
 			}
-			if hops[i] >= 0 && hops[i] < opts.MinHops {
+			if hops[i] >= 0 && hops[i] < minHops {
 				residual[i] = 0
 				continue
 			}
@@ -135,15 +116,11 @@ func Brief(net *network.Network, m *fluxmodel.Model, flux []float64, maxUsers in
 			PeakFlux:       peakFlux,
 			ResidualEnergy: res,
 		})
-		if res < opts.StopEnergyFrac*initialEnergy {
+		if res < stopEnergyFrac*initialEnergy {
 			break
 		}
 	}
 	return detections, nil
-}
-
-func peak(flux []float64) (int, float64) {
-	return peakExcluding(flux, nil)
 }
 
 func peakExcluding(flux []float64, excluded []bool) (int, float64) {

@@ -20,11 +20,11 @@ func scenario(t testing.TB, seed uint64) *core.Scenario {
 
 func TestBriefValidation(t *testing.T) {
 	sc := scenario(t, 1)
-	if _, err := Brief(sc.Network(), sc.Model(), []float64{1}, 1, Options{}); err == nil {
+	if _, err := Brief(sc.Network(), sc.Model(), []float64{1}, 1); err == nil {
 		t.Error("flux length mismatch must error")
 	}
 	flux := make([]float64, sc.Network().Len())
-	if _, err := Brief(sc.Network(), sc.Model(), flux, 0, Options{}); err == nil {
+	if _, err := Brief(sc.Network(), sc.Model(), flux, 0); err == nil {
 		t.Error("zero maxUsers must error")
 	}
 }
@@ -32,7 +32,7 @@ func TestBriefValidation(t *testing.T) {
 func TestBriefZeroFlux(t *testing.T) {
 	sc := scenario(t, 2)
 	flux := make([]float64, sc.Network().Len())
-	dets, err := Brief(sc.Network(), sc.Model(), flux, 3, Options{})
+	dets, err := Brief(sc.Network(), sc.Model(), flux, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestBriefSingleUser(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dets, err := Brief(sc.Network(), sc.Model(), flux, 1, Options{})
+	dets, err := Brief(sc.Network(), sc.Model(), flux, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestBriefThreeUsersRecursive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dets, err := Brief(sc.Network(), sc.Model(), flux, 3, Options{})
+	dets, err := Brief(sc.Network(), sc.Model(), flux, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestBriefStopsEarlyOnCleanMap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dets, err := Brief(sc.Network(), sc.Model(), flux, 5, Options{})
+	dets, err := Brief(sc.Network(), sc.Model(), flux, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func BenchmarkBriefThreeUsers(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Brief(sc.Network(), sc.Model(), flux, 3, Options{}); err != nil {
+		if _, err := Brief(sc.Network(), sc.Model(), flux, 3); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -81,8 +82,7 @@ func TestGroundFluxSmoothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rawPeak := traffic.PeakNode(raw)
-	_, smPeak := traffic.PeakNode(smoothed)
+	rawPeak, smPeak := slices.Max(raw), slices.Max(smoothed)
 	if smPeak >= rawPeak {
 		t.Errorf("smoothing did not reduce the peak: %v >= %v", smPeak, rawPeak)
 	}

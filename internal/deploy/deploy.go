@@ -42,11 +42,11 @@ type Config struct {
 	Field geom.Rect // the deployment region
 	N     int       // number of nodes
 	Kind  Kind      // layout strategy
-	// Jitter is the perturbation amplitude for PerturbedGrid as a fraction
-	// of the cell size, in [0, 0.5]. Zero means a default of 0.4 (strong
-	// perturbation, as in the paper's perturbed grids); values are clamped.
-	Jitter float64
 }
+
+// gridJitter is PerturbedGrid's perturbation amplitude as a fraction of the
+// cell size: strong perturbation, as in the paper's perturbed grids.
+const gridJitter = 0.4
 
 // Generate places nodes according to cfg using the randomness of src.
 // The returned positions always lie inside cfg.Field.
@@ -80,12 +80,6 @@ func uniformRandom(cfg Config, src *rng.Source) []geom.Point {
 // center. When the grid has more cells than N, a random subset of cells is
 // left empty so the density stays spatially uniform.
 func perturbedGrid(cfg Config, src *rng.Source) []geom.Point {
-	jitter := cfg.Jitter
-	if jitter == 0 {
-		jitter = 0.4
-	}
-	jitter = math.Min(0.5, math.Max(0, jitter))
-
 	w, h := cfg.Field.Width(), cfg.Field.Height()
 	// Pick cols/rows proportional to the aspect ratio.
 	cols := int(math.Ceil(math.Sqrt(float64(cfg.N) * w / h)))
@@ -118,8 +112,8 @@ func perturbedGrid(cfg Config, src *rng.Source) []geom.Point {
 			cx := cfg.Field.Min.X + (float64(c)+0.5)*cw
 			cy := cfg.Field.Min.Y + (float64(r)+0.5)*ch
 			p := geom.Pt(
-				cx+src.Uniform(-jitter, jitter)*cw,
-				cy+src.Uniform(-jitter, jitter)*ch,
+				cx+src.Uniform(-gridJitter, gridJitter)*cw,
+				cy+src.Uniform(-gridJitter, gridJitter)*ch,
 			)
 			pts = append(pts, cfg.Field.Clamp(p))
 		}

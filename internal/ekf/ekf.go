@@ -95,11 +95,6 @@ func (tr *Tracker) Position() geom.Point {
 	return tr.cfg.Model.Field().Clamp(geom.Pt(tr.state[0], tr.state[1]))
 }
 
-// Velocity returns the current velocity estimate.
-func (tr *Tracker) Velocity() geom.Vec {
-	return geom.Vec{DX: tr.state[2], DY: tr.state[3]}
-}
-
 // Step consumes one flux observation taken dt after the previous one and
 // returns the updated position estimate.
 func (tr *Tracker) Step(dt float64, measured []float64) (geom.Point, error) {

@@ -31,6 +31,11 @@ func observe(t testing.TB, m *fluxmodel.Model, pts []geom.Point, sink geom.Point
 	return f
 }
 
+// Velocity returns the current velocity estimate.
+func (tr *Tracker) Velocity() geom.Vec {
+	return geom.Vec{DX: tr.state[2], DY: tr.state[3]}
+}
+
 func TestNewValidation(t *testing.T) {
 	m, pts := testSetup(t, 1)
 	if _, err := New(Config{SamplePoints: pts}); err == nil {

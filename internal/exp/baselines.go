@@ -19,6 +19,9 @@ import (
 // they only work from a good initialization, while the SMC tracker
 // self-bootstraps.
 func BaselineEKF(cfg Config) (Table, error) {
+	if err := cfg.ownTrackers(); err != nil {
+		return Table{}, err
+	}
 	cfg = cfg.withDefaults()
 	t := Table{
 		ID:      "baseline-ekf",
@@ -71,11 +74,11 @@ func BaselineEKF(cfg Config) (Table, error) {
 			return trialErrs{}, err
 		}
 		// CNLS, blind and seeded at the true origin.
-		cnlsB, err := fit.NewCNLSTracker(sc.Model(), sniffer.Points(), 5, 5)
+		cnlsB, err := fit.NewCNLSTracker(sc.Model(), sniffer.Points(), 5)
 		if err != nil {
 			return trialErrs{}, err
 		}
-		cnlsO, err := fit.NewCNLSTracker(sc.Model(), sniffer.Points(), 5, 5)
+		cnlsO, err := fit.NewCNLSTracker(sc.Model(), sniffer.Points(), 5)
 		if err != nil {
 			return trialErrs{}, err
 		}
@@ -157,6 +160,9 @@ func BaselineEKF(cfg Config) (Table, error) {
 // versus the paper's blind uniform-disc model (ablation A7). Straight-line
 // movers benefit; the blind model is the safe default.
 func AblationHeading(cfg Config) (Table, error) {
+	if err := cfg.ownTrackers(); err != nil {
+		return Table{}, err
+	}
 	cfg = cfg.withDefaults()
 	t := Table{
 		ID:      "ablation-heading",

@@ -17,6 +17,7 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -95,7 +96,8 @@ type Config struct {
 	// Fault, Liars and Shards reach only the tracking trials that run
 	// through trackTrial: fig7, fig8a, fig8b, ablation-importance, figRobust,
 	// figByzantine and figCoarse's track_err column. fig10a/b, baseline-ekf
-	// and ablation-heading build their own trackers and ignore all three.
+	// and ablation-heading build their own trackers, which would ignore all
+	// three, so they refuse a Config that sets any of them (ErrIgnoredFlags).
 	//
 	// Fault degrades the observation stream of those trials: permanent
 	// sensor dropout, per-round report loss, delayed delivery, and stuck
@@ -161,6 +163,38 @@ type Config struct {
 	// all tracking trials (spans carry the trial seed, so a shared ring
 	// disentangles). Nil disables span collection.
 	Trace *obs.Trace
+}
+
+// ErrIgnoredFlags is wrapped by the error of an experiment that builds its
+// own trackers (fig10a/b, baseline-ekf, ablation-heading) when the Config
+// asks for a degradation those trackers would silently ignore.
+var ErrIgnoredFlags = errors.New("exp: flag ignored by an experiment that builds its own trackers")
+
+// ownTrackers is the check those experiments run first: it names each
+// degradation flag set in c (the binders' names: BindFaultFlags and
+// BindSearchFlags), or returns nil when none is.
+func (c Config) ownTrackers() error {
+	f := c.Fault
+	var set []string
+	for _, flag := range []struct {
+		name string
+		on   bool
+	}{
+		{"-dropout", f.DropoutFrac > 0},
+		{"-loss", f.LossProb > 0},
+		{"-delay", f.DelayProb > 0},
+		{"-stuck", f.StuckFrac > 0},
+		{"-liars", c.Liars > 0},
+		{"-shards", c.Shards.Tiles() > 0},
+	} {
+		if flag.on {
+			set = append(set, flag.name)
+		}
+	}
+	if len(set) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%w: %s", ErrIgnoredFlags, strings.Join(set, ", "))
 }
 
 // DefaultConfig returns the paper-faithful settings (§5): 10,000 samples

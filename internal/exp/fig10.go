@@ -171,6 +171,9 @@ var kindAxis = axis[deploy.Kind]{
 // percentage of sampling nodes, for perturbed-grid and purely random
 // deployments.
 func Fig10a(cfg Config) (Table, error) {
+	if err := cfg.ownTrackers(); err != nil {
+		return Table{}, err
+	}
 	cfg = cfg.withDefaults()
 	cells, err := sweep(cfg, "fig10a", pctAxis, kindAxis, func(pct int, kind deploy.Kind, seed uint64) ([]float64, error) {
 		e, err := traceTrial(cfg, kind, float64(pct)/100, 5, seed)
@@ -192,6 +195,9 @@ func Fig10a(cfg Config) (Table, error) {
 // resampling radius (the tracker's assumed maximum user speed), at 10%
 // sampling.
 func Fig10b(cfg Config) (Table, error) {
+	if err := cfg.ownTrackers(); err != nil {
+		return Table{}, err
+	}
 	cfg = cfg.withDefaults()
 	radii := newAxis([]float64{4, 6, 8, 10, 12}, f2, func(radius float64) int { return int(radius) * 10 })
 	cells, err := sweep(cfg, "fig10b", radii, kindAxis, func(radius float64, kind deploy.Kind, seed uint64) ([]float64, error) {

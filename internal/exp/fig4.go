@@ -47,7 +47,7 @@ func Fig4(cfg Config) (Table, error) {
 				return nil, err
 			}
 			initial := traffic.TotalEnergy(flux)
-			dets, err := brief.Brief(sc.Network(), sc.Model(), flux, 3, brief.Options{})
+			dets, err := brief.Brief(sc.Network(), sc.Model(), flux, 3)
 			if err != nil {
 				return nil, err
 			}

@@ -1,10 +1,13 @@
 package exp
 
 import (
+	"errors"
 	"flag"
 	"io"
+	"strings"
 	"testing"
 
+	"fluxtrack/internal/fault"
 	"fluxtrack/internal/fit"
 	"fluxtrack/internal/shard"
 )
@@ -84,6 +87,26 @@ func TestBindSearchFlagsShards(t *testing.T) {
 	} {
 		if _, err := bindAll(bad...); err == nil {
 			t.Errorf("%v must error", bad)
+		}
+	}
+}
+
+// TestOwnTrackersRefuseIgnoredFlags: the four experiments that build their
+// own trackers refuse a fault, liar or shard setting before running, and
+// name the flags they would ignore.
+func TestOwnTrackersRefuseIgnoredFlags(t *testing.T) {
+	cfg := goldenConfig()
+	cfg.Fault = fault.Config{LossProb: 0.1}
+	cfg.Liars = 0.1
+	cfg.Shards = shard.Grid{Rows: 2, Cols: 2}
+	for _, id := range []string{"fig10a", "fig10b", "baseline-ekf", "ablation-heading"} {
+		e, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = e.Run(cfg)
+		if !errors.Is(err, ErrIgnoredFlags) || !strings.Contains(err.Error(), "-loss, -liars, -shards") {
+			t.Errorf("%s: got %v, want ErrIgnoredFlags naming -loss, -liars, -shards", id, err)
 		}
 	}
 }

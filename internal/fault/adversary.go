@@ -80,11 +80,6 @@ type AdversaryConfig struct {
 	ReplayFrac  float64
 }
 
-// Enabled reports whether the configuration compromises anything at all.
-func (c AdversaryConfig) Enabled() bool {
-	return c.InflateFrac > 0 || c.DeflateFrac > 0 || c.ReplayFrac > 0
-}
-
 // Validate rejects fractions outside [0, 1] or summing past 1.
 func (c AdversaryConfig) Validate() error {
 	for _, p := range []struct {
@@ -215,18 +210,6 @@ func NewAdversary(cfg AdversaryConfig, n int, seed uint64) (*Adversary, error) {
 		a.first = make([]float64, a.n)
 	}
 	return a, nil
-}
-
-// NumSensors returns the number of sensors the adversary was built for.
-func (a *Adversary) NumSensors() int { return a.n }
-
-// Rounds returns how many observation rounds the adversary has consumed.
-func (a *Adversary) Rounds() int { return a.round }
-
-// Behaviors returns a copy of the per-sensor behavior assignment — the
-// ground truth a defense evaluation scores its flagged sensors against.
-func (a *Adversary) Behaviors() []Behavior {
-	return append([]Behavior(nil), a.behavior...)
 }
 
 // NumCompromised returns how many sensors are compromised.

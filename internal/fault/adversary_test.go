@@ -7,6 +7,12 @@ import (
 	"fluxtrack/internal/rng"
 )
 
+// Behaviors returns a copy of the per-sensor behavior assignment — the
+// ground truth a defense evaluation scores its flagged sensors against.
+func (a *Adversary) Behaviors() []Behavior {
+	return append([]Behavior(nil), a.behavior...)
+}
+
 func TestAdversaryValidate(t *testing.T) {
 	bad := []AdversaryConfig{
 		{InflateFrac: -0.1},
@@ -22,19 +28,6 @@ func TestAdversaryValidate(t *testing.T) {
 	ok := AdversaryConfig{InflateFrac: 0.3, DeflateFrac: 0.3, ReplayFrac: 0.4}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
-	}
-}
-
-func TestAdversaryEnabled(t *testing.T) {
-	if (AdversaryConfig{}).Enabled() {
-		t.Error("zero config reports enabled")
-	}
-	for _, cfg := range []AdversaryConfig{
-		{InflateFrac: 0.1}, {DeflateFrac: 0.1}, {ReplayFrac: 0.1},
-	} {
-		if !cfg.Enabled() {
-			t.Errorf("%+v reports disabled", cfg)
-		}
 	}
 }
 
@@ -234,8 +227,8 @@ func TestAdversaryReplay(t *testing.T) {
 			}
 		}
 	}
-	if a.Rounds() != 10 {
-		t.Errorf("Rounds = %d, want 10", a.Rounds())
+	if a.round != 10 {
+		t.Errorf("round = %d, want 10", a.round)
 	}
 }
 

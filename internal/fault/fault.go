@@ -43,13 +43,9 @@ import (
 type Config struct {
 	// DropoutFrac is the expected fraction of sensors that fail
 	// permanently: each sensor is independently marked failed with this
-	// probability at injector construction.
+	// probability at injector construction, and a failed sensor never
+	// reports.
 	DropoutFrac float64
-	// FailWindow spreads hard failures over time: a failed sensor's last
-	// round alive is drawn uniformly from {0, ..., FailWindow-1} (the
-	// sensor is absent from every round >= that draw). Zero means 1 —
-	// failed sensors are dead from the first round.
-	FailWindow int
 	// LossProb is the per-round, per-sensor probability that a report is
 	// lost outright (it never arrives, not even late).
 	LossProb float64
@@ -58,21 +54,15 @@ type Config struct {
 	DelayProb float64
 	// DelayRounds is how many rounds late a delayed report arrives; the
 	// consumer sees it with Age == DelayRounds. Zero means 2 when
-	// DelayProb > 0.
+	// DelayProb > 0. A delay longer than the run never arrives.
 	DelayRounds int
 	// StuckFrac is the expected fraction of sensors whose reading freezes
 	// at its first delivered value: each sensor is independently marked
 	// stuck at construction.
 	StuckFrac float64
-	// Seed salts the injector's substream on top of the per-trial seed, so
-	// two fault configurations in one trial can draw independently.
-	Seed uint64
 }
 
 func (c Config) withDefaults() Config {
-	if c.FailWindow <= 0 {
-		c.FailWindow = 1
-	}
 	if c.DelayRounds <= 0 && c.DelayProb > 0 {
 		c.DelayRounds = 2
 	}
@@ -98,9 +88,6 @@ func (c Config) Validate() error {
 		if math.IsNaN(p.v) || p.v < 0 || p.v > 1 {
 			return fmt.Errorf("fault: %s = %v outside [0, 1]", p.name, p.v)
 		}
-	}
-	if c.FailWindow < 0 {
-		return fmt.Errorf("fault: FailWindow = %d negative", c.FailWindow)
 	}
 	if c.DelayRounds < 0 {
 		return fmt.Errorf("fault: DelayRounds = %d negative", c.DelayRounds)
@@ -133,11 +120,10 @@ func (o Observation) Delivered() int {
 	return n
 }
 
-// pendingReport is a delayed report in flight: measured at round origin,
-// scheduled to arrive at round arrive.
+// pendingReport is a delayed report in flight, measured at round origin.
 type pendingReport struct {
-	origin, arrive int
-	value          float64
+	origin int
+	value  float64
 }
 
 // Injector applies one Config to a sequential stream of observation rounds
@@ -150,12 +136,11 @@ type Injector struct {
 	seed uint64
 	n    int
 
-	// lastAlive[i] is the last round sensor i reports (math.MaxInt when the
-	// sensor never fails).
-	lastAlive []int
-	stuck     []bool
-	stuckVal  []float64
-	stuckSet  []bool
+	// dead[i] marks a sensor failed from round 0 on.
+	dead     []bool
+	stuck    []bool
+	stuckVal []float64
+	stuckSet []bool
 	// pending[i] holds sensor i's delayed reports, in origin order.
 	pending [][]pendingReport
 	round   int
@@ -213,7 +198,7 @@ func mix64(z uint64) uint64 {
 // draw for the same (round, sensor) must be independent.
 const (
 	saltFail = iota + 1
-	saltFailRound
+	_        // the retired failure-round draw; the later salts keep their values
 	saltLoss
 	saltDelay
 	saltStuck
@@ -231,10 +216,10 @@ func (in *Injector) draw(round, sensor, salt int) float64 {
 	return float64(z>>11) / (1 << 53)
 }
 
-// NewInjector builds an Injector over numSensors sensors. The per-trial
-// seed combines with cfg.Seed; construction performs all of the per-sensor
-// lifetime draws (hard failures, stuck marks), so they are fixed before the
-// first round.
+// NewInjector builds an Injector over numSensors sensors, drawing from the
+// per-trial seed. Construction performs all of the per-sensor lifetime
+// draws (hard failures, stuck marks), so they are fixed before the first
+// round.
 func NewInjector(cfg Config, numSensors int, seed uint64) (*Injector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -244,21 +229,18 @@ func NewInjector(cfg Config, numSensors int, seed uint64) (*Injector, error) {
 	}
 	cfg = cfg.withDefaults()
 	in := &Injector{
-		cfg:       cfg,
-		seed:      mix64(seed ^ mix64(cfg.Seed+0x9e3779b97f4a7c15)),
-		n:         numSensors,
-		lastAlive: make([]int, numSensors),
-		stuck:     make([]bool, numSensors),
-		stuckVal:  make([]float64, numSensors),
-		stuckSet:  make([]bool, numSensors),
-		pending:   make([][]pendingReport, numSensors),
+		cfg:      cfg,
+		seed:     mix64(seed ^ mix64(0x9e3779b97f4a7c15)),
+		n:        numSensors,
+		dead:     make([]bool, numSensors),
+		stuck:    make([]bool, numSensors),
+		stuckVal: make([]float64, numSensors),
+		stuckSet: make([]bool, numSensors),
+		pending:  make([][]pendingReport, numSensors),
 	}
 	for i := 0; i < numSensors; i++ {
-		in.lastAlive[i] = math.MaxInt
-		if cfg.DropoutFrac > 0 && in.draw(0, i, saltFail) < cfg.DropoutFrac {
-			// Last round alive in {-1, ..., FailWindow-2}: with the default
-			// FailWindow of 1 the sensor never reports at all.
-			in.lastAlive[i] = int(in.draw(0, i, saltFailRound)*float64(cfg.FailWindow)) - 1
+		if cfg.DropoutFrac > 0 {
+			in.dead[i] = in.draw(0, i, saltFail) < cfg.DropoutFrac
 		}
 		if cfg.StuckFrac > 0 {
 			in.stuck[i] = in.draw(0, i, saltStuck) < cfg.StuckFrac
@@ -269,9 +251,6 @@ func NewInjector(cfg Config, numSensors int, seed uint64) (*Injector, error) {
 
 // NumSensors returns the number of sensors the injector was built for.
 func (in *Injector) NumSensors() int { return in.n }
-
-// Rounds returns how many observation rounds the injector has consumed.
-func (in *Injector) Rounds() int { return in.round }
 
 // Apply consumes the true readings for the next observation round and
 // returns the degraded view. Rounds are implicit and sequential: the i-th
@@ -303,10 +282,8 @@ func (in *Injector) Apply(readings []float64) (Observation, error) {
 			v = in.stuckVal[i]
 		}
 
-		// Hard failure gates everything, including queued deliveries: a
-		// dead sensor's radio is gone.
-		if r > in.lastAlive[i] {
-			in.pending[i] = in.pending[i][:0]
+		// A dead sensor's radio is gone from round 0: it queues nothing.
+		if in.dead[i] {
 			nDead++
 			continue
 		}
@@ -318,9 +295,7 @@ func (in *Injector) Apply(readings []float64) (Observation, error) {
 		} else if in.cfg.DelayProb > 0 && in.draw(r, i, saltDelay) < in.cfg.DelayProb {
 			fresh = false
 			nDelayed++
-			in.pending[i] = append(in.pending[i], pendingReport{
-				origin: r, arrive: r + in.cfg.DelayRounds, value: v,
-			})
+			in.pending[i] = append(in.pending[i], pendingReport{origin: r, value: v})
 		}
 
 		if fresh {
@@ -332,12 +307,14 @@ func (in *Injector) Apply(readings []float64) (Observation, error) {
 			continue
 		}
 		// No fresh report: deliver the newest matured delayed report, if
-		// any, and keep the not-yet-matured ones in flight.
+		// any, and keep the not-yet-matured ones in flight. Maturity is
+		// tested on the report's age, which cannot overflow the way
+		// origin+DelayRounds would for a very large delay.
 		q := in.pending[i][:0]
 		bestOrigin := -1
 		var bestVal float64
 		for _, p := range in.pending[i] {
-			if p.arrive <= r {
+			if r-p.origin >= in.cfg.DelayRounds {
 				if p.origin > bestOrigin {
 					bestOrigin, bestVal = p.origin, p.value
 				}

@@ -36,7 +36,6 @@ func TestValidate(t *testing.T) {
 		{LossProb: math.NaN()},
 		{DelayProb: 2},
 		{StuckFrac: -1},
-		{FailWindow: -3},
 		{DelayRounds: -1},
 	}
 	for _, cfg := range bad {
@@ -109,9 +108,9 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// TestDropoutPermanent: every sensor marked failed stays absent from its
-// failure round onward, and DropoutFrac=1 with the default FailWindow kills
-// every sensor from round zero.
+// TestDropoutPermanent: a failed sensor never reports, so DropoutFrac=1
+// silences every sensor from round zero and a partial dropout leaves the
+// same sensors absent in every round.
 func TestDropoutPermanent(t *testing.T) {
 	obs := applyAll(t, Config{DropoutFrac: 1}, 30, 4, 3)
 	for r, o := range obs {
@@ -120,8 +119,8 @@ func TestDropoutPermanent(t *testing.T) {
 		}
 	}
 
-	// Partial dropout with a failure window: once absent, absent forever.
-	cfg := Config{DropoutFrac: 0.5, FailWindow: 4}
+	// Partial dropout: once absent, absent forever.
+	cfg := Config{DropoutFrac: 0.5}
 	seq := applyAll(t, cfg, 80, 10, 11)
 	for i := 0; i < 80; i++ {
 		dead := false
@@ -192,6 +191,18 @@ func TestDelayedDelivery(t *testing.T) {
 	}
 }
 
+// TestDelayBeyondRunNeverArrives: a delay of math.MaxInt rounds outlasts
+// any run, so no report is ever delivered. Scheduling the arrival as
+// origin+DelayRounds wrapped negative here and delivered every report in
+// its own round at age 0, as if it were fresh.
+func TestDelayBeyondRunNeverArrives(t *testing.T) {
+	for r, o := range applyAll(t, Config{DelayProb: 1, DelayRounds: math.MaxInt}, 10, 8, 9) {
+		if n := o.Delivered(); n != 0 {
+			t.Fatalf("round %d: %d reports delivered, want none", r, n)
+		}
+	}
+}
+
 // TestFreshSupersedesDelayed: a fresh report clears the in-flight queue, so
 // a stale report never arrives after a newer fresh one.
 func TestFreshSupersedesDelayed(t *testing.T) {
@@ -240,15 +251,15 @@ func TestRoundsCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.Rounds() != 0 || in.NumSensors() != 4 {
-		t.Fatalf("fresh injector: rounds %d, sensors %d", in.Rounds(), in.NumSensors())
+	if in.round != 0 || in.NumSensors() != 4 {
+		t.Fatalf("fresh injector: rounds %d, sensors %d", in.round, in.NumSensors())
 	}
 	for r := 0; r < 3; r++ {
 		if _, err := in.Apply(make([]float64, 4)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if in.Rounds() != 3 {
-		t.Fatalf("rounds %d after 3 applies", in.Rounds())
+	if in.round != 3 {
+		t.Fatalf("rounds %d after 3 applies", in.round)
 	}
 }

@@ -82,16 +82,6 @@ func NewCache(capacity int) *Cache {
 	return c
 }
 
-// Len returns how many databases the cache currently holds.
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // Get returns the database for (model, bounds, points, cfg), building it on
 // first use and memoizing it for later callers. workers and m apply only to
 // a build this call performs (a hit ignores them — the database contents do

@@ -25,6 +25,16 @@ func cacheTestPoints() []geom.Point {
 	}
 }
 
+// Len returns how many databases the cache currently holds.
+func (c *Cache) Len() int {
+	if c == nil {
+		return 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
+}
+
 func TestCacheHitReturnsSameDB(t *testing.T) {
 	model := cacheTestModel(t)
 	pts := cacheTestPoints()

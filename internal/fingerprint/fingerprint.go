@@ -168,10 +168,6 @@ func NewDBOver(model *fluxmodel.Model, bounds geom.Rect, points []geom.Point, cf
 // Cells returns the number of grid cells (GridRes²).
 func (db *DB) Cells() int { return len(db.centers) }
 
-// Bounds returns the rectangle the cell grid tiles: the model field for a
-// NewDB database, the explicit bounds for a NewDBOver one.
-func (db *DB) Bounds() geom.Rect { return db.field }
-
 // Res returns the per-axis grid resolution.
 func (db *DB) Res() int { return db.res }
 
@@ -179,11 +175,8 @@ func (db *DB) Res() int { return db.res }
 // full (unmasked) sniffed-node count the database was built over.
 func (db *DB) NumSamples() int { return db.n }
 
-// Center returns the center position of cell c.
-func (db *DB) Center(c int) geom.Point { return db.centers[c] }
-
-// Column returns cell c's signature column: the kernel vector
-// g(Center(c), p_i) over the build-time sample points. The returned slice
+// Column returns cell c's signature column: the kernel vector g(center of
+// cell c, p_i) over the build-time sample points. The returned slice
 // aliases the database arena and must not be modified.
 func (db *DB) Column(c int) []float64 {
 	return db.cols[c*db.n : (c+1)*db.n : (c+1)*db.n]

@@ -32,6 +32,13 @@ func testPoints(n int, seed uint64, field geom.Rect) []geom.Point {
 // TestDBColumnsMatchKernelVector pins each database column bit-for-bit to
 // the per-sink kernel path the exact evaluator uses: the coarse stage
 // scores the very signatures the fine stage would compute.
+// Bounds returns the rectangle the cell grid tiles: the model field for a
+// NewDB database, the explicit bounds for a NewDBOver one.
+func (db *DB) Bounds() geom.Rect { return db.field }
+
+// Center returns the center position of cell c.
+func (db *DB) Center(c int) geom.Point { return db.centers[c] }
+
 func TestDBColumnsMatchKernelVector(t *testing.T) {
 	model := testModel(t)
 	pts := testPoints(37, 5, model.Field())

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"fluxtrack/internal/fluxmodel"
 	"fluxtrack/internal/geom"
 	"fluxtrack/internal/mat"
 	"fluxtrack/internal/rng"
@@ -18,26 +19,21 @@ import (
 // estimate to be good; the A6 experiment quantifies that against the SMC
 // tracker.
 type CNLSTracker struct {
-	model    modelIface
+	model    *fluxmodel.Model
 	points   []geom.Point
 	vmax     float64
 	prev     geom.Point
 	prevTime float64
 	hasPrev  bool
-	restarts int
 }
 
-// modelIface is the slice of fluxmodel.Model the tracker needs; it keeps
-// the tracker testable with stub models.
-type modelIface interface {
-	Field() geom.Rect
-	PredictFlux(sinks []geom.Point, cs []float64, pts []geom.Point) ([]float64, error)
-}
+// cnlsRestarts is the Levenberg-Marquardt multistart count per step: the
+// anchor itself, then random starts in the motion disc.
+const cnlsRestarts = 5
 
 // NewCNLSTracker builds a CNLS tracker over the sniffed points. vmax bounds
-// the user's speed; restarts controls the LM multistart count per step
-// (default 5).
-func NewCNLSTracker(model modelIface, points []geom.Point, vmax float64, restarts int) (*CNLSTracker, error) {
+// the user's speed.
+func NewCNLSTracker(model *fluxmodel.Model, points []geom.Point, vmax float64) (*CNLSTracker, error) {
 	if model == nil {
 		return nil, fmt.Errorf("fit: nil model")
 	}
@@ -47,14 +43,10 @@ func NewCNLSTracker(model modelIface, points []geom.Point, vmax float64, restart
 	if vmax <= 0 {
 		return nil, fmt.Errorf("fit: vmax must be positive, got %v", vmax)
 	}
-	if restarts <= 0 {
-		restarts = 5
-	}
 	return &CNLSTracker{
-		model:    model,
-		points:   append([]geom.Point(nil), points...),
-		vmax:     vmax,
-		restarts: restarts,
+		model:  model,
+		points: append([]geom.Point(nil), points...),
+		vmax:   vmax,
 	}, nil
 }
 
@@ -64,15 +56,6 @@ func (c *CNLSTracker) Seed(pos geom.Point, t float64) {
 	c.prev = c.model.Field().Clamp(pos)
 	c.prevTime = t
 	c.hasPrev = true
-}
-
-// Position returns the current estimate (the field center before any
-// update).
-func (c *CNLSTracker) Position() geom.Point {
-	if !c.hasPrev {
-		return c.model.Field().Center()
-	}
-	return c.prev
 }
 
 // Step consumes the flux observation at time t and returns the new position
@@ -119,7 +102,7 @@ func (c *CNLSTracker) Step(t float64, measured []float64, src *rng.Source) (geom
 
 	best := geom.Point{}
 	bestObj := math.Inf(1)
-	for attempt := 0; attempt < c.restarts; attempt++ {
+	for attempt := 0; attempt < cnlsRestarts; attempt++ {
 		var start geom.Point
 		if attempt == 0 {
 			start = anchor
@@ -127,7 +110,7 @@ func (c *CNLSTracker) Step(t float64, measured []float64, src *rng.Source) (geom
 			start = src.InDiscClamped(anchor, math.Max(radius, 1), field)
 		}
 		x0 := []float64{start.X, start.Y, 1}
-		res, err := mat.LevenbergMarquardt(residuals, x0, mat.NLSOptions{MaxIter: 120})
+		res, err := mat.LevenbergMarquardt(residuals, x0)
 		if err != nil && res.X == nil {
 			continue
 		}

@@ -33,27 +33,23 @@ func cnlsObserve(t testing.TB, m *fluxmodel.Model, pts []geom.Point, sink geom.P
 
 func TestNewCNLSTrackerValidation(t *testing.T) {
 	m, pts := cnlsSetup(t, 1)
-	if _, err := NewCNLSTracker(nil, pts, 5, 3); err == nil {
+	if _, err := NewCNLSTracker(nil, pts, 5); err == nil {
 		t.Error("nil model must error")
 	}
-	if _, err := NewCNLSTracker(m, nil, 5, 3); err == nil {
+	if _, err := NewCNLSTracker(m, nil, 5); err == nil {
 		t.Error("no points must error")
 	}
-	if _, err := NewCNLSTracker(m, pts, 0, 3); err == nil {
+	if _, err := NewCNLSTracker(m, pts, 0); err == nil {
 		t.Error("zero vmax must error")
 	}
-	tr, err := NewCNLSTracker(m, pts, 5, 0)
-	if err != nil {
+	if _, err := NewCNLSTracker(m, pts, 5); err != nil {
 		t.Fatal(err)
-	}
-	if tr.Position() != m.Field().Center() {
-		t.Errorf("unseeded Position = %v, want field center", tr.Position())
 	}
 }
 
 func TestCNLSStepValidation(t *testing.T) {
 	m, pts := cnlsSetup(t, 2)
-	tr, err := NewCNLSTracker(m, pts, 5, 2)
+	tr, err := NewCNLSTracker(m, pts, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +60,7 @@ func TestCNLSStepValidation(t *testing.T) {
 
 func TestCNLSTracksWithOracleSeed(t *testing.T) {
 	m, pts := cnlsSetup(t, 3)
-	tr, err := NewCNLSTracker(m, pts, 4, 5)
+	tr, err := NewCNLSTracker(m, pts, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +83,7 @@ func TestCNLSTracksWithOracleSeed(t *testing.T) {
 
 func TestCNLSRespectsMotionConstraint(t *testing.T) {
 	m, pts := cnlsSetup(t, 5)
-	tr, err := NewCNLSTracker(m, pts, 2, 3)
+	tr, err := NewCNLSTracker(m, pts, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +102,9 @@ func TestCNLSRespectsMotionConstraint(t *testing.T) {
 
 func TestCNLSFirstStepUnconstrained(t *testing.T) {
 	// Without a seed, the first step may roam the whole field and should
-	// land reasonably near a strong source given enough restarts.
+	// land reasonably near a strong source.
 	m, pts := cnlsSetup(t, 7)
-	tr, err := NewCNLSTracker(m, pts, 5, 12)
+	tr, err := NewCNLSTracker(m, pts, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,23 +59,16 @@ type Coarse struct {
 // a few users the residual is noise and further passes only cost time.
 const coarseMaxPasses = 4
 
-// scoreSignature returns the matched-filter score of one full-length
-// fingerprint column against the problem's weighted observation:
-// max(⟨wcol, wb⟩, 0)² / ⟨wcol, wcol⟩ with wcol the weighted column — the
-// observation energy a lone non-negative user along this signature would
-// explain. Masked problems read the column through origIdx so the compacted
-// samples align with the database's build-time layout. Columns orthogonal
-// to (or anti-correlated with) the observation score zero.
-func (p *Problem) scoreSignature(col []float64) float64 {
-	score, _ := p.scoreSignatureRHS(col, p.wb)
-	return score
-}
-
-// scoreSignatureRHS is scoreSignature against an arbitrary weighted
-// right-hand side (the observation itself, or a cancellation residual in
-// the same compacted sample space). It also returns the fitted non-negative
-// single-user coefficient x = max(proj, 0)/norm2, which subtractSignature
-// uses to peel the signature off the residual.
+// scoreSignatureRHS returns the matched-filter score of one full-length
+// fingerprint column against a weighted right-hand side (the observation
+// itself, or a cancellation residual in the same compacted sample space):
+// max(⟨wcol, rhs⟩, 0)² / ⟨wcol, wcol⟩ with wcol the weighted column — the
+// energy a lone non-negative user along this signature would explain.
+// Masked problems read the column through origIdx so the compacted samples
+// align with the database's build-time layout; columns orthogonal to (or
+// anti-correlated with) the right-hand side score zero. It also returns the
+// fitted non-negative single-user coefficient x = max(proj, 0)/norm2, which
+// subtractSignature uses to peel the signature off the residual.
 func (p *Problem) scoreSignatureRHS(col, rhs []float64) (score, x float64) {
 	var norm2, proj float64
 	if p.origIdx == nil && p.weights == nil {

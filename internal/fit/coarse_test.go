@@ -59,6 +59,13 @@ func coarseDB(t *testing.T, p *Problem, pts []geom.Point, res int) *fingerprint.
 // to the exact search's, including every objective bit and every ranking
 // index. The coarse path is exercised in full (cell scoring, cell
 // lookups, selection, remap), not short-circuited.
+// scoreSignature is scoreSignatureRHS against the problem's weighted
+// observation.
+func (p *Problem) scoreSignature(col []float64) float64 {
+	score, _ := p.scoreSignatureRHS(col, p.wb)
+	return score
+}
+
 func TestCoarseFullKByteIdentical(t *testing.T) {
 	type variant struct {
 		name          string

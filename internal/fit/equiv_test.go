@@ -11,6 +11,7 @@ import (
 	"fluxtrack/internal/geom"
 	"fluxtrack/internal/mat"
 	"fluxtrack/internal/obs"
+	"fluxtrack/internal/oracle"
 	"fluxtrack/internal/rng"
 )
 
@@ -43,7 +44,7 @@ func referenceEvaluate(p *Problem, positions []geom.Point) (Eval, error) {
 			a.Set(i, j, v)
 		}
 	}
-	cs, err := mat.NNLS(a, b)
+	cs, err := oracle.NNLS(a, b)
 	if err != nil {
 		return Eval{}, err
 	}

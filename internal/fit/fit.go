@@ -99,35 +99,6 @@ func NewProblemWeighted(model *fluxmodel.Model, points []geom.Point, measured, w
 	return p, nil
 }
 
-// RelativeWeights returns relative-error weights for NewProblemWeighted:
-// w_i = 1/(F′_i + q) with q = 0.2·mean(F′) + 1, which turns the objective
-// into (approximately) a relative-error fit and keeps near-sink readings
-// from dominating. No experiment or tracker uses them: the evaluation fits
-// unweighted, apart from the tracker's deflation of stale readings and the
-// robust defense's reweighting. The tests use them as a realistic
-// non-uniform weighting.
-func RelativeWeights(measured []float64) []float64 {
-	var mean float64
-	for _, f := range measured {
-		mean += f
-	}
-	if len(measured) > 0 {
-		mean /= float64(len(measured))
-	}
-	q := 0.2*mean + 1
-	ws := make([]float64, len(measured))
-	for i, f := range measured {
-		ws[i] = 1 / (math.Max(f, 0) + q)
-	}
-	return ws
-}
-
-// Model returns the flux model of the problem.
-func (p *Problem) Model() *fluxmodel.Model { return p.model }
-
-// NumSamples returns the number of sniffed nodes.
-func (p *Problem) NumSamples() int { return len(p.points) }
-
 // Measured returns a copy of the measurement vector F′.
 func (p *Problem) Measured() []float64 { return append([]float64(nil), p.measured...) }
 
@@ -142,15 +113,6 @@ type Eval struct {
 	Positions []geom.Point // one position per user
 	Stretches []float64    // fitted integrated stretch factors c_j = s_j/r
 	Objective float64      // ‖F − F′‖₂ at the optimum over stretches
-}
-
-// Evaluate fits the stretch factors for the given candidate positions and
-// returns the minimized objective (Equation 4.1 with c solved in closed
-// form by NNLS). Callers evaluating repeatedly should hold a Searcher and
-// use its Evaluate method, which reuses the evaluation buffers.
-func (p *Problem) Evaluate(positions []geom.Point) (Eval, error) {
-	var s Searcher
-	return s.Evaluate(p, positions)
 }
 
 // Options configures the candidate search.
@@ -279,19 +241,4 @@ func insertTopM(best []Eval, ev Eval, m int) []Eval {
 		best = best[:m]
 	}
 	return best
-}
-
-// MeanPosition returns the average of the ranked positions, the "report of
-// the majority" the paper uses to aggregate the top-M predictions.
-func MeanPosition(ranked []RankedPosition) (geom.Point, bool) {
-	if len(ranked) == 0 {
-		return geom.Point{}, false
-	}
-	var x, y float64
-	for _, r := range ranked {
-		x += r.Pos.X
-		y += r.Pos.Y
-	}
-	n := float64(len(ranked))
-	return geom.Pt(x/n, y/n), true
 }

@@ -144,19 +144,14 @@ func growFloats(buf *[]float64, n int) []float64 {
 	return *buf
 }
 
-// Evaluate is Problem.Evaluate running in the Searcher's reusable buffers:
-// after warm-up only the returned Eval allocates. The SMC tracker uses it
-// for the incumbent-position fits that gate its active-set selection.
-func (s *Searcher) Evaluate(p *Problem, positions []geom.Point) (Eval, error) {
-	return s.EvaluateWorkers(p, positions, 1)
-}
-
-// EvaluateWorkers is Evaluate with the per-position kernel columns computed
-// on up to workers goroutines (each column is a pure function of its
-// position, written into an index-disjoint arena slot, so the result is
-// worker-count-invariant). The SMC tracker's incumbent fit runs here with
-// one column per tracked user — in the §5.C many-user regime that is the
-// widest loop of an idle round.
+// EvaluateWorkers fits the stretch factors for the given positions in the
+// Searcher's reusable buffers (after warm-up only the returned Eval
+// allocates), computing the per-position kernel columns on up to workers
+// goroutines (each column is a pure function of its position, written into
+// an index-disjoint arena slot, so the result is worker-count-invariant).
+// The SMC tracker's incumbent fit runs here with one column per tracked
+// user — in the §5.C many-user regime that is the widest loop of an idle
+// round; its result gates the tracker's active-set selection.
 func (s *Searcher) EvaluateWorkers(p *Problem, positions []geom.Point, workers int) (Eval, error) {
 	if len(positions) == 0 {
 		return Eval{}, errors.New("fit: no candidate positions")

@@ -387,32 +387,3 @@ func Accuracy(net *network.Network, m *Model, sink geom.Point, measured []float6
 	}
 	return stats, nil
 }
-
-// ContinuousFlux returns the continuous-model flux (Formula 3.2) at distance
-// d from the sink with boundary distance l and stretch s. It exists mainly
-// to document and test the relationship between the two model forms.
-func ContinuousFlux(s, l, d float64) float64 {
-	if d <= 0 {
-		return math.Inf(1)
-	}
-	return s * (l*l - d*d) / (2 * d)
-}
-
-// DiscreteFlux returns the discrete-model flux (Formula 3.4).
-func DiscreteFlux(s, l, d, r float64) float64 {
-	if d <= 0 || r <= 0 {
-		return math.Inf(1)
-	}
-	return s * (l*l - d*d) / (2 * d * r)
-}
-
-// DiscreteFluxByHop returns the exact k-hop form of Formula 3.3/3.4:
-// F_k = s (l² − ((k−1) r)²) / ((2k−1) r²), the flux concentrated at each
-// k-hop node when all data beyond the (k−1)-th ring passes through ring k.
-func DiscreteFluxByHop(s, l, r float64, k int) float64 {
-	if k <= 0 || r <= 0 {
-		return math.Inf(1)
-	}
-	kk := float64(k)
-	return s * (l*l - (kk-1)*(kk-1)*r*r) / ((2*kk - 1) * r * r)
-}

@@ -170,43 +170,6 @@ func TestPredictFluxSuperposition(t *testing.T) {
 	}
 }
 
-func TestContinuousVsDiscreteRelation(t *testing.T) {
-	// Formula 3.4 is Formula 3.2 divided by r.
-	s, l, d, r := 2.0, 20.0, 5.0, 1.3
-	cont := ContinuousFlux(s, l, d)
-	disc := DiscreteFlux(s, l, d, r)
-	if math.Abs(disc-cont/r) > 1e-12 {
-		t.Errorf("discrete = %v, want continuous/r = %v", disc, cont/r)
-	}
-}
-
-func TestDiscreteFluxByHopMatchesApproximation(t *testing.T) {
-	// For k >> 1 the by-hop form approaches the d-based approximation with
-	// d = (k - 1/2) r (midpoint of the strip).
-	s, l, r := 1.0, 30.0, 1.0
-	for k := 5; k <= 20; k++ {
-		exact := DiscreteFluxByHop(s, l, r, k)
-		d := (float64(k) - 0.5) * r
-		approx := DiscreteFlux(s, l, d, r)
-		relErr := math.Abs(exact-approx) / exact
-		if relErr > 0.05 {
-			t.Errorf("k=%d: by-hop %v vs approx %v (rel err %v)", k, exact, approx, relErr)
-		}
-	}
-}
-
-func TestDegenerateFluxForms(t *testing.T) {
-	if !math.IsInf(ContinuousFlux(1, 10, 0), 1) {
-		t.Error("ContinuousFlux at d=0 must be +Inf")
-	}
-	if !math.IsInf(DiscreteFlux(1, 10, 5, 0), 1) {
-		t.Error("DiscreteFlux with r=0 must be +Inf")
-	}
-	if !math.IsInf(DiscreteFluxByHop(1, 10, 1, 0), 1) {
-		t.Error("DiscreteFluxByHop with k=0 must be +Inf")
-	}
-}
-
 func buildNet(t testing.TB, n int, seed uint64, kind deploy.Kind, radius float64) *network.Network {
 	t.Helper()
 	src := rng.New(seed)

@@ -70,9 +70,6 @@ func (v Vec) Unit() (Vec, bool) {
 	return Vec{DX: v.DX / n, DY: v.DY / n}, true
 }
 
-// Dot returns the dot product of v and w.
-func (v Vec) Dot(w Vec) float64 { return v.DX*w.DX + v.DY*w.DY }
-
 // Rect is an axis-aligned rectangle. It is the canonical shape of the sensor
 // field in the paper's evaluation (a 30 by 30 square field). Min is the
 // lower-left corner and Max the upper-right corner.
@@ -104,9 +101,6 @@ func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 // Diameter returns the length of the rectangle diagonal. The paper reports
 // localization errors as fractions of the field diameter.
 func (r Rect) Diameter() float64 { return r.Min.Dist(r.Max) }
-
-// Area returns the area of r.
-func (r Rect) Area() float64 { return r.Width() * r.Height() }
 
 // Center returns the center point of r.
 func (r Rect) Center() Point {

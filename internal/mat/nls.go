@@ -17,29 +17,13 @@ type NLSResult struct {
 	Converged  bool      // whether a convergence criterion was met
 }
 
-// NLSOptions configures the Levenberg-Marquardt solver.
-type NLSOptions struct {
-	MaxIter int     // maximum iterations (default 100)
-	TolGrad float64 // stop when ||J^T r||_inf below this (default 1e-8)
-	TolStep float64 // stop when the step is this small relative to x (default 1e-10)
-	FDStep  float64 // finite-difference step for the Jacobian (default 1e-6)
-}
-
-func (o NLSOptions) withDefaults() NLSOptions {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 100
-	}
-	if o.TolGrad <= 0 {
-		o.TolGrad = 1e-8
-	}
-	if o.TolStep <= 0 {
-		o.TolStep = 1e-10
-	}
-	if o.FDStep <= 0 {
-		o.FDStep = 1e-6
-	}
-	return o
-}
+// The Levenberg-Marquardt solver's budget and stopping rules.
+const (
+	lmMaxIter = 120   // maximum iterations
+	lmTolGrad = 1e-8  // stop when ||J^T r||_inf falls below this
+	lmTolStep = 1e-10 // stop when the step is this small relative to x
+	lmFDStep  = 1e-6  // finite-difference step for the Jacobian
+)
 
 // ErrNoProgress is returned when an NLS solver cannot decrease the objective.
 var ErrNoProgress = errors.New("mat: nonlinear solver made no progress")
@@ -62,14 +46,14 @@ func numJacobian(r Residualer, x, r0 []float64, h float64) *Dense {
 }
 
 // LevenbergMarquardt minimizes 0.5*||r(x)||^2 with the Madsen-Nielsen-
-// Tingleff damping strategy (the reference the paper cites for NLS methods).
-func LevenbergMarquardt(r Residualer, x0 []float64, opts NLSOptions) (NLSResult, error) {
-	opts = opts.withDefaults()
+// Tingleff damping strategy (the reference the paper cites for NLS methods),
+// for at most 120 iterations.
+func LevenbergMarquardt(r Residualer, x0 []float64) (NLSResult, error) {
 	x := append([]float64(nil), x0...)
 	res := r(x)
 	f := 0.5 * Dot(res, res)
 
-	jac := numJacobian(r, x, res, opts.FDStep)
+	jac := numJacobian(r, x, res, lmFDStep)
 	jtj, err := jac.T().Mul(jac)
 	if err != nil {
 		return NLSResult{}, err
@@ -87,8 +71,8 @@ func LevenbergMarquardt(r Residualer, x0 []float64, opts NLSOptions) (NLSResult,
 	}
 	nu := 2.0
 
-	for iter := 1; iter <= opts.MaxIter; iter++ {
-		if infNorm(g) < opts.TolGrad {
+	for iter := 1; iter <= lmMaxIter; iter++ {
+		if infNorm(g) < lmTolGrad {
 			return NLSResult{X: x, Objective: f, Iterations: iter, Converged: true}, nil
 		}
 		// Solve (J^T J + mu I) dx = -g.
@@ -106,7 +90,7 @@ func LevenbergMarquardt(r Residualer, x0 []float64, opts NLSOptions) (NLSResult,
 			nu *= 2
 			continue
 		}
-		if Norm2(dx) < opts.TolStep*(Norm2(x)+opts.TolStep) {
+		if Norm2(dx) < lmTolStep*(Norm2(x)+lmTolStep) {
 			return NLSResult{X: x, Objective: f, Iterations: iter, Converged: true}, nil
 		}
 		xt := AddScaled(x, 1, dx)
@@ -118,7 +102,7 @@ func LevenbergMarquardt(r Residualer, x0 []float64, opts NLSOptions) (NLSResult,
 		rho := (f - ft) / math.Max(pred, 1e-300)
 		if rho > 0 {
 			x, res, f = xt, rt, ft
-			jac = numJacobian(r, x, res, opts.FDStep)
+			jac = numJacobian(r, x, res, lmFDStep)
 			jtj, err = jac.T().Mul(jac)
 			if err != nil {
 				return NLSResult{}, err
@@ -134,7 +118,7 @@ func LevenbergMarquardt(r Residualer, x0 []float64, opts NLSOptions) (NLSResult,
 			}
 		}
 	}
-	return NLSResult{X: x, Objective: f, Iterations: opts.MaxIter, Converged: false}, nil
+	return NLSResult{X: x, Objective: f, Iterations: lmMaxIter, Converged: false}, nil
 }
 
 // jtRes computes J^T r.

@@ -23,7 +23,7 @@ func expFitResiduals(x []float64) []float64 {
 }
 
 func TestLevenbergMarquardtRosenbrock(t *testing.T) {
-	res, err := LevenbergMarquardt(rosenbrockResiduals, []float64{-1.2, 1}, NLSOptions{MaxIter: 500})
+	res, err := LevenbergMarquardt(rosenbrockResiduals, []float64{-1.2, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestLevenbergMarquardtRosenbrock(t *testing.T) {
 }
 
 func TestLevenbergMarquardtExpFit(t *testing.T) {
-	res, err := LevenbergMarquardt(expFitResiduals, []float64{1, -1}, NLSOptions{})
+	res, err := LevenbergMarquardt(expFitResiduals, []float64{1, -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestNLSObjectiveMonotoneUnderLM(t *testing.T) {
 	x0 := []float64{5, 5}
 	r0 := rosenbrockResiduals(x0)
 	f0 := 0.5 * Dot(r0, r0)
-	res, err := LevenbergMarquardt(rosenbrockResiduals, x0, NLSOptions{MaxIter: 10})
+	res, err := LevenbergMarquardt(rosenbrockResiduals, x0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,20 +63,9 @@ func TestNLSObjectiveMonotoneUnderLM(t *testing.T) {
 	}
 }
 
-func TestNLSOptionsDefaults(t *testing.T) {
-	o := NLSOptions{}.withDefaults()
-	if o.MaxIter != 100 || o.TolGrad != 1e-8 || o.TolStep != 1e-10 || o.FDStep != 1e-6 {
-		t.Errorf("unexpected defaults: %+v", o)
-	}
-	custom := NLSOptions{MaxIter: 7}.withDefaults()
-	if custom.MaxIter != 7 {
-		t.Errorf("explicit MaxIter overridden: %+v", custom)
-	}
-}
-
 func BenchmarkLevenbergMarquardt(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := LevenbergMarquardt(expFitResiduals, []float64{1, -1}, NLSOptions{}); err != nil {
+		if _, err := LevenbergMarquardt(expFitResiduals, []float64{1, -1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,6 +3,8 @@ package mat
 import (
 	"math"
 	"testing"
+
+	"fluxtrack/internal/oracle"
 )
 
 // lcg is a tiny deterministic generator so the tests need no rng import.
@@ -46,7 +48,7 @@ func TestNNLSIntoMatchesNNLS(t *testing.T) {
 		k := 1 + trial%4
 		a, b := randProblem(&l, m, k)
 
-		want, err := NNLS(a, b)
+		want, err := oracle.NNLS(a, b)
 		if err != nil {
 			t.Fatalf("trial %d: NNLS: %v", trial, err)
 		}
@@ -132,7 +134,7 @@ func TestNNLSGramIntoDegenerate(t *testing.T) {
 			t.Fatalf("degenerate solve: x[%d] = %v", j, v)
 		}
 	}
-	want, err := NNLS(a, b)
+	want, err := oracle.NNLS(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,10 @@
 // (Fig 7) and speed-bounded random walks.
 //
 // A model is any Trajectory: a function At(t) from observation time to a
-// position inside the field. Linear and Static are deterministic given
-// their construction; RandomWalk draws turns from an explicit *rng.Source,
-// so walks replay exactly under a fixed seed. The walk's speed bound is
+// position inside the field. Linear is deterministic given its
+// construction (a zero velocity gives a stationary user); RandomWalk draws
+// turns from an explicit *rng.Source, so walks replay exactly under a fixed
+// seed. The walk's speed bound is
 // the same constant the SMC tracker's motion prior (internal/smc)
 // assumes — experiments that sweep maximum speed (Fig 10b) vary both
 // together. Trajectories produce geom.Point values clamped to the field
@@ -42,14 +43,6 @@ func (l Linear) At(t float64) geom.Point {
 	}
 	return l.Start.Add(l.V.Scale(t - l.T0))
 }
-
-// Static is a stationary user.
-type Static struct{ Pos geom.Point }
-
-var _ Trajectory = Static{}
-
-// At implements Trajectory.
-func (s Static) At(float64) geom.Point { return s.Pos }
 
 // RandomWalk is a speed-bounded random walk sampled on unit time steps; the
 // position at fractional times interpolates linearly. It matches the weak
@@ -95,11 +88,6 @@ func (r *RandomWalk) At(t float64) geom.Point {
 	return geom.Lerp(r.steps[i], r.steps[i+1], t-float64(i))
 }
 
-// Steps returns a copy of the walk's sampled step positions.
-func (r *RandomWalk) Steps() []geom.Point {
-	return append([]geom.Point(nil), r.steps...)
-}
-
 // CrossingPair returns two linear trajectories that intersect midway through
 // the window [t0, t0+duration] — the identity-confusion scenario of
 // Fig 7(d): the tracker keeps both trajectories but may swap identities at
@@ -119,20 +107,4 @@ func CrossingPair(field geom.Rect, speed, t0, duration float64) (Linear, Linear,
 	a := Linear{Start: field.Clamp(c.Add(d1.Scale(-half))), V: d1.Scale(speed), T0: t0}
 	b := Linear{Start: field.Clamp(c.Add(d2.Scale(-half))), V: d2.Scale(speed), T0: t0}
 	return a, b, nil
-}
-
-// MaxStepDistance returns the largest distance covered between consecutive
-// integer sample times over [0, steps] — a diagnostic the tests use to
-// verify speed bounds.
-func MaxStepDistance(tr Trajectory, steps int) float64 {
-	var m float64
-	prev := tr.At(0)
-	for i := 1; i <= steps; i++ {
-		cur := tr.At(float64(i))
-		if d := prev.Dist(cur); d > m {
-			m = d
-		}
-		prev = cur
-	}
-	return m
 }

@@ -8,6 +8,26 @@ import (
 	"fluxtrack/internal/rng"
 )
 
+// Steps returns a copy of the walk's sampled step positions.
+func (r *RandomWalk) Steps() []geom.Point {
+	return append([]geom.Point(nil), r.steps...)
+}
+
+// MaxStepDistance returns the largest distance covered between consecutive
+// integer sample times over [0, steps].
+func MaxStepDistance(tr Trajectory, steps int) float64 {
+	var m float64
+	prev := tr.At(0)
+	for i := 1; i <= steps; i++ {
+		cur := tr.At(float64(i))
+		if d := prev.Dist(cur); d > m {
+			m = d
+		}
+		prev = cur
+	}
+	return m
+}
+
 func TestLinearAt(t *testing.T) {
 	l := Linear{Start: geom.Pt(1, 2), V: geom.Vec{DX: 2, DY: -1}, T0: 5}
 	tests := []struct {
@@ -22,15 +42,6 @@ func TestLinearAt(t *testing.T) {
 	for _, tt := range tests {
 		if got := l.At(tt.t); got.Dist(tt.want) > 1e-12 {
 			t.Errorf("At(%v) = %v, want %v", tt.t, got, tt.want)
-		}
-	}
-}
-
-func TestStatic(t *testing.T) {
-	s := Static{Pos: geom.Pt(3, 4)}
-	for _, tt := range []float64{0, 1, 100} {
-		if got := s.At(tt); got != geom.Pt(3, 4) {
-			t.Errorf("At(%v) = %v", tt, got)
 		}
 	}
 }

@@ -106,11 +106,6 @@ func (n *Network) Radius() float64 { return n.radius }
 // Pos returns the position of node i.
 func (n *Network) Pos(i int) geom.Point { return n.pos[i] }
 
-// Positions returns a copy of all node positions.
-func (n *Network) Positions() []geom.Point {
-	return append([]geom.Point(nil), n.pos...)
-}
-
 // Neighbors returns the node indices adjacent to i. The returned slice is
 // shared internal state and must not be modified.
 func (n *Network) Neighbors(i int) []int32 { return n.adj[i] }
@@ -153,49 +148,6 @@ func (n *Network) HopsFrom(source int) []int {
 		}
 	}
 	return hops
-}
-
-// LargestComponent returns the node indices of the largest connected
-// component. Simulations attach users to this component so a disconnected
-// random deployment cannot strand a sink.
-func (n *Network) LargestComponent() []int {
-	comp := make([]int, len(n.pos))
-	for i := range comp {
-		comp[i] = -1
-	}
-	bestID, bestSize := -1, 0
-	sizes := []int{}
-	for i := range n.pos {
-		if comp[i] >= 0 {
-			continue
-		}
-		id := len(sizes)
-		size := 0
-		queue := []int32{int32(i)}
-		comp[i] = id
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			size++
-			for _, w := range n.adj[v] {
-				if comp[w] < 0 {
-					comp[w] = id
-					queue = append(queue, w)
-				}
-			}
-		}
-		sizes = append(sizes, size)
-		if size > bestSize {
-			bestID, bestSize = id, size
-		}
-	}
-	out := make([]int, 0, bestSize)
-	for i, id := range comp {
-		if id == bestID {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // RadialHopProgress estimates the average Euclidean distance covered per hop

@@ -22,6 +22,48 @@ func lineNetwork(t *testing.T) *Network {
 	return n
 }
 
+// LargestComponent returns the node indices of the largest connected
+// component.
+func (n *Network) LargestComponent() []int {
+	comp := make([]int, len(n.pos))
+	for i := range comp {
+		comp[i] = -1
+	}
+	bestID, bestSize := -1, 0
+	sizes := []int{}
+	for i := range n.pos {
+		if comp[i] >= 0 {
+			continue
+		}
+		id := len(sizes)
+		size := 0
+		queue := []int32{int32(i)}
+		comp[i] = id
+		for len(queue) > 0 {
+			v := queue[0]
+			queue = queue[1:]
+			size++
+			for _, w := range n.adj[v] {
+				if comp[w] < 0 {
+					comp[w] = id
+					queue = append(queue, w)
+				}
+			}
+		}
+		sizes = append(sizes, size)
+		if size > bestSize {
+			bestID, bestSize = id, size
+		}
+	}
+	out := make([]int, 0, bestSize)
+	for i, id := range comp {
+		if id == bestID {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 func TestNewValidation(t *testing.T) {
 	field := geom.Square(10)
 	if _, err := New(field, nil, 1); err == nil {
@@ -250,15 +292,6 @@ func TestSmoothOverNeighborhood(t *testing.T) {
 	}
 	if _, err := n.SmoothOverNeighborhood([]float64{1}); err == nil {
 		t.Error("length mismatch must error")
-	}
-}
-
-func TestPositionsCopy(t *testing.T) {
-	n := lineNetwork(t)
-	ps := n.Positions()
-	ps[0] = geom.Pt(99, 99)
-	if n.Pos(0) == geom.Pt(99, 99) {
-		t.Error("Positions returned aliasing storage")
 	}
 }
 

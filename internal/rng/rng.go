@@ -33,13 +33,6 @@ func New(seed uint64) *Source {
 	return &Source{state: seed}
 }
 
-// Split derives an independent child source from s. It advances s, so the
-// parent stream after Split differs from the stream without it, but the
-// derived child is deterministic given the parent seed and call order.
-func (s *Source) Split() *Source {
-	return New(s.Uint64() ^ 0x9e3779b97f4a7c15)
-}
-
 // Uint64 returns the next 64 pseudo-random bits.
 func (s *Source) Uint64() uint64 {
 	s.state += 0x9e3779b97f4a7c15

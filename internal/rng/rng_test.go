@@ -30,19 +30,6 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := New(7)
-	child := parent.Split()
-	// Child stream must be deterministic given the parent seed.
-	parent2 := New(7)
-	child2 := parent2.Split()
-	for i := 0; i < 100; i++ {
-		if child.Uint64() != child2.Uint64() {
-			t.Fatal("Split is not deterministic")
-		}
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	s := New(3)
 	for i := 0; i < 10000; i++ {

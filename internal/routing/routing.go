@@ -7,8 +7,8 @@
 // Trees are shortest-path collection trees: each node picks as parent its
 // geometrically nearest neighbor one hop closer to the sink (ties toward
 // the lower index), so construction is fully deterministic. SubtreeSize is
-// accumulated bottom-up in one pass and Tree.Flux scales it by a per-user
-// traffic stretch. The traffic layer (internal/traffic) caches one tree per
+// accumulated bottom-up in one pass; the traffic layer scales it by each
+// user's traffic stretch. The traffic layer (internal/traffic) caches one tree per
 // sink node, and the observability layer counts those builds and cache hits
 // (traffic.tree.builds / traffic.tree.hits).
 package routing
@@ -129,27 +129,4 @@ func (t *Tree) computeSubtreeSizes() {
 			t.SubtreeSize[p] += t.SubtreeSize[i]
 		}
 	}
-}
-
-// Reached returns the number of nodes covered by the tree (including the
-// root itself).
-func (t *Tree) Reached() int {
-	count := 0
-	for _, h := range t.Hops {
-		if h >= 0 {
-			count++
-		}
-	}
-	return count
-}
-
-// Flux returns the per-node traffic flux induced by this tree when every
-// covered node generates stretch units of data: flux[i] = stretch *
-// SubtreeSize[i]. Nodes outside the tree carry zero flux.
-func (t *Tree) Flux(stretch float64) []float64 {
-	out := make([]float64, len(t.SubtreeSize))
-	for i, s := range t.SubtreeSize {
-		out[i] = stretch * float64(s)
-	}
-	return out
 }

@@ -38,6 +38,29 @@ func paperNetwork(t testing.TB, seed uint64) *network.Network {
 	return n
 }
 
+// Reached returns the number of nodes covered by the tree (including the
+// root itself).
+func (t *Tree) Reached() int {
+	count := 0
+	for _, h := range t.Hops {
+		if h >= 0 {
+			count++
+		}
+	}
+	return count
+}
+
+// Flux returns the per-node traffic flux induced by this tree when every
+// covered node generates stretch units of data: flux[i] = stretch *
+// SubtreeSize[i]. Nodes outside the tree carry zero flux.
+func (t *Tree) Flux(stretch float64) []float64 {
+	out := make([]float64, len(t.SubtreeSize))
+	for i, s := range t.SubtreeSize {
+		out[i] = stretch * float64(s)
+	}
+	return out
+}
+
 func TestBuildValidation(t *testing.T) {
 	n := lineNetwork(t)
 	if _, err := Build(n, -1); err == nil {

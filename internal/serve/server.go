@@ -241,9 +241,6 @@ func (s *Server) Sniffer() *core.Sniffer { return s.sniffer }
 // observation's readings vector.
 func (s *Server) Sensors() int { return s.sensors }
 
-// Metrics returns the registry the server reports into.
-func (s *Server) Metrics() *obs.Metrics { return s.metrics }
-
 // Close tears down every tenant, waiting for their stepping goroutines.
 func (s *Server) Close() {
 	s.mu.Lock()

@@ -42,7 +42,7 @@ func skewTrajectories(kind string, users int) []mobility.Trajectory {
 		fi := float64(i)
 		switch {
 		case kind == "one-tile":
-			trajs[i] = mobility.Static{Pos: geom.Pt(0.4+0.3*fi, 3.1-0.27*fi)}
+			trajs[i] = mobility.Linear{Start: geom.Pt(0.4+0.3*fi, 3.1-0.27*fi)}
 		case kind == "hot-corner":
 			trajs[i] = mobility.Linear{
 				Start: geom.Pt(26.5+0.25*fi, 28.2-0.3*fi),

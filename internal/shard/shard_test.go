@@ -395,9 +395,9 @@ func TestCornerCrossing(t *testing.T) {
 // the deterministic upper/right rule.
 func TestExactBoundaryAssignment(t *testing.T) {
 	w := buildWorld(t, 41, 3, 1, []mobility.Trajectory{
-		mobility.Static{Pos: geom.Pt(15, 7)},
-		mobility.Static{Pos: geom.Pt(7, 15)},
-		mobility.Static{Pos: geom.Pt(15, 15)},
+		mobility.Linear{Start: geom.Pt(15, 7)},
+		mobility.Linear{Start: geom.Pt(7, 15)},
+		mobility.Linear{Start: geom.Pt(15, 15)},
 	})
 	f, err := shard.New(shard.Config{
 		Grid:    shard.Grid{Rows: 2, Cols: 2},

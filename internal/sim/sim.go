@@ -146,13 +146,6 @@ func (s *Simulator) WaveDuration() float64 {
 	return float64(maxHop+1) * s.cfg.HopLatency
 }
 
-// Packets returns all recorded transmissions sorted by time. The returned
-// slice is shared; callers must not modify it.
-func (s *Simulator) Packets() []Packet {
-	s.finalize()
-	return s.packets
-}
-
 func (s *Simulator) finalize() {
 	if s.sorted {
 		return
@@ -206,10 +199,4 @@ func (s *Simulator) Sniff(positions []geom.Point, from, to float64) []float64 {
 		out[k] = sum
 	}
 	return out
-}
-
-// Reset drops every recorded packet while keeping the tree cache.
-func (s *Simulator) Reset() {
-	s.packets = s.packets[:0]
-	s.sorted = true
 }

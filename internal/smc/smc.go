@@ -634,6 +634,24 @@ func (tr *Tracker) identitySubset() []int {
 	return tr.identBuf[:tr.cfg.NumUsers]
 }
 
+// stalestFirst returns the users ordered stalest first (lowest
+// LastUpdate). Users updated in the same round — the common case right
+// after bootstrap — come in ascending index order, so the active-set
+// membership never depends on sort internals. The result reuses the
+// selection scratch.
+func (tr *Tracker) stalestFirst(users []int) []int {
+	stale := append(tr.sel.stale[:0], users...)
+	sort.Slice(stale, func(a, b int) bool {
+		ua, ub := stale[a], stale[b]
+		if tr.users[ua].LastUpdate != tr.users[ub].LastUpdate {
+			return tr.users[ua].LastUpdate < tr.users[ub].LastUpdate
+		}
+		return ua < ub
+	})
+	tr.sel.stale = stale
+	return stale
+}
+
 // selectActive picks the users that join this round's candidate search (at
 // most ActiveSetLimit): users whose stretch in the incumbent-position fit is
 // above the idle threshold, then uninitialized users needing bootstrap, then
@@ -689,16 +707,7 @@ func (tr *Tracker) selectActive(prob *fit.Problem, candidates []int) ([]int, err
 				break
 			}
 		}
-		sc.stale = append(sc.stale[:0], initialized...)
-		stale := sc.stale
-		sort.Slice(stale, func(a, b int) bool {
-			ua, ub := stale[a], stale[b]
-			if tr.users[ua].LastUpdate != tr.users[ub].LastUpdate {
-				return tr.users[ua].LastUpdate < tr.users[ub].LastUpdate
-			}
-			return ua < ub
-		})
-		for _, j := range stale {
+		for _, j := range tr.stalestFirst(initialized) {
 			if len(subset) >= limit {
 				break
 			}
@@ -757,20 +766,7 @@ func (tr *Tracker) selectActive(prob *fit.Problem, candidates []int) ([]int, err
 	// far from its incumbent position leaves unexplained flux behind.
 	obsNorm := mat.Norm2(prob.Measured())
 	if obsNorm > 0 && ev.Objective > 0.3*obsNorm {
-		sc.stale = append(sc.stale[:0], initialized...)
-		stale := sc.stale
-		sort.Slice(stale, func(a, b int) bool {
-			// Stalest first; users updated in the same round (equal
-			// lastUpdate — the common case right after bootstrap) fill the
-			// remaining slots in ascending index order, again keeping the
-			// membership independent of sort internals.
-			ua, ub := stale[a], stale[b]
-			if tr.users[ua].LastUpdate != tr.users[ub].LastUpdate {
-				return tr.users[ua].LastUpdate < tr.users[ub].LastUpdate
-			}
-			return ua < ub
-		})
-		for _, j := range stale {
+		for _, j := range tr.stalestFirst(initialized) {
 			add(j)
 		}
 	}

@@ -86,28 +86,23 @@ func apIndex(aps []AP) map[string]geom.Point {
 type GenConfig struct {
 	NumUsers int
 	Duration float64 // trace length in seconds
-	// Dwell times at an AP are bounded-Pareto distributed in
-	// [MinDwell, MaxDwell] with shape DwellShape; heavy-tailed dwelling is
+	// MinDwell is the shortest dwell time at an AP (zero means one
+	// minute). Dwell times are bounded-Pareto distributed in
+	// [MinDwell, maxDwell] with shape dwellShape; heavy-tailed dwelling is
 	// the dominant feature of campus WLAN traces.
-	MinDwell, MaxDwell, DwellShape float64
-	// HopRadius bounds how far (in campus distance) the next AP can be;
-	// users roam between nearby APs. Zero means a tenth of the area
-	// diagonal.
-	HopRadius float64
+	MinDwell float64
 }
 
-func (g GenConfig) withDefaults(area geom.Rect) GenConfig {
+// The dwell-time bound and shape of generated traces. Users roam between
+// nearby APs: the next AP lies within a tenth of the area diagonal.
+const (
+	maxDwell   = 6 * 3600 // six hours
+	dwellShape = 1.2
+)
+
+func (g GenConfig) withDefaults() GenConfig {
 	if g.MinDwell <= 0 {
 		g.MinDwell = 60 // one minute
-	}
-	if g.MaxDwell <= g.MinDwell {
-		g.MaxDwell = 6 * 3600 // six hours
-	}
-	if g.DwellShape <= 0 {
-		g.DwellShape = 1.2
-	}
-	if g.HopRadius <= 0 {
-		g.HopRadius = area.Diameter() / 10
 	}
 	return g
 }
@@ -125,7 +120,8 @@ func Generate(c Campus, cfg GenConfig, src *rng.Source) ([]Record, error) {
 	if len(c.APs) == 0 {
 		return nil, fmt.Errorf("trace: campus has no APs")
 	}
-	cfg = cfg.withDefaults(c.Area)
+	cfg = cfg.withDefaults()
+	hopRadius := c.Area.Diameter() / 10
 
 	var records []Record
 	for u := 0; u < cfg.NumUsers; u++ {
@@ -134,8 +130,8 @@ func Generate(c Campus, cfg GenConfig, src *rng.Source) ([]Record, error) {
 		t := src.Uniform(0, cfg.MinDwell*10)
 		for t < cfg.Duration {
 			records = append(records, Record{Time: t, User: user, AP: c.APs[cur].ID})
-			t += src.Pareto(cfg.MinDwell, cfg.MaxDwell, cfg.DwellShape)
-			cur = c.nextAP(cur, cfg.HopRadius, src)
+			t += src.Pareto(cfg.MinDwell, maxDwell, dwellShape)
+			cur = c.nextAP(cur, hopRadius, src)
 		}
 	}
 	sort.Slice(records, func(i, j int) bool {
@@ -259,15 +255,6 @@ func (tp TimedPath) At(t float64) geom.Point {
 		return tp.Points[i]
 	}
 	return geom.Lerp(tp.Points[i-1], tp.Points[i], (t-t0)/(t1-t0))
-}
-
-// Span returns the first and last recorded times, or (0, 0) for an empty
-// path.
-func (tp TimedPath) Span() (float64, float64) {
-	if len(tp.Times) == 0 {
-		return 0, 0
-	}
-	return tp.Times[0], tp.Times[len(tp.Times)-1]
 }
 
 // Paths groups records by user and converts each sequence into a TimedPath

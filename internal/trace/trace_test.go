@@ -196,18 +196,6 @@ func TestTimedPathAt(t *testing.T) {
 	}
 }
 
-func TestTimedPathSpan(t *testing.T) {
-	tp := TimedPath{Times: []float64{3, 9}, Points: []geom.Point{{}, {}}}
-	lo, hi := tp.Span()
-	if lo != 3 || hi != 9 {
-		t.Errorf("Span = (%v, %v), want (3, 9)", lo, hi)
-	}
-	lo, hi = (TimedPath{}).Span()
-	if lo != 0 || hi != 0 {
-		t.Errorf("empty Span = (%v, %v), want (0, 0)", lo, hi)
-	}
-}
-
 func TestPaths(t *testing.T) {
 	aps := []AP{
 		{ID: "a", Pos: geom.Pt(0, 0)},

@@ -68,9 +68,6 @@ func NewSimulator(net *network.Network) *Simulator {
 	return &Simulator{net: net, treeCache: make(map[int]*routing.Tree)}
 }
 
-// Network returns the underlying network.
-func (s *Simulator) Network() *network.Network { return s.net }
-
 // SetMetrics binds (or, with nil, unbinds) the observability registry the
 // simulator reports its traffic.* work counters to. Metrics are write-only
 // and never change the simulated flux. Not safe to call concurrently with
@@ -214,19 +211,6 @@ func Reshape(flux []float64, amplitude float64, src *rng.Source) []float64 {
 		out[i] = f + src.Uniform(0, amplitude)
 	}
 	return out
-}
-
-// PeakNode returns the index of the node carrying the maximum flux and that
-// flux value. It is the primitive of the briefing baseline (§3.C): with a
-// single user, the flux peak sits at the user's sink.
-func PeakNode(flux []float64) (idx int, peak float64) {
-	idx = -1
-	for i, f := range flux {
-		if idx < 0 || f > peak {
-			idx, peak = i, f
-		}
-	}
-	return idx, peak
 }
 
 // TotalEnergy returns the sum of squared flux values. The paper reports the
